@@ -20,7 +20,7 @@ from .basis import (
     enumerate_basis,
     expr_combine,
 )
-from .closedform import hg12_closed_form, hgw_closed_form, verify_range
+from .closedform import closed_form, verify_range
 from .exactlin import LinearSystem, Rational, rank, solve
 from .families import G12, WEIERSTRASS, DegreeVector, pairing_degree
 from .solver import CoefficientReport, Relation, assemble_system, solve_coefficients
@@ -42,11 +42,10 @@ __all__ = [
     "basis_dimension",
     "branch_halve",
     "canonicalize",
+    "closed_form",
     "diagonal_self_intersection",
     "enumerate_basis",
     "expr_combine",
-    "hg12_closed_form",
-    "hgw_closed_form",
     "pairing_degree",
     "rank",
     "solve",

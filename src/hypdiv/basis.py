@@ -287,10 +287,6 @@ class DivisorExpression:
                 del merged[c]
         return DivisorExpression(self.g, self.n, merged)
 
-    def ordered_terms(self) -> list[tuple[BasisElement, Fraction]]:
-        pos = formal_position(self.g, self.n)
-        return sorted(self.terms.items(), key=lambda item: pos[item[0]])
-
     def __bool__(self):
         return bool(self.terms)
 

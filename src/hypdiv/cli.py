@@ -22,7 +22,7 @@ from . import families as F
 from . import solver
 from .families import G12, WEIERSTRASS
 
-DIVISOR_NAMES = {"w": WEIERSTRASS, "weierstrass": WEIERSTRASS, "g12": G12}
+DIVISOR_NAMES = {"w": WEIERSTRASS, "g12": G12}
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

@@ -68,16 +68,6 @@ class LinearSystem:
             sys.add_dense_row(vector, rhs)
         return sys
 
-    def dense_rows(self) -> list[tuple[list[Fraction], Fraction]]:
-        n = len(self.variables)
-        out = []
-        for row, rhs in self.rows:
-            vec = [Fraction(0)] * n
-            for j, v in row.items():
-                vec[j] = v
-            out.append((vec, rhs))
-        return out
-
 
 @dataclass
 class Unique:

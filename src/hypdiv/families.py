@@ -160,9 +160,13 @@ def _vector(g, n, target, target_degree, degrees, family, params=None) -> Degree
     )
 
 
+class CatalogError(RuntimeError):
+    """A cataloged degree disagrees with its surface-calculus recomputation."""
+
+
 def _gate(expected: int, actual: Fraction, what: str) -> None:
     if Fraction(expected) != actual:
-        raise AssertionError(f"catalog self-check failed for {what}: {expected} != {actual}")
+        raise CatalogError(f"catalog self-check failed for {what}: {expected} != {actual}")
 
 
 def diagonal_family(g: int) -> DegreeVector:
@@ -320,99 +324,76 @@ def f2ip1_family(g: int, i: int) -> DegreeVector:
     return _vector(g, 2, G12, 0, degrees, "f2ip1", {"i": i})
 
 
-class Ansatz:
-    """Unknown-coefficient model for a target divisor class.
+def marked_points(target: str) -> int:
+    """Number of marked points of the stack on which ``target`` lives."""
+    if target == WEIERSTRASS:
+        return 1
+    if target == G12:
+        return 2
+    raise DomainError(f"unknown target {target!r}")
 
-    Maps every degree-vector key to the name of the rational unknown that
-    multiplies it: ``d`` for psi classes, ``c`` for eta_irr, ``a_0_2`` for
-    delta_{0,2}, ``a_i_m`` / ``b_i_m`` for delta / eta boundary labels.
-    The 1a/1b markings share the invariant unknown ``a_i_1`` (the class is
-    symmetric under swapping the marked points), which is also what the
+
+def unknown(label: Label) -> str:
+    """Name of the rational unknown that multiplies ``label``.
+
+    ``d`` for psi classes, ``c`` for eta_irr, ``a_0_2`` for delta_{0,2},
+    ``a_i_m`` / ``b_i_m`` for delta / eta boundary labels.  The 1a/1b
+    markings share the invariant unknown ``a_i_1`` (the class is symmetric
+    under swapping the marked points), which is also what the
     invariant-combination and PSI_SUM keys resolve to.
     """
-
-    def __init__(self, g: int, n: int, target: str):
-        B.check_ambient(g, n)
-        self.g = g
-        self.n = n
-        self.target = target
-
-    @staticmethod
-    def _marking_slot(marking: str) -> str:
-        return {"0": "0", "1": "1", "1a": "1", "1b": "1", "2": "2"}[marking]
-
-    def symbol_for(self, label: Label) -> str:
-        if isinstance(label, PsiSum):
-            return "d"
-        if isinstance(label, AuxiliaryLabel):
-            prefix = "a" if label.kind == B.DELTA else "b"
-            return f"{prefix}_{label.index}_{self._marking_slot(label.marking)}"
-        if label.kind == B.PSI:
-            return "d"
-        if label.kind == B.ETA_IRR:
-            return "c"
-        if label.kind == B.DELTA_0_2:
-            return "a_0_2"
-        prefix = "a" if label.kind == B.DELTA else "b"
-        return f"{prefix}_{label.index}_{self._marking_slot(label.marking)}"
-
-    def formal_symbols(self) -> list[str]:
-        """Deterministic unknown order: d, c, a_0_2, a's by (i, m), b's."""
-        symbols = ["d", "c"]
-        markings = ("0", "1") if self.n == 1 else ("0", "1", "2")
-        if self.n == 2:
-            symbols.append("a_0_2")
-        for i in B.delta_range(self.g):
-            symbols.extend(f"a_{i}_{m}" for m in markings)
-        for i in B.eta_range(self.g):
-            symbols.extend(f"b_{i}_{m}" for m in markings)
-        return symbols
-
-    def labels_for_symbol(self, symbol: str) -> list[BasisElement]:
-        """Formal expression labels carrying a solved symbol's value."""
-        if symbol == "d":
-            return [B.psi(k) for k in range(1, self.n + 1)]
-        if symbol == "c":
-            return [B.eta_irr()]
-        if symbol == "a_0_2":
-            return [B.delta_0_2()]
-        prefix, index, slot = symbol.split("_")
-        index = int(index)
-        kind = B.DELTA if prefix == "a" else B.ETA
-        if slot == "1" and self.n == 2:
-            return [BasisElement(kind, index, "1a"), BasisElement(kind, index, "1b")]
-        return [BasisElement(kind, index, slot)]
+    if isinstance(label, PsiSum) or label.kind == B.PSI:
+        return "d"
+    if label.kind == B.ETA_IRR:
+        return "c"
+    if label.kind == B.DELTA_0_2:
+        return "a_0_2"
+    prefix = "a" if label.kind == B.DELTA else "b"
+    return f"{prefix}_{label.index}_{slot(label.marking)}"
 
 
-def weierstrass_ansatz(g: int) -> Ansatz:
-    return Ansatz(g, 1, WEIERSTRASS)
+def slot(marking: str) -> int:
+    """The marking slot m of an unknown; 1a and 1b share the invariant slot 1."""
+    return int(marking[0])
 
 
-def g12_ansatz(g: int) -> Ansatz:
-    return Ansatz(g, 2, G12)
+def formal_unknowns(g: int, n: int) -> dict[str, list[BasisElement]]:
+    """The formal unknowns in solver order, each with the labels it carries.
+
+    The order is d, c, a_0_2 (n = 2), the a's by (i, m), then the b's.
+    """
+    elements = B.formal_elements(g, n)
+    if n == 2:
+        elements.insert(3, elements.pop())  # delta_{0,2} right after eta_irr
+    groups: dict[str, list[BasisElement]] = {}
+    for e in elements:
+        groups.setdefault(unknown(e), []).append(e)
+    return groups
 
 
-def pairing_degree(ansatz: Ansatz, dv: DegreeVector) -> dict[str, Fraction]:
-    """Pair an unknown-coefficient expression with a degree vector.
+def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.DivisorExpression":
+    """The formal-view expression giving every label its unknown's value."""
+    return B.DivisorExpression.from_terms(
+        g,
+        n,
+        [(e, values[u]) for u, labels in formal_unknowns(g, n).items() for e in labels],
+    )
+
+
+def pairing_degree(dv: DegreeVector) -> dict[str, Fraction]:
+    """Pair the unknown-coefficient expression with a degree vector.
 
     Returns the exact linear form (unknown -> coefficient); equating it to
     ``dv.target_degree`` is the relation the family contributes.
     """
-    if (ansatz.g, ansatz.n) != (dv.g, dv.n):
-        raise DomainError(
-            f"ansatz ambient (g={ansatz.g}, n={ansatz.n}) does not match "
-            f"degree vector (g={dv.g}, n={dv.n})"
-        )
-    if ansatz.target != dv.target:
-        raise DomainError(f"ansatz target {ansatz.target!r} != family target {dv.target!r}")
     form: dict[str, Fraction] = {}
     for label, degree in dv.degrees.items():
-        symbol = ansatz.symbol_for(label)
-        acc = form.get(symbol, Fraction(0)) + degree
+        name = unknown(label)
+        acc = form.get(name, Fraction(0)) + degree
         if acc:
-            form[symbol] = acc
+            form[name] = acc
         else:
-            form.pop(symbol, None)
+            form.pop(name, None)
     return form
 
 
@@ -425,17 +406,16 @@ def evaluate_pairing(
 
     Invariant-combination and PSI_SUM keys require the expression to be
     symmetric in the corresponding labels; auxiliary keys look their value
-    up in ``aux_values`` (by symbol name, e.g. ``b_0_1``).
+    up in ``aux_values`` (by unknown name, e.g. ``b_0_1``).
     """
     if (expr.g, expr.n) != (dv.g, dv.n):
         raise DomainError("expression and degree vector live on different stacks")
-    ansatz = Ansatz(dv.g, dv.n, dv.target)
     total = Fraction(0)
     for label, degree in dv.degrees.items():
         if isinstance(label, AuxiliaryLabel):
-            if aux_values is None or ansatz.symbol_for(label) not in aux_values:
+            if aux_values is None or unknown(label) not in aux_values:
                 raise DomainError(f"no value supplied for auxiliary {label!r}")
-            total += degree * Fraction(aux_values[ansatz.symbol_for(label)])
+            total += degree * Fraction(aux_values[unknown(label)])
             continue
         if isinstance(label, PsiSum):
             c1, c2 = expr.coefficient(B.psi(1)), expr.coefficient(B.psi(2))

@@ -1,8 +1,9 @@
 """Assemble and exactly solve the coefficient system for a target divisor.
 
 For a fixed genus and target, every cataloged family contributes one
-linear relation: pairing the unknown-coefficient model with the family's
-degree vector and equating to the target degree.  The assembly is
+linear relation: pairing the unknown coefficients (named by
+:func:`hypdiv.families.unknown`) with the family's degree vector and
+equating to the target degree.  The assembly is
 deliberately overdetermined; redundant relations are reported, never
 pruned, since they cross-check the catalog.
 
@@ -30,8 +31,9 @@ from fractions import Fraction
 
 from . import exactlin
 from . import families as F
+from . import basis as B
 from .basis import DivisorExpression, DomainError
-from .families import G12, WEIERSTRASS, Ansatz
+from .families import G12, WEIERSTRASS
 
 
 class SolverError(RuntimeError):
@@ -68,25 +70,6 @@ class Relation:
         return f"{self.provenance}: {' '.join(parts)} = {self.rhs}"
 
 
-def _ansatz(g: int, target: str) -> Ansatz:
-    if target == WEIERSTRASS:
-        return F.weierstrass_ansatz(g)
-    if target == G12:
-        return F.g12_ansatz(g)
-    raise DomainError(f"unknown target {target!r}")
-
-
-def relation_from_family(ansatz: Ansatz, dv: F.DegreeVector) -> Relation:
-    form = F.pairing_degree(ansatz, dv)
-    return Relation(coeffs=form, rhs=dv.target_degree, provenance=dv.provenance())
-
-
-def _ordered_coeffs(coeffs: dict[str, Fraction], order: list[str]) -> dict[str, Fraction]:
-    position = {s: j for j, s in enumerate(order)}
-    tail = len(order)
-    return dict(sorted(coeffs.items(), key=lambda kv: position.get(kv[0], tail)))
-
-
 def family_vectors(g: int, target: str) -> list[F.DegreeVector]:
     """Every cataloged degree vector entering the (g, target) system."""
     if target == WEIERSTRASS:
@@ -117,17 +100,14 @@ def family_vectors(g: int, target: str) -> list[F.DegreeVector]:
 
 def identification_relations(g: int, target: str) -> list[Relation]:
     """Symmetric constraints for formal label pairs naming one divisor."""
-    from . import basis as B
-
-    ansatz = _ansatz(g, target)
     out = []
-    for twin, canonical in B.identified_pairs(g, ansatz.n):
-        s1, s2 = ansatz.symbol_for(twin), ansatz.symbol_for(canonical)
+    for twin, canonical in B.identified_pairs(g, F.marked_points(target)):
+        s1, s2 = F.unknown(twin), F.unknown(canonical)
         if s1 == s2:
             continue
         out.append(
             Relation(
-                coeffs={s1: Fraction(1), s2: Fraction(-1)},
+                coeffs={s2: Fraction(-1), s1: Fraction(1)},
                 rhs=Fraction(0),
                 provenance=f"identification[{s1}={s2}]",
             )
@@ -136,23 +116,29 @@ def identification_relations(g: int, target: str) -> list[Relation]:
 
 
 def assemble_system(g: int, target: str) -> list[Relation]:
-    """All relations for (g, target), in deterministic order."""
-    ansatz = _ansatz(g, target)
-    order = ansatz.formal_symbols()
-    relations = [relation_from_family(ansatz, dv) for dv in family_vectors(g, target)]
-    relations.extend(identification_relations(g, target))
-    for r in relations:
-        r.coeffs = _ordered_coeffs(r.coeffs, order)
-    return relations
+    """All relations for (g, target), in deterministic order.
+
+    Every relation lists its unknowns in solver order: the formal unknowns
+    first, then auxiliaries in the order the family first names them.
+    """
+    position = {s: j for j, s in enumerate(F.formal_unknowns(g, F.marked_points(target)))}
+
+    def in_order(form: dict[str, Fraction]) -> dict[str, Fraction]:
+        return dict(sorted(form.items(), key=lambda kv: position.get(kv[0], len(position))))
+
+    relations = [
+        Relation(in_order(F.pairing_degree(dv)), dv.target_degree, dv.provenance())
+        for dv in family_vectors(g, target)
+    ]
+    return relations + identification_relations(g, target)
 
 
-def unknown_order(g: int, target: str) -> tuple[list[str], list[str]]:
-    """(formal unknowns, auxiliary unknowns), both deterministically ordered."""
-    ansatz = _ansatz(g, target)
-    formal = ansatz.formal_symbols()
+def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[str], list[str]]:
+    """(formal unknowns, auxiliary unknowns of ``relations``), both in solver order."""
+    formal = list(F.formal_unknowns(g, F.marked_points(target)))
     known = set(formal)
     auxiliaries = []
-    for relation in assemble_system(g, target):
+    for relation in relations:
         for symbol in relation.coeffs:
             if symbol not in known:
                 known.add(symbol)
@@ -182,9 +168,8 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
     certificate) or leaves any non-auxiliary unknown free; either one
     signals a catalog bug, not a data condition.
     """
-    ansatz = _ansatz(g, target)
     relations = assemble_system(g, target)
-    formal, auxiliaries = unknown_order(g, target)
+    formal, auxiliaries = unknown_order(g, target, relations)
     variables = formal + auxiliaries
     system = exactlin.LinearSystem(tuple(variables))
     for relation in relations:
@@ -211,20 +196,10 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
         )
 
     assignment = result.assignment
-    aux_set = set(auxiliaries)
-    solution = DivisorExpression.from_terms(
-        g,
-        ansatz.n,
-        [
-            (label, assignment[symbol])
-            for symbol in formal
-            for label in ansatz.labels_for_symbol(symbol)
-        ],
-    )
     return CoefficientReport(
         g=g,
         target=target,
-        solution=solution,
+        solution=F.formal_expression(g, F.marked_points(target), assignment),
         coefficients={s: assignment[s] for s in formal},
         auxiliaries={s: assignment[s] for s in auxiliaries},
         rank=result.rank,
@@ -243,29 +218,23 @@ def independent_a1_determinations(g: int) -> dict[int, dict[str, Fraction]]:
     has an f2ip1 source; every i has at least one.
     """
     report = solve_coefficients(g, G12)
-    c = report.coefficients["c"]
-    d = report.coefficients["d"]
+    pinned = {"c": report.coefficients["c"], "d": report.coefficients["d"]}
 
-    def b_from_f2ip1(i: int) -> Fraction | None:
-        if not 0 <= i <= (g - 1) // 2:
-            return None
-        dv = F.f2ip1_family(g, i)
-        form = F.pairing_degree(F.g12_ansatz(g), dv)
-        b_symbol = f"b_{i}_1"
-        rest = sum(
-            (coeff * (c if s == "c" else d) for s, coeff in form.items() if s != b_symbol),
-            Fraction(0),
-        )
-        return (dv.target_degree - rest) / form[b_symbol]
+    def solve_for(dv: F.DegreeVector, name: str, values: dict[str, Fraction]) -> Fraction:
+        # the one unknown of dv's relation that ``values`` leaves open
+        form = F.pairing_degree(dv)
+        rest = sum((coeff * values[s] for s, coeff in form.items() if s != name), Fraction(0))
+        return (dv.target_degree - rest) / form[name]
 
     out: dict[int, dict[str, Fraction]] = {}
-    for i in range(1, g // 2 + 1):
+    for i in B.delta_range(g):
         determinations: dict[str, Fraction] = {}
-        for side, eta_index, j in ((F.LOW, i - 1, i), (F.HIGH, i, g - i)):
-            b = b_from_f2ip1(eta_index)
-            if b is None:
-                continue
-            # ruling relation: -2 a_i_1 + 4 b + 16 j c + 2 d = 0
-            determinations[side] = 2 * b + 8 * j * c + d
+        for side, eta_index in ((F.LOW, i - 1), (F.HIGH, i)):
+            if not 0 <= eta_index <= (g - 1) // 2:
+                continue  # no f2ip1 member pins this eta unknown
+            b = F.unknown(F.eta_label(g, 2, eta_index, "1"))
+            values = {**pinned, b: solve_for(F.f2ip1_family(g, eta_index), b, pinned)}
+            ruling = F.g12_ruling_family(g, i, side)
+            determinations[side] = solve_for(ruling, F.unknown(B.delta(i, "1")), values)
         out[i] = determinations
     return out

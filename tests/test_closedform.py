@@ -15,7 +15,7 @@ def frac(n, d=1):
 
 
 def test_weierstrass_class_g2():
-    expr = CF.hgw_closed_form(2)
+    expr = CF.closed_form(2, WEIERSTRASS)
     assert expr.terms == {
         psi(1): frac(3),
         eta_irr(): frac(-1, 10),
@@ -25,7 +25,7 @@ def test_weierstrass_class_g2():
 
 
 def test_weierstrass_class_g3():
-    expr = CF.hgw_closed_form(3)
+    expr = CF.closed_form(3, WEIERSTRASS)
     assert expr.terms == {
         psi(1): frac(2),
         eta_irr(): frac(-1, 28),
@@ -39,11 +39,11 @@ def test_weierstrass_class_g3():
 def test_weierstrass_psi_coefficient():
     assert CF.w_psi(11) == frac(6, 5)
     for g in range(2, 60):
-        assert CF.hgw_closed_form(g).terms[psi(1)] == frac(g + 1, g - 1)
+        assert CF.closed_form(g, WEIERSTRASS).terms[psi(1)] == frac(g + 1, g - 1)
 
 
 def test_g12_class_g2():
-    expr = CF.hg12_closed_form(2)
+    expr = CF.closed_form(2, G12)
     assert expr.terms == {
         psi(1): frac(1),
         psi(2): frac(1),
@@ -98,7 +98,7 @@ def test_canonicalization_well_defined_on_closed_forms():
     # merging identified labels never silently changes a coefficient ratio:
     # the two merged values are equal, so the canonical value is twice each
     for g in (2, 4, 7, 9):
-        for expr in (CF.hgw_closed_form(g), CF.hg12_closed_form(g)):
+        for expr in (CF.closed_form(g, WEIERSTRASS), CF.closed_form(g, G12)):
             merged = expr.canonical()
             for twin, canonical in B.identified_pairs(g, expr.n):
                 if twin in expr.terms:
@@ -108,13 +108,13 @@ def test_canonicalization_well_defined_on_closed_forms():
 
 def test_sign_table():
     for g in range(2, 51):
-        w = CF.hgw_closed_form(g)
+        w = CF.closed_form(g, WEIERSTRASS)
         for element, value in w.terms.items():
             if element == psi(1):
                 assert value > 0
             else:
                 assert value < 0
-        h = CF.hg12_closed_form(g)
+        h = CF.closed_form(g, G12)
         for element, value in h.terms.items():
             if element.kind == B.PSI:
                 assert value > 0

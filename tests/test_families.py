@@ -13,13 +13,12 @@ from hypdiv.families import (
     diagonal_family,
     evaluate_pairing,
     f2ip1_family,
-    g12_ansatz,
+    formal_unknowns,
     g12_ruling_family,
     glued_weierstrass_family,
     pairing_degree,
     quadric_pencil_family,
     two_point_blowup_family,
-    weierstrass_ansatz,
 )
 
 
@@ -190,24 +189,32 @@ def test_self_intersection_entries_match_lattice_recomputation():
 
 def test_pairing_with_weierstrass_ansatz():
     g = 5
-    ansatz = weierstrass_ansatz(g)
-    assert pairing_degree(ansatz, diagonal_family(g)) == {"d": 2 * g - 2}
+    assert pairing_degree(diagonal_family(g)) == {"d": 2 * g - 2}
     assert diagonal_family(g).target_degree == 2 * g + 2
 
-    form = pairing_degree(ansatz, quadric_pencil_family(g, 1))
+    form = pairing_degree(quadric_pencil_family(g, 1))
     assert form == {"d": 1, "c": 4 * (2 * g + 1)}
 
 
 def test_pairing_maps_invariant_labels_to_shared_symbol():
-    form = pairing_degree(g12_ansatz(3), g12_ruling_family(3, 1, F.HIGH))
+    form = pairing_degree(g12_ruling_family(3, 1, F.HIGH))
     assert form == {"a_1_1": -2, "b_1_1": 4, "c": 32, "d": 2}
 
 
-def test_pairing_ambient_mismatch():
-    with pytest.raises(DomainError):
-        pairing_degree(weierstrass_ansatz(3), diagonal_family(4))
-    with pytest.raises(DomainError):
-        pairing_degree(weierstrass_ansatz(3), quadric_pencil_family(3, 2))
+def test_formal_unknowns_order_and_label_groups():
+    assert formal_unknowns(3, 1) == {
+        "d": [psi(1)],
+        "c": [eta_irr()],
+        "a_1_0": [delta(1, "0")],
+        "a_1_1": [delta(1, "1")],
+        "b_1_0": [eta(1, "0")],
+        "b_1_1": [eta(1, "1")],
+    }
+    unknowns = formal_unknowns(2, 2)
+    assert list(unknowns) == ["d", "c", "a_0_2", "a_1_0", "a_1_1", "a_1_2"]
+    assert unknowns["d"] == [psi(1), psi(2)]
+    assert unknowns["a_0_2"] == [B.delta_0_2()]
+    assert unknowns["a_1_1"] == [delta(1, "1a"), delta(1, "1b")]
 
 
 def test_zero_expression_pairs_to_zero():
@@ -217,10 +224,10 @@ def test_zero_expression_pairs_to_zero():
 
 def test_evaluate_pairing_reproduces_target_degree():
     # the closed form really has the cataloged degree on each family
-    from hypdiv.closedform import hgw_closed_form
+    from hypdiv.closedform import closed_form
 
     g = 6
-    expr = hgw_closed_form(g)
+    expr = closed_form(g, F.WEIERSTRASS)
     assert evaluate_pairing(expr, diagonal_family(g)) == 2 * g + 2
     assert evaluate_pairing(expr, quadric_pencil_family(g, 1)) == 1
 
@@ -240,12 +247,20 @@ def test_cataloged_degrees_are_integers():
 def test_evaluate_pairing_with_auxiliary_values():
     # the two-pointed closed form pairs to zero on the ruling family once
     # the eta_0 auxiliary is given its solved value 2c
-    from hypdiv.closedform import g12_eta_irr, hg12_closed_form
+    from hypdiv.closedform import closed_form, g12_eta_irr
 
     g = 2
-    expr = hg12_closed_form(g)
+    expr = closed_form(g, F.G12)
     dv = g12_ruling_family(g, 1, F.LOW)
     aux = {"b_0_1": 2 * g12_eta_irr(g)}
     assert evaluate_pairing(expr, dv, aux_values=aux) == 0
     with pytest.raises(DomainError):
         evaluate_pairing(expr, dv)
+
+
+def test_catalog_self_check_failure_is_typed(monkeypatch):
+    from hypdiv import surfcalc
+
+    monkeypatch.setattr(surfcalc, "diagonal_self_intersection", lambda g: 3 - 2 * g)
+    with pytest.raises(F.CatalogError, match="diagonal psi degree: 6 != 5"):
+        diagonal_family(4)

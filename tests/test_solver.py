@@ -32,7 +32,7 @@ def test_g2_weierstrass_assembly():
     assert by_provenance["diagonal"].rhs == 6
     assert by_provenance["quadric_pencil"].coeffs == {"d": 1, "c": 20}
     assert by_provenance["quadric_pencil"].rhs == 1
-    formal, aux = unknown_order(2, WEIERSTRASS)
+    formal, aux = unknown_order(2, WEIERSTRASS, relations)
     assert formal == ["d", "c", "a_1_0", "a_1_1"]
     assert aux == ["b_0_0", "b_1_1"]
 
@@ -40,7 +40,7 @@ def test_g2_weierstrass_assembly():
 def test_g3_weierstrass_assembly():
     relations = assemble_system(3, WEIERSTRASS)
     assert len(family_vectors(3, WEIERSTRASS)) == 6
-    formal, aux = unknown_order(3, WEIERSTRASS)
+    formal, aux = unknown_order(3, WEIERSTRASS, relations)
     assert formal == ["d", "c", "a_1_0", "a_1_1", "b_1_0", "b_1_1"]
     assert aux == ["b_0_0"]  # no auxiliaries beyond the eta_0 label
     # the identification is what reaches b_1_0 at odd genus
@@ -123,7 +123,7 @@ def test_solutions_satisfy_every_relation_exactly():
 
 def _solve_subset(g, target, skip_provenance):
     relations = [r for r in assemble_system(g, target) if r.provenance != skip_provenance]
-    formal, aux = unknown_order(g, target)
+    formal, aux = unknown_order(g, target, assemble_system(g, target))
     system = exactlin.LinearSystem(tuple(formal + aux))
     for r in relations:
         system.add_row(r.coeffs, r.rhs)
@@ -145,7 +145,7 @@ def test_scaling_relations_leaves_solution_invariant():
     g, target = 4, G12
     baseline = solve_coefficients(g, target)
     relations = assemble_system(g, target)
-    formal, aux = unknown_order(g, target)
+    formal, aux = unknown_order(g, target, relations)
     system = exactlin.LinearSystem(tuple(formal + aux))
     for r in relations:
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
@@ -185,7 +185,7 @@ def test_auxiliaries_extend_the_closed_form_tables():
 
 def test_inconsistent_catalog_raises_with_certificate():
     relations = assemble_system(2, WEIERSTRASS)
-    formal, aux = unknown_order(2, WEIERSTRASS)
+    formal, aux = unknown_order(2, WEIERSTRASS, relations)
     system = exactlin.LinearSystem(tuple(formal + aux))
     for r in relations:
         system.add_row(r.coeffs, r.rhs)
@@ -199,7 +199,7 @@ def test_dropping_the_boundary_pencil_exposes_the_g2_gap():
     # delta coefficient free; the solver must refuse to guess
     g, target = 2, G12
     relations = [r for r in assemble_system(g, target) if r.provenance != "f2ip1[i=0]"]
-    formal, aux = unknown_order(g, target)
+    formal, aux = unknown_order(g, target, assemble_system(g, target))
     system = exactlin.LinearSystem(tuple(formal + aux))
     for r in relations:
         system.add_row(r.coeffs, r.rhs)
