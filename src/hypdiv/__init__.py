@@ -21,7 +21,7 @@ from .basis import (
     expr_combine,
 )
 from .closedform import closed_form, verify_range
-from .exactlin import LinearSystem, Rational, rank, solve
+from .exactlin import LinearSystem, rank, solve
 from .families import G12, WEIERSTRASS, DegreeVector, pairing_degree
 from .solver import CoefficientReport, Relation, assemble_system, solve_coefficients
 from .surfcalc import SurfaceLattice, branch_halve, diagonal_self_intersection
@@ -34,7 +34,6 @@ __all__ = [
     "DomainError",
     "G12",
     "LinearSystem",
-    "Rational",
     "Relation",
     "SurfaceLattice",
     "WEIERSTRASS",

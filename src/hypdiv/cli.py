@@ -3,7 +3,8 @@
 Subcommands: ``coeffs``, ``verify``, ``relations``, ``families``.
 Rationals are always serialized as integer (numerator, denominator)
 pairs; nothing is ever rendered as a decimal.  Exit status contract:
-0 success, 1 verification mismatch, 2 usage error.
+0 success, 1 verification mismatch, 2 usage error (including a genus
+above ``MAX_GENUS``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ DIVISOR_NAMES = {"w": WEIERSTRASS, "g12": G12}
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# about twice the largest genus the benchmark workloads use (1020)
+MAX_GENUS = 2000
 
 
 def _fraction_pair(value: Fraction) -> dict:
@@ -182,8 +186,8 @@ def verification_record(report: closedform.VerificationReport) -> dict:
 
 
 def _genus(parser: argparse.ArgumentParser, value: int) -> int:
-    if value < 2:
-        parser.error(f"--genus must be >= 2, got {value}")
+    if not 2 <= value <= MAX_GENUS:
+        parser.error(f"--genus must be in 2..{MAX_GENUS}, got {value}")
     return value
 
 
@@ -193,8 +197,8 @@ def _parse_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
         lo, hi = int(lo), int(hi)
     except ValueError:
         parser.error(f"malformed range {text!r}, expected A..B")
-    if not 2 <= lo <= hi:
-        parser.error(f"invalid range {text!r}: need 2 <= A <= B")
+    if not 2 <= lo <= hi <= MAX_GENUS:
+        parser.error(f"invalid range {text!r}: need 2 <= A <= B <= {MAX_GENUS}")
     return lo, hi
 
 

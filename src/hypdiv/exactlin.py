@@ -6,23 +6,30 @@ integer-preserving Gauss-Jordan elimination: every row is scaled to a
 primitive integer vector and row operations use cross-multiplication
 followed by content removal, so no rounding can occur anywhere.  Pivots
 are chosen deterministically (first nonzero row in column order), which
-makes certificates and free-variable selection reproducible.
+makes certificates and free-variable selection reproducible.  A row is one
+object, a primitive integer vector with its integer right-hand side.  The
+certificate for an inconsistent A·x = b is the solution of the dual system
+y·A = 0, y·b = 1 (one unknown per row), found by ``solve`` itself: by the
+Fredholm alternative the dual is solvable exactly when A·x = b is not.
+Every answer is substituted into its rows before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Sequence, Union
-
-Rational = Fraction
+from math import gcd, lcm
+from typing import Mapping, Union
 
 RationalLike = Union[Fraction, int]
 
 
 class StructuralError(ValueError):
     """A row does not match the system's variable list."""
+
+
+class CheckError(ArithmeticError):
+    """A computed answer does not satisfy the rows it was computed from."""
 
 
 @dataclass
@@ -49,25 +56,6 @@ class LinearSystem:
                 row[self._index[name]] = value
         self.rows.append((row, Fraction(rhs)))
 
-    def add_dense_row(self, vector: Sequence[RationalLike], rhs: RationalLike = 0) -> None:
-        if len(vector) != len(self.variables):
-            raise StructuralError(
-                f"row length {len(vector)} != {len(self.variables)} variables"
-            )
-        row = {j: Fraction(v) for j, v in enumerate(vector) if v}
-        self.rows.append((row, Fraction(rhs)))
-
-    @classmethod
-    def from_dense(
-        cls,
-        variables: Iterable[str],
-        rows: Iterable[tuple[Sequence[RationalLike], RationalLike]],
-    ) -> "LinearSystem":
-        sys = cls(tuple(variables))
-        for vector, rhs in rows:
-            sys.add_dense_row(vector, rhs)
-        return sys
-
 
 @dataclass
 class Unique:
@@ -93,7 +81,7 @@ class Inconsistent:
     """No solution.
 
     ``certificate`` gives rational multipliers on the original rows whose
-    combination has all-zero coefficients but right-hand side ``residual``.
+    combination has all-zero coefficients but right-hand side ``residual`` = 1.
     """
 
     certificate: dict[int, Fraction]
@@ -104,32 +92,26 @@ class Inconsistent:
 SolveResult = Union[Unique, Underdetermined, Inconsistent]
 
 
-def _normalize(row: dict[int, int], rhs: int, combo: dict[int, Fraction]):
-    """Divide an integer row (and its provenance combo) by its content."""
+def _normalize(row: dict[int, int], rhs: int) -> tuple[dict[int, int], int]:
+    """Divide an integer row and its right-hand side by their content."""
     content = abs(rhs)
     for v in row.values():
         content = gcd(content, abs(v))
         if content == 1:
-            return row, rhs, combo
+            return row, rhs
     if content > 1:
         row = {j: v // content for j, v in row.items()}
         rhs //= content
-        combo = {r: c / content for r, c in combo.items()}
-    return row, rhs, combo
+    return row, rhs
 
 
 def _to_integer_rows(sys: LinearSystem):
-    """Scale each row to a primitive integer vector, tracking the scale."""
+    """Scale each row to a primitive integer vector."""
     rows = []
-    for idx, (row, rhs) in enumerate(sys.rows):
-        mult = 1
-        for v in list(row.values()) + [rhs]:
-            d = v.denominator
-            mult = mult * d // gcd(mult, d)
+    for row, rhs in sys.rows:
+        mult = lcm(*(v.denominator for v in row.values()), rhs.denominator)
         irow = {j: int(v * mult) for j, v in row.items()}
-        irhs = int(rhs * mult)
-        irow, irhs, combo = _normalize(irow, irhs, {idx: Fraction(mult)})
-        rows.append([irow, irhs, combo])
+        rows.append(_normalize(irow, int(rhs * mult)))
     return rows
 
 
@@ -145,7 +127,7 @@ def _eliminate(sys: LinearSystem):
     pivot_rows: set[int] = set()
     for col in range(len(sys.variables)):
         pivot = None
-        for r, (row, _, _) in enumerate(rows):
+        for r, (row, _) in enumerate(rows):
             if r not in pivot_rows and row.get(col):
                 pivot = r
                 break
@@ -153,9 +135,9 @@ def _eliminate(sys: LinearSystem):
             continue
         pivots[col] = pivot
         pivot_rows.add(pivot)
-        prow, prhs, pcombo = rows[pivot]
+        prow, prhs = rows[pivot]
         p = prow[col]
-        for r, (row, rhs, combo) in enumerate(rows):
+        for r, (row, rhs) in enumerate(rows):
             if r == pivot:
                 continue
             q = row.get(col)
@@ -168,16 +150,23 @@ def _eliminate(sys: LinearSystem):
                     new_row[j] = acc
                 else:
                     new_row.pop(j, None)
-            new_rhs = p * rhs - q * prhs
-            new_combo = {k: p * c for k, c in combo.items()}
-            for k, c in pcombo.items():
-                acc = new_combo.get(k, Fraction(0)) - q * c
-                if acc:
-                    new_combo[k] = acc
-                else:
-                    new_combo.pop(k, None)
-            rows[r] = list(_normalize(new_row, new_rhs, new_combo))
+            rows[r] = _normalize(new_row, p * rhs - q * prhs)
     return pivots, rows
+
+
+def _certificate(sys: LinearSystem) -> dict[int, Fraction]:
+    """Nonzero multipliers y_r on the rows of ``sys`` with y·A = 0, y·b = 1."""
+    columns: list[dict[int, Fraction]] = [{} for _ in sys.variables]
+    for r, (row, _) in enumerate(sys.rows):
+        for j, v in row.items():
+            columns[j][r] = v
+    rows = [(column, Fraction(0)) for column in columns]
+    rows.append(({r: rhs for r, (_, rhs) in enumerate(sys.rows) if rhs}, Fraction(1)))
+    dual = solve(LinearSystem(tuple(str(r) for r in range(len(sys.rows))), rows))
+    if isinstance(dual, Inconsistent):
+        raise CheckError("the system and its dual are both inconsistent")
+    y = dual.assignment if isinstance(dual, Unique) else dual.particular
+    return {int(name): v for name, v in y.items() if v}
 
 
 def solve(sys: LinearSystem) -> SolveResult:
@@ -185,23 +174,26 @@ def solve(sys: LinearSystem) -> SolveResult:
 
     The result is ``Unique``, ``Underdetermined`` (particular solution with
     the free variables pinned to 0) or ``Inconsistent`` (with a certificate
-    combination of original rows reducing to 0 = nonzero).
+    combination of original rows reducing to 0 = 1).
     """
     pivots, rows = _eliminate(sys)
     rank = len(pivots)
     redundant = []
-    for r, (row, rhs, combo) in enumerate(rows):
+    for r, (row, rhs) in enumerate(rows):
         if row:
             continue
         if rhs:
-            return Inconsistent(certificate=dict(combo), residual=Fraction(rhs), rank=rank)
+            return Inconsistent(certificate=_certificate(sys), residual=Fraction(1), rank=rank)
         redundant.append(r)
     # After full Jordan reduction a pivot row holds its pivot column plus
     # free columns only; with free variables pinned to 0 the solve is direct.
     assignment = {name: Fraction(0) for name in sys.variables}
     for col, r in pivots.items():
-        row, rhs, _ = rows[r]
+        row, rhs = rows[r]
         assignment[sys.variables[col]] = Fraction(rhs, row[col])
+    failed = [r for r, value in enumerate(residual(sys, assignment)) if value]
+    if failed:
+        raise CheckError(f"the computed answer fails rows {failed[:10]}")
     free = tuple(sys.variables[j] for j in range(len(sys.variables)) if j not in pivots)
     if free:
         return Underdetermined(

@@ -191,6 +191,14 @@ def test_usage_errors_exit_two():
     assert usage_error() == EXIT_USAGE
 
 
+def test_genus_above_limit_exits_two():
+    too_large = str(cli.MAX_GENUS + 1)
+    assert usage_error("coeffs", "--divisor", "w", "--genus", too_large) == EXIT_USAGE
+    assert usage_error("verify", "--range", f"2..{too_large}") == EXIT_USAGE
+    assert usage_error("relations", "--divisor", "g12", "--genus", "100000000") == EXIT_USAGE
+    assert cli._genus(cli.build_parser(), cli.MAX_GENUS) == cli.MAX_GENUS
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

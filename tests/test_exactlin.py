@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypdiv import exactlin
 from hypdiv.exactlin import (
+    CheckError,
     Inconsistent,
     LinearSystem,
     StructuralError,
@@ -66,25 +67,51 @@ def test_underdetermined_reports_free_variables():
 
 
 def test_rank_examples():
-    zero = LinearSystem.from_dense(("a", "b", "c"), [([0, 0, 0], 0)] * 3)
+    zero = LinearSystem(("a", "b", "c"))
+    for _ in range(3):
+        zero.add_row({"a": 0, "b": 0, "c": 0}, 0)
     assert rank(zero) == 0
 
-    identity = LinearSystem.from_dense(
-        ("a", "b", "c", "d"),
-        [([1 if i == j else 0 for j in range(4)], 1) for i in range(4)],
-    )
+    identity = LinearSystem(("a", "b", "c", "d"))
+    for name in identity.variables:
+        identity.add_row({name: 1}, 1)
     assert rank(identity) == 4
 
-    proportional = LinearSystem.from_dense(("x", "y"), [([1, 2], 0), ([2, 4], 0)])
+    proportional = LinearSystem(("x", "y"))
+    proportional.add_row({"x": 1, "y": 2}, 0)
+    proportional.add_row({"x": 2, "y": 4}, 0)
     assert rank(proportional) == 1
 
 
 def test_row_length_mismatch_is_structural_error():
     sys = LinearSystem(("x", "y"))
     with pytest.raises(StructuralError):
-        sys.add_dense_row([1, 2, 3], 0)
-    with pytest.raises(StructuralError):
         sys.add_row({"w": 1}, 0)
+
+
+@pytest.mark.parametrize("corrupt", ["pivot_row", "redundant_row"])
+def test_corrupted_elimination_raises_check_error(monkeypatch, corrupt):
+    # a wrong pivot row gives a wrong assignment; a wrong redundant row
+    # claims inconsistency, which the (uncorrupted) dual solve refutes
+    original = exactlin._eliminate
+    seen = []
+
+    def corrupted(sys):
+        pivots, rows = original(sys)
+        if not seen:
+            seen.append(sys)
+            zero_rows = [r for r, (row, _) in enumerate(rows) if not row]
+            r = pivots[0] if corrupt == "pivot_row" else zero_rows[0]
+            rows[r] = (rows[r][0], rows[r][1] + 1)
+        return pivots, rows
+
+    monkeypatch.setattr(exactlin, "_eliminate", corrupted)
+    sys = LinearSystem(("x", "y"))
+    sys.add_row({"x": 1, "y": 1}, 2)
+    sys.add_row({"x": 1, "y": -1}, 0)
+    sys.add_row({"x": 2}, 2)
+    with pytest.raises(CheckError):
+        solve(sys)
 
 
 small_fraction = st.fractions(
@@ -105,13 +132,26 @@ def test_planted_solution_recovered(n_vars, n_rows, data):
     for _ in range(n_rows):
         row = [data.draw(st.integers(min_value=-5, max_value=5)) for _ in range(n_vars)]
         rhs = sum(c * x for c, x in zip(row, planted))
-        sys.add_dense_row(row, rhs)
+        sys.add_row(dict(zip(names, row)), rhs)
     result = solve(sys)
     assert not isinstance(result, Inconsistent)
     assignment = result.assignment if isinstance(result, Unique) else result.particular
     assert all(v == 0 for v in exactlin.residual(sys, assignment))
     if isinstance(result, Unique):
         assert [result.assignment[v] for v in names] == planted
+
+    # metamorphic: permuting the rows, or duplicating one, changes nothing
+    # but the duplicate's one extra redundant row
+    order = data.draw(st.permutations(range(n_rows)))
+    duplicated = data.draw(st.integers(min_value=0, max_value=n_rows - 1))
+    permuted = LinearSystem(names, [sys.rows[r] for r in order])
+    doubled = LinearSystem(names, sys.rows + [sys.rows[duplicated]])
+    for variant, extra in ((permuted, 0), (doubled, 1)):
+        other = solve(variant)
+        assert type(other) is type(result) and other.rank == result.rank
+        other_assignment = other.assignment if isinstance(other, Unique) else other.particular
+        assert other_assignment == assignment
+        assert len(other.redundant_rows) == len(result.redundant_rows) + extra
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,8 +163,8 @@ def test_unique_iff_full_rank_agreement(n_vars, n_rows, data):
     for _ in range(n_rows):
         row = [data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(n_vars)]
         rhs = data.draw(st.integers(min_value=-4, max_value=4))
-        sys.add_dense_row(row, rhs)
-        augmented.add_dense_row(row + [rhs], 0)
+        sys.add_row(dict(zip(names, row)), rhs)
+        augmented.add_row(dict(zip(names + ("__rhs__",), row + [rhs])), 0)
     rank_a = rank(sys)
     rank_ab = rank(augmented)
     result = solve(sys)
@@ -132,6 +172,17 @@ def test_unique_iff_full_rank_agreement(n_vars, n_rows, data):
     assert isinstance(result, Inconsistent) == (rank_ab > rank_a)
     if not isinstance(result, Inconsistent):
         assert result.rank == rank_a
+    else:
+        # the certificate combines the original rows into 0 = residual != 0
+        assert result.residual != 0 and all(result.certificate.values())
+        lhs = [Fraction(0)] * n_vars
+        rhs = Fraction(0)
+        for r, mult in result.certificate.items():
+            coeffs, row_rhs = sys.rows[r]
+            for j, v in coeffs.items():
+                lhs[j] += mult * v
+            rhs += mult * row_rhs
+        assert lhs == [0] * n_vars and rhs == result.residual
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """System assembly and exact solve: pins, redundancy honesty, determinations."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -192,6 +193,34 @@ def test_inconsistent_catalog_raises_with_certificate():
     system.add_row({"d": 1}, 4)  # contradicts the diagonal relation (d = 3)
     result = exactlin.solve(system)
     assert isinstance(result, exactlin.Inconsistent)
+
+
+def test_contradictory_family_raises_solver_error_with_certificate(monkeypatch):
+    import hypdiv.families as F
+    import hypdiv.solver as S
+
+    original = S.family_vectors
+
+    def with_contradiction(g, target):
+        diagonal = F.diagonal_family(g)
+        shifted = dataclasses.replace(diagonal, target_degree=diagonal.target_degree + 1)
+        return original(g, target) + [shifted]
+
+    monkeypatch.setattr(S, "family_vectors", with_contradiction)
+    with pytest.raises(SolverError) as exc:
+        S.solve_coefficients(2, WEIERSTRASS)
+    certificate = exc.value.certificate
+    relations = S.assemble_system(2, WEIERSTRASS)
+    added = len(S.family_vectors(2, WEIERSTRASS)) - 1
+    assert relations[added].rhs == relations[0].rhs + 1  # the shifted diagonal
+    assert added in certificate
+    lhs: dict[str, Fraction] = {}
+    rhs = Fraction(0)
+    for r, mult in certificate.items():
+        for symbol, value in relations[r].coeffs.items():
+            lhs[symbol] = lhs.get(symbol, Fraction(0)) + mult * value
+        rhs += mult * relations[r].rhs
+    assert not any(lhs.values()) and rhs != 0
 
 
 def test_dropping_the_boundary_pencil_exposes_the_g2_gap():
