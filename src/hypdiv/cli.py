@@ -158,6 +158,7 @@ def degree_vector_record(dv: F.DegreeVector) -> dict:
 def verification_record(report: closedform.VerificationReport) -> dict:
     results = []
     for r in report.results:
+        failure = {} if r.error is None else {"error": r.error, "inconsistent": r.inconsistent}
         results.append(
             {
                 "g": r.g,
@@ -174,6 +175,7 @@ def verification_record(report: closedform.VerificationReport) -> dict:
                     }
                     for name, got, want in r.mismatches
                 ],
+                **failure,
             }
         )
     return {
@@ -223,6 +225,13 @@ def cmd_verify(parser, args) -> int:
     else:
         for report in reports:
             for r in report.results:
+                if r.error is not None:
+                    print(f"{report.target} g={r.g}: MISMATCH")
+                    if r.inconsistent:
+                        print(f"  inconsistent: {', '.join(r.inconsistent)}")
+                    else:
+                        print(f"  {r.error}")
+                    continue
                 status = "ok" if r.ok else "MISMATCH"
                 print(
                     f"{report.target} g={r.g}: {status} "

@@ -103,13 +103,22 @@ def closed_form(g: int, target: str) -> DivisorExpression:
 
 @dataclass
 class GenusResult:
+    """One genus of a verification.
+
+    When the solver refuses the system, ``error`` holds its message,
+    ``inconsistent`` the provenances of the certificate's relations (empty
+    for an underdetermined system), and the solve counts are None.
+    """
+
     g: int
     ok: bool
     mismatches: list[tuple[str, Fraction | None, Fraction | None]]
-    rank: int
-    n_unknowns: int
-    n_redundant: int
+    rank: int | None
+    n_unknowns: int | None
+    n_redundant: int | None
     auxiliaries: dict[str, Fraction]
+    error: str | None = None
+    inconsistent: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -135,14 +144,33 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
     """Compare solver output against the closed form, term by term.
 
     Mismatches are collected into the report (with both values), never
-    raised: a failure report is a result, not an exception.
+    raised: a failure report is a result, not an exception.  A genus whose
+    system the solver refuses (inconsistent or underdetermined) is
+    reported as not ok, naming the relations of the certificate.
     """
     if not 2 <= g_min <= g_max:
         raise B.DomainError(f"invalid genus range {g_min}..{g_max}")
     report = VerificationReport(target=target, g_min=g_min, g_max=g_max)
     n = F.marked_points(target)
     for g in range(g_min, g_max + 1):
-        solved = solver.solve_coefficients(g, target)
+        try:
+            solved = solver.solve_coefficients(g, target)
+        except solver.SolverError as exc:
+            relations = solver.assemble_system(g, target) if exc.certificate else []
+            report.results.append(
+                GenusResult(
+                    g=g,
+                    ok=False,
+                    mismatches=[],
+                    rank=None,
+                    n_unknowns=None,
+                    n_redundant=None,
+                    auxiliaries={},
+                    error=str(exc),
+                    inconsistent=[relations[r].provenance for r in sorted(exc.certificate or ())],
+                )
+            )
+            continue
         expected = closed_form(g, target)
         mismatches = []
         labels = set(solved.solution.terms) | set(expected.terms)

@@ -6,7 +6,11 @@ integer-preserving Gauss-Jordan elimination: every row is scaled to a
 primitive integer vector and row operations use cross-multiplication
 followed by content removal, so no rounding can occur anywhere.  Pivots
 are chosen deterministically (first nonzero row in column order), which
-makes certificates and free-variable selection reproducible.  A row is one
+makes certificates and free-variable selection reproducible.  A
+column -> rows index of the nonzero entries, updated as row operations
+create and cancel entries, lets the pivot search and the sweep visit only
+the rows that hold the column, so the cost follows the fill-in rather
+than rows x columns; the pivot is still the first such row.  A row is one
 object, a primitive integer vector with its integer right-hand side.  The
 certificate for an inconsistent A·x = b is the solution of the dual system
 y·A = 0, y·b = 1 (one unknown per row), found by ``solve`` itself: by the
@@ -120,36 +124,39 @@ def _eliminate(sys: LinearSystem):
 
     Returns (pivots, rows) where pivots maps column -> row position and
     each row has been fully reduced (a pivot row retains only its pivot
-    column and free columns).
+    column and free columns).  ``holders[j]`` is the set of rows with a
+    nonzero entry in column j, kept exact under every row operation, so
+    the pivot search and the sweep visit only those rows.
     """
     rows = _to_integer_rows(sys)
+    holders: list[set[int]] = [set() for _ in sys.variables]
+    for r, (row, _) in enumerate(rows):
+        for j in row:
+            holders[j].add(r)
     pivots: dict[int, int] = {}
     pivot_rows: set[int] = set()
-    for col in range(len(sys.variables)):
-        pivot = None
-        for r, (row, _) in enumerate(rows):
-            if r not in pivot_rows and row.get(col):
-                pivot = r
-                break
-        if pivot is None:
+    for col, holding in enumerate(holders):
+        candidates = holding - pivot_rows
+        if not candidates:
             continue
+        pivot = min(candidates)
         pivots[col] = pivot
         pivot_rows.add(pivot)
         prow, prhs = rows[pivot]
         p = prow[col]
-        for r, (row, rhs) in enumerate(rows):
-            if r == pivot:
-                continue
-            q = row.get(col)
-            if not q:
-                continue
+        for r in holding - {pivot}:
+            row, rhs = rows[r]
+            q = row[col]
             new_row = {j: p * v for j, v in row.items()}
             for j, v in prow.items():
                 acc = new_row.get(j, 0) - q * v
                 if acc:
+                    if j not in new_row:
+                        holders[j].add(r)
                     new_row[j] = acc
-                else:
-                    new_row.pop(j, None)
+                elif j in new_row:
+                    del new_row[j]
+                    holders[j].discard(r)
             rows[r] = _normalize(new_row, p * rhs - q * prhs)
     return pivots, rows
 

@@ -7,6 +7,11 @@ multiplicity of each curve through them; no coordinates are modeled.
 
 ``branch_halve`` implements the degree-2 cover rule: a curve contained
 in the branch locus has a reduced preimage of half the self-intersection.
+The glued families only need it for a bidegree-(h1, h2) curve through k
+simple points, where the lattice computation closes to the rule
+``branch_halve(2·h1·h2 - k)`` (``branch_section_self_intersection``);
+``SurfaceLattice`` is the general calculus and agrees with that rule
+(the tests check it against the lattice).
 """
 
 from __future__ import annotations
@@ -117,11 +122,9 @@ def section_after_blowups(base_self_int: int, blowup_count: int) -> int:
 def branch_section_self_intersection(h1: int, h2: int, blowup_count: int) -> Fraction:
     """Composite rule: bidegree-(h1,h2) section, blown up, then halved.
 
+    The curve has self-intersection 2·h1·h2 and passes simply through each
+    of the ``blowup_count`` points, so the result is (2·h1·h2 - blowup_count)/2.
     This is the chain every glued test family relies on:
     (1,0) through 2 points -> -2 -> -1;  (1,1) through 2h+2 points -> -2h -> -h.
     """
-    lattice = SurfaceLattice(blowup_count)
-    curve = lattice.strict_transform(
-        lattice.curve_class(h1, h2), [(j, 1) for j in range(1, blowup_count + 1)]
-    )
-    return branch_halve(lattice.self_intersection(curve))
+    return branch_halve(2 * h1 * h2 - blowup_count)

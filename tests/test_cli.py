@@ -125,6 +125,51 @@ def test_verify_exit_one_on_injected_fault(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_verify_names_the_family_of_an_inconsistent_catalog(capsys, monkeypatch):
+    import dataclasses
+
+    import hypdiv.solver as S
+
+    original = S.family_vectors
+
+    def perturbed(g, target):
+        vectors = original(g, target)
+        last = vectors[-1]
+        return vectors[:-1] + [dataclasses.replace(last, target_degree=last.target_degree + 1)]
+
+    monkeypatch.setattr(S, "family_vectors", perturbed)
+    family = original(3, "g12")[-1].provenance()
+    code, out = run(capsys, "verify", "--range", "3..4", "--divisor", "g12")
+    assert code == EXIT_MISMATCH
+    lines = out.splitlines()
+    assert lines[0] == "g12 g=3: MISMATCH"
+    assert lines[1].startswith("  inconsistent: ") and family in lines[1]
+    assert lines[2] == "g12 g=4: MISMATCH"  # the next genus is still reported
+    assert lines[-1] == "g12: 2 genera checked, mismatches at g in [3, 4]"
+
+    code, out = run(capsys, "verify", "--range", "3..3", "--divisor", "g12", "--json")
+    assert code == EXIT_MISMATCH
+    [result] = json.loads(out)[0]["results"]
+    assert not result["ok"] and family in result["inconsistent"]
+
+
+def test_verify_reports_an_underdetermined_catalog(capsys, monkeypatch):
+    import hypdiv.solver as S
+
+    original = S.family_vectors
+
+    def without_boundary_pencil(g, target):
+        return [dv for dv in original(g, target) if (dv.family, dv.params) != ("f2ip1", {"i": 0})]
+
+    monkeypatch.setattr(S, "family_vectors", without_boundary_pencil)
+    code, out = run(capsys, "verify", "--range", "2..3", "--divisor", "g12")
+    assert code == EXIT_MISMATCH
+    lines = out.splitlines()
+    assert lines[0] == "g12 g=2: MISMATCH"
+    assert lines[1].startswith("  underdetermined system for g=2")
+    assert lines[2].startswith("g12 g=3: ok")
+
+
 def test_relations_dump(capsys):
     code, out = run(capsys, "relations", "--divisor", "w", "--genus", "2")
     assert code == EXIT_OK

@@ -154,6 +154,69 @@ def test_planted_solution_recovered(n_vars, n_rows, data):
         assert len(other.redundant_rows) == len(result.redundant_rows) + extra
 
 
+def _full_scan_eliminate(sys: LinearSystem):
+    """Reference elimination: scan every row for every column."""
+    rows = exactlin._to_integer_rows(sys)
+    pivots: dict[int, int] = {}
+    for col in range(len(sys.variables)):
+        pivot = next(
+            (r for r, (row, _) in enumerate(rows) if r not in pivots.values() and row.get(col)),
+            None,
+        )
+        if pivot is None:
+            continue
+        pivots[col] = pivot
+        prow, prhs = rows[pivot]
+        p = prow[col]
+        for r, (row, rhs) in enumerate(rows):
+            q = row.get(col)
+            if r == pivot or not q:
+                continue
+            new_row = {j: p * v for j, v in row.items()}
+            for j, v in prow.items():
+                new_row[j] = new_row.get(j, 0) - q * v
+            rows[r] = exactlin._normalize({j: v for j, v in new_row.items() if v}, p * rhs - q * prhs)
+    return pivots, rows
+
+
+entry = st.integers(min_value=-6, max_value=6)
+nonzero_entry = entry.filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=40), st.data())
+def test_indexed_elimination_matches_full_scan(n_vars, n_rows, data):
+    names = tuple(f"x{j}" for j in range(n_vars))
+    columns = st.lists(st.sampled_from(names), max_size=5, unique=True)
+    sys = LinearSystem(names)
+    for _ in range(n_rows):
+        support = data.draw(columns)
+        sys.add_row({name: data.draw(nonzero_entry) for name in support}, data.draw(entry))
+    assert exactlin._eliminate(sys) == _full_scan_eliminate(sys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=4), st.data())
+def test_column_permutation_keeps_assignment_and_rank(n_vars, extra_rows, data):
+    names = tuple(f"x{j}" for j in range(n_vars))
+    planted = dict(zip(names, (data.draw(small_fraction) for _ in names)))
+    forms = []
+    for _ in range(n_vars + extra_rows):
+        form = {name: data.draw(st.integers(min_value=-4, max_value=4)) for name in names}
+        forms.append((form, sum(c * planted[name] for name, c in form.items())))
+    permuted_names = tuple(data.draw(st.permutations(names)))
+    results = []
+    for order in (names, permuted_names):
+        sys = LinearSystem(order)
+        for form, rhs in forms:
+            sys.add_row(form, rhs)
+        results.append((solve(sys), rank(sys)))
+    (result, rank_a), (other, rank_b) = results
+    assert type(other) is type(result) and rank_a == rank_b == result.rank == other.rank
+    if isinstance(result, Unique):
+        assert result.assignment == other.assignment == planted
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5), st.data())
 def test_unique_iff_full_rank_agreement(n_vars, n_rows, data):

@@ -1,5 +1,6 @@
 """Intersection pairing, strict transforms, and the double-cover halving rule."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -104,3 +105,17 @@ def test_strict_transform_drops_sum_of_squares(u, mults):
     base = lattice.self_intersection(c)
     cross = sum(m * u[1 + j] for j, m in enumerate(mults, start=1))
     assert lattice.self_intersection(transformed) == base - drop + 2 * cross
+
+
+def test_branch_section_rule_matches_lattice_oracle():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HalfIntegerWarning)
+        for h1 in range(4):
+            for h2 in range(4):
+                for k in range(41):
+                    lattice = SurfaceLattice(k)
+                    curve = lattice.strict_transform(
+                        lattice.curve_class(h1, h2), [(j, 1) for j in range(1, k + 1)]
+                    )
+                    expected = branch_halve(lattice.self_intersection(curve))
+                    assert branch_section_self_intersection(h1, h2, k) == expected
