@@ -18,7 +18,6 @@ from .basis import (
     basis_dimension,
     canonicalize,
     enumerate_basis,
-    expr_combine,
 )
 from .closedform import closed_form, verify_range
 from .exactlin import LinearSystem, rank, solve
@@ -44,7 +43,6 @@ __all__ = [
     "closed_form",
     "diagonal_self_intersection",
     "enumerate_basis",
-    "expr_combine",
     "pairing_degree",
     "rank",
     "solve",

@@ -25,16 +25,14 @@ the canonical representative is a generator:
 
 Expressions keep the *formal* labels (both members of an identified
 pair may carry separate coefficients, as in printed closed forms);
-``DivisorExpression.canonical()`` merges them by summing.  The n=2
-invariant combinations delta_{i,1} = delta_{i,1a} + delta_{i,1b} (and the
-eta version) are not generators; inserting one expands it.
+``DivisorExpression.canonical()`` merges them by summing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable
 
 PSI = "psi"
 ETA_IRR = "eta_irr"
@@ -139,23 +137,7 @@ def canonicalize(e: BasisElement, g: int, n: int) -> BasisElement:
     Idempotent by construction.
     """
     validate(e, g, n)
-    if n == 1:
-        if g % 2 == 0 and e == delta(g // 2, "1"):
-            return delta(g // 2, "0")
-        if g % 2 == 1 and e == eta((g - 1) // 2, "1"):
-            return eta((g - 1) // 2, "0")
-    else:
-        if g % 2 == 0 and e.kind == DELTA and e.index == g // 2:
-            if e.marking == "2":
-                return delta(g // 2, "0")
-            if e.marking == "1b":
-                return delta(g // 2, "1a")
-        if g % 2 == 1 and e.kind == ETA and e.index == (g - 1) // 2:
-            if e.marking == "2":
-                return eta((g - 1) // 2, "0")
-            if e.marking == "1b":
-                return eta((g - 1) // 2, "1a")
-    return e
+    return dict(identified_pairs(g, n)).get(e, e)
 
 
 def identified_pairs(g: int, n: int) -> list[tuple[BasisElement, BasisElement]]:
@@ -197,14 +179,8 @@ def enumerate_basis(g: int, n: int) -> list[BasisElement]:
 
     Identified pairs appear once, via their canonical representative.
     """
-    out = []
-    seen = set()
-    for e in formal_elements(g, n):
-        c = canonicalize(e, g, n)
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
+    twins = dict(identified_pairs(g, n))
+    return [e for e in formal_elements(g, n) if e not in twins]
 
 
 def basis_dimension(g: int, n: int) -> int:
@@ -213,13 +189,6 @@ def basis_dimension(g: int, n: int) -> int:
 
 def formal_position(g: int, n: int) -> dict[BasisElement, int]:
     return {e: j for j, e in enumerate(formal_elements(g, n))}
-
-
-def _expand(e: BasisElement, n: int) -> list[BasisElement]:
-    # delta_{i,1} / eta_{i,1} are invariant-sum macros when n = 2
-    if n == 2 and e.kind in (DELTA, ETA) and e.marking == "1":
-        return [BasisElement(e.kind, e.index, "1a"), BasisElement(e.kind, e.index, "1b")]
-    return [e]
 
 
 @dataclass(frozen=True)
@@ -231,78 +200,27 @@ class DivisorExpression:
     terms: dict[BasisElement, Fraction]
 
     @classmethod
-    def zero(cls, g: int, n: int) -> "DivisorExpression":
-        check_ambient(g, n)
-        return cls(g, n, {})
-
-    @classmethod
     def from_terms(
-        cls,
-        g: int,
-        n: int,
-        items: Union[Mapping[BasisElement, Fraction], Iterable[tuple[BasisElement, Fraction]]],
+        cls, g: int, n: int, items: Iterable[tuple[BasisElement, Fraction]]
     ) -> "DivisorExpression":
-        """Build an expression; n=2 invariant combinations are expanded."""
+        """Build an expression; coefficients of a repeated label are summed."""
         check_ambient(g, n)
-        if isinstance(items, Mapping):
-            items = items.items()
         terms: dict[BasisElement, Fraction] = {}
         for e, coeff in items:
             coeff = Fraction(coeff)
             if not coeff:
                 continue
-            for part in _expand(e, n):
-                validate(part, g, n)
-                acc = terms.get(part, Fraction(0)) + coeff
-                if acc:
-                    terms[part] = acc
-                else:
-                    del terms[part]
+            validate(e, g, n)
+            acc = terms.get(e, Fraction(0)) + coeff
+            if acc:
+                terms[e] = acc
+            else:
+                del terms[e]
         return cls(g, n, terms)
-
-    def coefficient(self, e: BasisElement) -> Fraction:
-        return self.terms.get(e, Fraction(0))
-
-    def scale(self, s) -> "DivisorExpression":
-        s = Fraction(s)
-        if not s:
-            return DivisorExpression.zero(self.g, self.n)
-        return DivisorExpression(self.g, self.n, {e: s * v for e, v in self.terms.items()})
-
-    def __add__(self, other: "DivisorExpression") -> "DivisorExpression":
-        return expr_combine(self, Fraction(1), other)
-
-    def __sub__(self, other: "DivisorExpression") -> "DivisorExpression":
-        return expr_combine(self, Fraction(-1), other)
 
     def canonical(self) -> "DivisorExpression":
         """Merge identified labels; the canonical coefficient is the sum."""
-        merged: dict[BasisElement, Fraction] = {}
-        for e, v in self.terms.items():
-            c = canonicalize(e, self.g, self.n)
-            acc = merged.get(c, Fraction(0)) + v
-            if acc:
-                merged[c] = acc
-            else:
-                del merged[c]
-        return DivisorExpression(self.g, self.n, merged)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-
-def expr_combine(a: DivisorExpression, s, b: DivisorExpression) -> DivisorExpression:
-    """Exact combination a + s*b; zero terms are dropped."""
-    if (a.g, a.n) != (b.g, b.n):
-        raise DomainError(
-            f"cannot combine expressions on (g={a.g}, n={a.n}) and (g={b.g}, n={b.n})"
+        twins = dict(identified_pairs(self.g, self.n))
+        return DivisorExpression.from_terms(
+            self.g, self.n, ((twins.get(e, e), v) for e, v in self.terms.items())
         )
-    s = Fraction(s)
-    terms = dict(a.terms)
-    for e, v in b.terms.items():
-        acc = terms.get(e, Fraction(0)) + s * v
-        if acc:
-            terms[e] = acc
-        else:
-            terms.pop(e, None)
-    return DivisorExpression(a.g, a.n, terms)

@@ -139,7 +139,7 @@ def degree_vector_record(dv: F.DegreeVector) -> dict:
                 "class": label.name(dv.n),
                 "num": value.numerator,
                 "den": value.denominator,
-                "auxiliary": isinstance(label, F.AuxiliaryLabel),
+                "auxiliary": F.is_auxiliary(label, dv.g),
             }
         )
     return {

@@ -156,7 +156,6 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
         try:
             solved = solver.solve_coefficients(g, target)
         except solver.SolverError as exc:
-            relations = solver.assemble_system(g, target) if exc.certificate else []
             report.results.append(
                 GenusResult(
                     g=g,
@@ -167,7 +166,7 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
                     n_redundant=None,
                     auxiliaries={},
                     error=str(exc),
-                    inconsistent=[relations[r].provenance for r in sorted(exc.certificate or ())],
+                    inconsistent=exc.inconsistent,
                 )
             )
             continue

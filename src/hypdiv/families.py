@@ -33,9 +33,10 @@ Families
   eta-degree lands on the out-of-range label eta_{0,1}, which is exactly
   what pins that auxiliary for small g.
 
-Degrees on out-of-range labels (eta_{0,m}; eta_{g/2,m} for even g) are
-registered against explicit :class:`AuxiliaryLabel` keys, never dropped.
-Degrees that the underlying relation only constrains through the sum
+Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g)
+are registered, never dropped; :func:`is_auxiliary` tells them apart.
+For n = 2 the marking "1" stands for the invariant pair 1a/1b, and
+degrees that the underlying relation only constrains through the sum
 psi_1 + psi_2 are recorded against the :data:`PSI_SUM` key.
 """
 
@@ -61,21 +62,6 @@ WEIERSTRASS_INVOLUTION = "weierstrass_involution"
 
 
 @dataclass(frozen=True)
-class AuxiliaryLabel:
-    """A boundary-type label whose index is out of range for (g, n)."""
-
-    kind: str
-    index: int
-    marking: str
-
-    def name(self, n: int = 2) -> str:
-        return f"{self.kind}_{self.index}_{self.marking}"
-
-    def __repr__(self):
-        return f"aux:{self.kind}_{self.index}_{self.marking}"
-
-
-@dataclass(frozen=True)
 class PsiSum:
     """Key for degrees recorded against the invariant sum psi_1 + psi_2."""
 
@@ -88,31 +74,32 @@ class PsiSum:
 
 PSI_SUM = PsiSum()
 
-Label = Union[BasisElement, AuxiliaryLabel, PsiSum]
+Label = Union[BasisElement, PsiSum]
 
 
-def eta_label(g: int, n: int, i: int, marking: str) -> Label:
-    """eta_{i,marking} as a basis label, or an auxiliary if out of range."""
-    e = B.eta(i, marking)
-    if i in B.eta_range(g):
-        return e
-    return AuxiliaryLabel(B.ETA, i, marking)
+def is_auxiliary(label: Label, g: int) -> bool:
+    """Whether ``label`` is an eta label whose index is outside eta_range(g)."""
+    return (
+        isinstance(label, BasisElement)
+        and label.kind == B.ETA
+        and label.index not in B.eta_range(g)
+    )
 
 
 def _check_label(label: Label, g: int, n: int) -> None:
-    if isinstance(label, (AuxiliaryLabel, PsiSum)):
-        if isinstance(label, AuxiliaryLabel):
-            if label.kind == B.ETA and label.index in B.eta_range(g):
-                raise DomainError(f"{label!r} is in range for g={g}; not auxiliary")
-            if label.kind == B.DELTA and label.index in B.delta_range(g):
-                raise DomainError(f"{label!r} is in range for g={g}; not auxiliary")
+    if isinstance(label, PsiSum):
         return
-    if n == 2 and label.kind in (B.DELTA, B.ETA) and label.marking == "1":
-        # invariant combination: legal in degree vectors, expanded in expressions
-        if label.index not in (B.delta_range(g) if label.kind == B.DELTA else B.eta_range(g)):
+    invariant = n == 2 and label.marking == "1"
+    if is_auxiliary(label, g):
+        markings = B.MARKINGS_1 if n == 1 else B.MARKINGS_2
+        if not 0 <= label.index <= g // 2 or not (invariant or label.marking in markings):
+            raise DomainError(f"{label!r} is not a valid auxiliary for (g={g}, n={n})")
+    elif invariant and label.kind in (B.DELTA, B.ETA):
+        # the invariant pair 1a/1b, legal in degree vectors only; an eta here is in range
+        if label.index not in B.delta_range(g):
             raise DomainError(f"{label!r} index out of range")
-        return
-    B.validate(label, g, n)
+    else:
+        B.validate(label, g, n)
 
 
 @dataclass(frozen=True)
@@ -129,9 +116,6 @@ class DegreeVector:
 
     def degree(self, label: Label) -> Fraction:
         return self.degrees.get(label, Fraction(0))
-
-    def auxiliary_labels(self) -> list[AuxiliaryLabel]:
-        return [k for k in self.degrees if isinstance(k, AuxiliaryLabel)]
 
     def provenance(self) -> str:
         if self.params:
@@ -225,11 +209,11 @@ def glued_weierstrass_family(g: int, i: int, section: str, side: str, n: int) ->
     if side == LOW:
         j = i
         delta_key = B.delta(i, "0")
-        eta_key = eta_label(g, n, i - 1, "0")
+        eta_key = B.eta(i - 1, "0")
     else:
         j = g - i
         delta_key = B.delta(i, "1" if n == 1 else "2")
-        eta_key = eta_label(g, n, i, "1" if n == 1 else "2")
+        eta_key = B.eta(i, "1" if n == 1 else "2")
 
     if section == HORIZONTAL:
         self_int = surfcalc.branch_section_self_intersection(1, 0, 2)
@@ -292,7 +276,7 @@ def g12_ruling_family(g: int, i: int, side: str) -> DegreeVector:
     _gate(-1, self_int, "ruling attachment section")
     degrees = {
         B.delta(i, "1"): 2 * self_int,
-        eta_label(g, 2, eta_index, "1"): 4,
+        B.eta(eta_index, "1"): 4,
         B.eta_irr(): 16 * j,
         PSI_SUM: 2,
     }
@@ -318,7 +302,7 @@ def f2ip1_family(g: int, i: int) -> DegreeVector:
     degrees = {
         B.psi(1): 2 * (i + 1),
         B.psi(2): 2,
-        eta_label(g, 2, i, "1"): 2,
+        B.eta(i, "1"): 2,
         B.eta_irr(): 4 * (i + 1) * (4 * g - 2 * i + 1),
     }
     return _vector(g, 2, G12, 0, degrees, "f2ip1", {"i": i})
@@ -395,40 +379,3 @@ def pairing_degree(dv: DegreeVector) -> dict[str, Fraction]:
         else:
             form.pop(name, None)
     return form
-
-
-def evaluate_pairing(
-    expr: "B.DivisorExpression",
-    dv: DegreeVector,
-    aux_values: Mapping[str, Fraction] | None = None,
-) -> Fraction:
-    """Degree of a concrete divisor expression on a family.
-
-    Invariant-combination and PSI_SUM keys require the expression to be
-    symmetric in the corresponding labels; auxiliary keys look their value
-    up in ``aux_values`` (by unknown name, e.g. ``b_0_1``).
-    """
-    if (expr.g, expr.n) != (dv.g, dv.n):
-        raise DomainError("expression and degree vector live on different stacks")
-    total = Fraction(0)
-    for label, degree in dv.degrees.items():
-        if isinstance(label, AuxiliaryLabel):
-            if aux_values is None or unknown(label) not in aux_values:
-                raise DomainError(f"no value supplied for auxiliary {label!r}")
-            total += degree * Fraction(aux_values[unknown(label)])
-            continue
-        if isinstance(label, PsiSum):
-            c1, c2 = expr.coefficient(B.psi(1)), expr.coefficient(B.psi(2))
-            if c1 != c2:
-                raise DomainError("PSI_SUM pairing needs equal psi coefficients")
-            total += degree * c1
-            continue
-        if dv.n == 2 and label.kind in (B.DELTA, B.ETA) and label.marking == "1":
-            ca = expr.coefficient(BasisElement(label.kind, label.index, "1a"))
-            cb = expr.coefficient(BasisElement(label.kind, label.index, "1b"))
-            if ca != cb:
-                raise DomainError("invariant-combination pairing needs symmetric coefficients")
-            total += degree * ca
-            continue
-        total += degree * expr.coefficient(label)
-    return total

@@ -37,11 +37,17 @@ from .families import G12, WEIERSTRASS
 
 
 class SolverError(RuntimeError):
-    """The assembled system is inconsistent or underdetermined."""
+    """The assembled system is inconsistent or underdetermined.
 
-    def __init__(self, message, certificate=None):
+    For an inconsistent system ``certificate`` maps row indices to their
+    multipliers and ``inconsistent`` lists those rows' provenances in row
+    order; otherwise they are None and empty.
+    """
+
+    def __init__(self, message, certificate=None, inconsistent=()):
         super().__init__(message)
         self.certificate = certificate
+        self.inconsistent = list(inconsistent)
 
 
 @dataclass
@@ -177,11 +183,12 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
 
     result = exactlin.solve(system)
     if isinstance(result, exactlin.Inconsistent):
-        lines = [relations[r].provenance for r in sorted(result.certificate)]
+        inconsistent = [relations[r].provenance for r in sorted(result.certificate)]
         raise SolverError(
             f"inconsistent system for g={g}, target={target}; "
-            f"certificate combines rows {lines} into 0 = {result.residual}",
+            f"certificate combines rows {inconsistent} into 0 = {result.residual}",
             certificate=result.certificate,
+            inconsistent=inconsistent,
         )
     if isinstance(result, exactlin.Underdetermined):
         free_formal = [s for s in result.free if s in set(formal)]
@@ -232,7 +239,7 @@ def independent_a1_determinations(g: int) -> dict[int, dict[str, Fraction]]:
         for side, eta_index in ((F.LOW, i - 1), (F.HIGH, i)):
             if not 0 <= eta_index <= (g - 1) // 2:
                 continue  # no f2ip1 member pins this eta unknown
-            b = F.unknown(F.eta_label(g, 2, eta_index, "1"))
+            b = F.unknown(B.eta(eta_index, "1"))
             values = {**pinned, b: solve_for(F.f2ip1_family(g, eta_index), b, pinned)}
             ruling = F.g12_ruling_family(g, i, side)
             determinations[side] = solve_for(ruling, F.unknown(B.delta(i, "1")), values)

@@ -1,4 +1,4 @@
-"""Generator enumeration, identifications, and expression arithmetic."""
+"""Generator enumeration, identifications, and expressions."""
 
 from fractions import Fraction
 
@@ -17,7 +17,6 @@ from hypdiv.basis import (
     enumerate_basis,
     eta,
     eta_irr,
-    expr_combine,
     psi,
 )
 
@@ -122,28 +121,9 @@ def _expr(g, n, items):
     return DivisorExpression.from_terms(g, n, items)
 
 
-def test_combine_with_zero_scalar_is_identity():
-    a = _expr(3, 1, [(psi(1), Fraction(2)), (eta_irr(), Fraction(-1, 28))])
-    b = _expr(3, 1, [(delta(1, "0"), Fraction(5))])
-    assert expr_combine(a, 0, b) == a
-
-
 def test_cancellation_drops_terms():
-    a = _expr(2, 1, [(psi(1), Fraction(3))])
-    assert not expr_combine(a, -1, a).terms
-
-
-def test_invariant_combination_expands_on_insert():
-    q = Fraction(7, 3)
-    e = _expr(4, 2, [(delta(1, "1"), q)])
-    assert e.terms == {delta(1, "1a"): q, delta(1, "1b"): q}
-
-
-def test_mixed_ambient_rejected():
-    a = _expr(2, 1, [(psi(1), 1)])
-    b = _expr(3, 1, [(psi(1), 1)])
-    with pytest.raises(DomainError):
-        expr_combine(a, 1, b)
+    a = _expr(2, 1, [(psi(1), Fraction(3)), (eta_irr(), 1), (psi(1), Fraction(-3))])
+    assert a.terms == {eta_irr(): 1}
 
 
 def test_canonical_view_sums_identified_coefficients():
@@ -152,26 +132,12 @@ def test_canonical_view_sums_identified_coefficients():
 
 
 def test_canonical_view_n2_even_genus():
-    e = _expr(2, 2, [(delta(1, "0"), 1), (delta(1, "2"), 2), (delta(1, "1"), 3)])
+    e = _expr(
+        2, 2, [(delta(1, "0"), 1), (delta(1, "2"), 2), (delta(1, "1a"), 3), (delta(1, "1b"), 3)]
+    )
     merged = e.canonical()
     assert merged.terms[delta(1, "0")] == 3
     assert merged.terms[delta(1, "1a")] == 6  # 1a and 1b name one divisor
-
-
-@settings(max_examples=60, deadline=None)
-@given(ambient, st.data())
-def test_expression_addition_commutative_associative(gn, data):
-    g, n = gn
-    elements = B.formal_elements(g, n)
-    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-
-    def rand_expr():
-        picks = data.draw(st.lists(st.sampled_from(elements), max_size=4))
-        return _expr(g, n, [(e, data.draw(coeff)) for e in picks])
-
-    a, b, c = rand_expr(), rand_expr(), rand_expr()
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
 
 
 def test_names_follow_serialization_grammar():

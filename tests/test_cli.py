@@ -138,9 +138,18 @@ def test_verify_names_the_family_of_an_inconsistent_catalog(capsys, monkeypatch)
         return vectors[:-1] + [dataclasses.replace(last, target_degree=last.target_degree + 1)]
 
     monkeypatch.setattr(S, "family_vectors", perturbed)
+    assemble = S.assemble_system
+    assembled = []
+
+    def counted(g, target):
+        assembled.append(g)
+        return assemble(g, target)
+
+    monkeypatch.setattr(S, "assemble_system", counted)
     family = original(3, "g12")[-1].provenance()
     code, out = run(capsys, "verify", "--range", "3..4", "--divisor", "g12")
     assert code == EXIT_MISMATCH
+    assert assembled == [3, 4]  # naming the certificate needs no second assembly
     lines = out.splitlines()
     assert lines[0] == "g12 g=3: MISMATCH"
     assert lines[1].startswith("  inconsistent: ") and family in lines[1]

@@ -124,6 +124,35 @@ def test_sign_table():
                 assert value < 0
 
 
+def test_closed_forms_satisfy_every_assembled_relation():
+    # every unknown takes its closed-form value; an auxiliary b_j_m takes the
+    # eta formula at its out-of-range index j
+    from hypdiv.solver import assemble_system
+
+    tables = {
+        WEIERSTRASS: {"d": CF.w_psi, "c": CF.w_eta_irr, "a": CF.w_delta, "b": CF.w_eta},
+        G12: {
+            "d": CF.g12_psi,
+            "c": CF.g12_eta_irr,
+            "a_0_2": CF.g12_delta_0_2,
+            "a": CF.g12_delta,
+            "b": CF.g12_eta,
+        },
+    }
+    for target, table in tables.items():
+        for g in range(2, 41):
+
+            def value(name):
+                if name in table:
+                    return table[name](g)
+                kind, i, m = name.split("_")
+                return table[kind](g, int(i), int(m))
+
+            for relation in assemble_system(g, target):
+                lhs = sum(coeff * value(name) for name, coeff in relation.coeffs.items())
+                assert lhs == relation.rhs, (g, relation.render())
+
+
 def test_verify_single_genus():
     report = CF.verify_range(2, 2, WEIERSTRASS)
     assert report.ok

@@ -6,16 +6,15 @@ import pytest
 
 from hypdiv import basis as B
 from hypdiv import families as F
-from hypdiv.basis import DivisorExpression, DomainError, delta, eta, eta_irr, psi
+from hypdiv.basis import DomainError, delta, eta, eta_irr, psi
 from hypdiv.families import (
     PSI_SUM,
-    AuxiliaryLabel,
     diagonal_family,
-    evaluate_pairing,
     f2ip1_family,
     formal_unknowns,
     g12_ruling_family,
     glued_weierstrass_family,
+    is_auxiliary,
     pairing_degree,
     quadric_pencil_family,
     two_point_blowup_family,
@@ -23,7 +22,7 @@ from hypdiv.families import (
 
 
 def aux_eta(i, m):
-    return AuxiliaryLabel(B.ETA, i, m)
+    return eta(i, m)
 
 
 def test_diagonal_family_degrees():
@@ -52,7 +51,7 @@ def test_glued_horizontal_low_registers_auxiliary_at_i1():
     dv = glued_weierstrass_family(4, 1, F.HORIZONTAL, F.LOW, 1)
     assert dv.degrees == {delta(1, "0"): -1, eta_irr(): 8, aux_eta(0, "0"): 2}
     assert dv.target_degree == 0
-    assert dv.auxiliary_labels() == [aux_eta(0, "0")]
+    assert [k for k in dv.degrees if is_auxiliary(k, 4)] == [aux_eta(0, "0")]
 
 
 def test_glued_diagonal_low_degrees():
@@ -217,24 +216,26 @@ def test_formal_unknowns_order_and_label_groups():
     assert unknowns["a_1_1"] == [delta(1, "1a"), delta(1, "1b")]
 
 
-def test_zero_expression_pairs_to_zero():
-    zero = DivisorExpression.zero(3, 1)
-    assert evaluate_pairing(zero, diagonal_family(3)) == 0
-
-
-def test_evaluate_pairing_reproduces_target_degree():
-    # the closed form really has the cataloged degree on each family
-    from hypdiv.closedform import closed_form
-
-    g = 6
-    expr = closed_form(g, F.WEIERSTRASS)
-    assert evaluate_pairing(expr, diagonal_family(g)) == 2 * g + 2
-    assert evaluate_pairing(expr, quadric_pencil_family(g, 1)) == 1
-
-
 def test_auxiliary_label_must_be_out_of_range():
+    assert not is_auxiliary(eta(1, "0"), 4)
+    assert is_auxiliary(eta(0, "0"), 4) and is_auxiliary(eta(2, "1"), 4)
+    assert not is_auxiliary(eta(2, "1"), 5)
+    assert not is_auxiliary(delta(2, "0"), 4) and not is_auxiliary(PSI_SUM, 4)
+
+
+def test_auxiliary_gate_rejects_index_above_half_genus():
+    F._check_label(eta(2, "0"), 4, 1)
+    F._check_label(eta(0, "1"), 4, 2)
     with pytest.raises(DomainError):
-        F._check_label(aux_eta(1, "0"), 4, 1)
+        F._check_label(eta(3, "0"), 4, 1)
+    with pytest.raises(DomainError):
+        F._check_label(eta(-1, "0"), 4, 1)
+    with pytest.raises(DomainError):
+        F._check_label(eta(0, "1a"), 4, 1)  # a marking of n = 2 on n = 1
+    with pytest.raises(DomainError):
+        F._check_label(eta(3, "1"), 4, 2)
+    with pytest.raises(DomainError):
+        F._check_label(delta(3, "1"), 4, 2)
 
 
 def test_cataloged_degrees_are_integers():
@@ -242,20 +243,6 @@ def test_cataloged_degrees_are_integers():
         for dv in _all_vectors(g):
             assert dv.target_degree.denominator == 1
             assert all(v.denominator == 1 for v in dv.degrees.values())
-
-
-def test_evaluate_pairing_with_auxiliary_values():
-    # the two-pointed closed form pairs to zero on the ruling family once
-    # the eta_0 auxiliary is given its solved value 2c
-    from hypdiv.closedform import closed_form, g12_eta_irr
-
-    g = 2
-    expr = closed_form(g, F.G12)
-    dv = g12_ruling_family(g, 1, F.LOW)
-    aux = {"b_0_1": 2 * g12_eta_irr(g)}
-    assert evaluate_pairing(expr, dv, aux_values=aux) == 0
-    with pytest.raises(DomainError):
-        evaluate_pairing(expr, dv)
 
 
 def test_catalog_self_check_failure_is_typed(monkeypatch):
