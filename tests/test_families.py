@@ -238,6 +238,43 @@ def test_auxiliary_gate_rejects_index_above_half_genus():
         F._check_label(delta(3, "1"), 4, 2)
 
 
+def _closed_form_values(g, target, n):
+    from hypdiv.closedform import closed_form
+
+    terms = closed_form(g, target).terms
+    return {
+        name: terms.get(labels[0], Fraction(0))
+        for name, labels in formal_unknowns(g, n).items()
+    }
+
+
+def _substitute(form, values):
+    return sum(coeff * values[name] for name, coeff in form.items())
+
+
+def test_evaluate_pairing_reproduces_target_degree():
+    # the closed form really has the cataloged degree on each family
+    g = 6
+    values = _closed_form_values(g, F.WEIERSTRASS, 1)
+    assert _substitute(pairing_degree(diagonal_family(g)), values) == 2 * g + 2
+    assert _substitute(pairing_degree(quadric_pencil_family(g, 1)), values) == 1
+
+
+def test_evaluate_pairing_with_auxiliary_values():
+    # the two-pointed closed form pairs to zero on the ruling family once
+    # the eta_0 auxiliary is given its solved value 2c
+    from hypdiv.closedform import g12_eta_irr
+
+    g = 2
+    dv = g12_ruling_family(g, 1, F.LOW)
+    form = pairing_degree(dv)
+    values = _closed_form_values(g, F.G12, 2)
+    assert "b_0_1" in form and "b_0_1" not in values
+    assert is_auxiliary(eta(0, "1"), g)
+    values["b_0_1"] = 2 * g12_eta_irr(g)
+    assert _substitute(form, values) == dv.target_degree == 0
+
+
 def test_cataloged_degrees_are_integers():
     for g in range(2, 21):
         for dv in _all_vectors(g):
