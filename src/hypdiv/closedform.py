@@ -83,22 +83,23 @@ _FORMULAS = {
 }
 
 
+def closed_form_values(g: int, target: str) -> dict[str, Fraction]:
+    """The closed-form value of every formal unknown, keyed by unknown name."""
+    formulas = _FORMULAS[target]
+    values = {}
+    for u, (e, *_) in F.formal_unknowns(g, F.marked_points(target)).items():
+        indexed = (e.index, F.slot(e.marking)) if e.kind in (B.DELTA, B.ETA) else ()
+        values[u] = formulas[e.kind](g, *indexed)
+    return values
+
+
 def closed_form(g: int, target: str) -> DivisorExpression:
     """The target divisor class, formal view.
 
     For two marked points the invariant coefficient of delta_{i,1} lands
     on both delta_{i,1a} and delta_{i,1b} (likewise for eta).
     """
-    n = F.marked_points(target)
-    formulas = _FORMULAS[target]
-
-    def value(e: B.BasisElement) -> Fraction:
-        if e.kind in (B.DELTA, B.ETA):
-            return formulas[e.kind](g, e.index, F.slot(e.marking))
-        return formulas[e.kind](g)
-
-    unknowns = F.formal_unknowns(g, n)
-    return F.formal_expression(g, n, {u: value(labels[0]) for u, labels in unknowns.items()})
+    return F.formal_expression(g, F.marked_points(target), closed_form_values(g, target))
 
 
 @dataclass
@@ -141,7 +142,7 @@ class VerificationReport:
 
 
 def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
-    """Compare solver output against the closed form, term by term.
+    """Compare solver output against the closed form, unknown by unknown.
 
     Mismatches are collected into the report (with both values), never
     raised: a failure report is a result, not an exception.  A genus whose
@@ -170,15 +171,14 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
                 )
             )
             continue
-        expected = closed_form(g, target)
+        got, want = solved.coefficients, closed_form_values(g, target)
         mismatches = []
-        labels = set(solved.solution.terms) | set(expected.terms)
-        position = B.formal_position(g, n)
-        for label in sorted(labels, key=position.__getitem__):
-            got = solved.solution.terms.get(label)
-            want = expected.terms.get(label)
-            if got != want:
-                mismatches.append((label.name(n), got, want))
+        if got != want:
+            # name each differing formal label in order; a zero value reads None
+            for e in B.formal_elements(g, n):
+                u = F.unknown(e)
+                if got[u] != want[u]:
+                    mismatches.append((e.name(n), got[u] or None, want[u] or None))
         report.results.append(
             GenusResult(
                 g=g,

@@ -1,21 +1,20 @@
 """Exact linear algebra over Q.
 
-Rationals are arbitrary-precision ``fractions.Fraction`` values (always
-stored reduced, positive denominator).  Linear systems are solved by
-integer-preserving Gauss-Jordan elimination: every row is scaled to a
-primitive integer vector and row operations use cross-multiplication
-followed by content removal, so no rounding can occur anywhere.  Pivots
-are chosen deterministically (first nonzero row in column order), which
-makes certificates and free-variable selection reproducible.  A
-column -> rows index of the nonzero entries, updated as row operations
-create and cancel entries, lets the pivot search and the sweep visit only
-the rows that hold the column, so the cost follows the fill-in rather
-than rows x columns; the pivot is still the first such row.  A row is one
-object, a primitive integer vector with its integer right-hand side.  The
-certificate for an inconsistent A·x = b is the solution of the dual system
-y·A = 0, y·b = 1 (one unknown per row), found by ``solve`` itself: by the
-Fredholm alternative the dual is solvable exactly when A·x = b is not.
-Every answer is substituted into its rows before it is returned.
+``add_row`` takes ``int`` or ``fractions.Fraction`` entries and stores each
+row as a primitive integer vector with an integer right-hand side; only
+answers are ``Fraction``s.  Systems are solved by integer-preserving
+Gauss-Jordan elimination on a copy of the rows, so no rounding can occur.
+Pivots are chosen deterministically (first nonzero row in column order),
+which makes certificates and free-variable selection reproducible.  A
+column -> rows index of the nonzero entries, kept exact under every row
+operation, lets the pivot search and the sweep visit only the rows that
+hold the column, so the cost follows the fill-in rather than rows x
+columns.  The certificate for an inconsistent A·x = b solves the dual
+system y·A = 0, y·b = 1 (one unknown per row) through ``solve`` itself:
+by the Fredholm alternative the dual is solvable exactly when A·x = b is
+not.  It multiplies ``LinearSystem.rows`` as stored.  Every answer is
+substituted into every row, in integers over one common denominator,
+before it is returned.
 """
 
 from __future__ import annotations
@@ -23,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Mapping, Union
-
-RationalLike = Union[Fraction, int]
 
 
 class StructuralError(ValueError):
-    """A row does not match the system's variable list."""
+    """A row does not match the system's variable list, or holds a non-rational entry."""
 
 
 class CheckError(ArithmeticError):
@@ -38,10 +36,10 @@ class CheckError(ArithmeticError):
 
 @dataclass
 class LinearSystem:
-    """A list of exact linear equations over named variables."""
+    """Exact linear equations over named variables, as integer rows."""
 
     variables: tuple[str, ...]
-    rows: list[tuple[dict[int, Fraction], Fraction]] = field(default_factory=list)
+    rows: list[tuple[dict[int, int], int]] = field(default_factory=list)
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
@@ -49,16 +47,19 @@ class LinearSystem:
             raise StructuralError("duplicate variable names")
         self._index = {v: j for j, v in enumerate(self.variables)}
 
-    def add_row(self, coeffs: Mapping[str, RationalLike], rhs: RationalLike = 0) -> None:
-        """Append the equation ``sum(coeffs[v] * v) = rhs`` (sparse form)."""
-        row: dict[int, Fraction] = {}
+    def add_row(self, coeffs: Mapping[str, Rational], rhs: Rational = 0) -> None:
+        """Append ``sum(coeffs[v] * v) = rhs``, scaled to a primitive integer row."""
+        if not all(isinstance(v, Rational) for v in (rhs, *coeffs.values())):
+            raise StructuralError(f"row {dict(coeffs)!r} = {rhs!r} has a non-rational entry")
+        row: dict[int, Rational] = {}
         for name, value in coeffs.items():
             if name not in self._index:
                 raise StructuralError(f"unknown variable {name!r}")
-            value = Fraction(value)
             if value:
                 row[self._index[name]] = value
-        self.rows.append((row, Fraction(rhs)))
+        scale = lcm(rhs.denominator, *(v.denominator for v in row.values()))
+        irow = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+        self.rows.append(_normalize(irow, rhs.numerator * (scale // rhs.denominator)))
 
 
 @dataclass
@@ -84,7 +85,7 @@ class Underdetermined:
 class Inconsistent:
     """No solution.
 
-    ``certificate`` gives rational multipliers on the original rows whose
+    ``certificate`` gives multipliers on ``LinearSystem.rows`` as stored whose
     combination has all-zero coefficients but right-hand side ``residual`` = 1.
     """
 
@@ -109,26 +110,16 @@ def _normalize(row: dict[int, int], rhs: int) -> tuple[dict[int, int], int]:
     return row, rhs
 
 
-def _to_integer_rows(sys: LinearSystem):
-    """Scale each row to a primitive integer vector."""
-    rows = []
-    for row, rhs in sys.rows:
-        mult = lcm(*(v.denominator for v in row.values()), rhs.denominator)
-        irow = {j: int(v * mult) for j, v in row.items()}
-        rows.append(_normalize(irow, int(rhs * mult)))
-    return rows
-
-
 def _eliminate(sys: LinearSystem):
     """Gauss-Jordan elimination with deterministic pivoting.
 
     Returns (pivots, rows) where pivots maps column -> row position and
-    each row has been fully reduced (a pivot row retains only its pivot
-    column and free columns).  ``holders[j]`` is the set of rows with a
-    nonzero entry in column j, kept exact under every row operation, so
-    the pivot search and the sweep visit only those rows.
+    rows is a fully reduced copy of ``sys.rows`` (a pivot row retains only
+    its pivot column and free columns).  ``holders[j]`` is the set of rows
+    with a nonzero entry in column j, kept exact under every row
+    operation, so the pivot search and the sweep visit only those rows.
     """
-    rows = _to_integer_rows(sys)
+    rows = list(sys.rows)
     holders: list[set[int]] = [set() for _ in sys.variables]
     for r, (row, _) in enumerate(rows):
         for j in row:
@@ -163,12 +154,11 @@ def _eliminate(sys: LinearSystem):
 
 def _certificate(sys: LinearSystem) -> dict[int, Fraction]:
     """Nonzero multipliers y_r on the rows of ``sys`` with y·A = 0, y·b = 1."""
-    columns: list[dict[int, Fraction]] = [{} for _ in sys.variables]
+    rows: list[tuple[dict[int, int], int]] = [({}, 0) for _ in sys.variables]
     for r, (row, _) in enumerate(sys.rows):
         for j, v in row.items():
-            columns[j][r] = v
-    rows = [(column, Fraction(0)) for column in columns]
-    rows.append(({r: rhs for r, (_, rhs) in enumerate(sys.rows) if rhs}, Fraction(1)))
+            rows[j][0][r] = v
+    rows.append(({r: rhs for r, (_, rhs) in enumerate(sys.rows) if rhs}, 1))
     dual = solve(LinearSystem(tuple(str(r) for r in range(len(sys.rows))), rows))
     if isinstance(dual, Inconsistent):
         raise CheckError("the system and its dual are both inconsistent")
@@ -181,7 +171,7 @@ def solve(sys: LinearSystem) -> SolveResult:
 
     The result is ``Unique``, ``Underdetermined`` (particular solution with
     the free variables pinned to 0) or ``Inconsistent`` (with a certificate
-    combination of original rows reducing to 0 = 1).
+    combination of the stored rows reducing to 0 = 1).
     """
     pivots, rows = _eliminate(sys)
     rank = len(pivots)
@@ -194,7 +184,7 @@ def solve(sys: LinearSystem) -> SolveResult:
         redundant.append(r)
     # After full Jordan reduction a pivot row holds its pivot column plus
     # free columns only; with free variables pinned to 0 the solve is direct.
-    assignment = {name: Fraction(0) for name in sys.variables}
+    assignment = dict.fromkeys(sys.variables, Fraction(0))
     for col, r in pivots.items():
         row, rhs = rows[r]
         assignment[sys.variables[col]] = Fraction(rhs, row[col])
@@ -218,12 +208,15 @@ def rank(sys: LinearSystem) -> int:
     return len(pivots)
 
 
-def residual(sys: LinearSystem, assignment: Mapping[str, RationalLike]) -> list[Fraction]:
-    """Exact residuals ``lhs(assignment) - rhs`` for every row."""
+def residual(sys: LinearSystem, assignment: Mapping[str, Rational]) -> list[Fraction]:
+    """Exact ``lhs(assignment) - rhs`` per row, summed in integers over one denominator."""
+    values = [assignment[name] for name in sys.variables]
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
     out = []
     for row, rhs in sys.rows:
-        acc = -rhs
+        acc = -rhs * den
         for j, v in row.items():
-            acc += v * Fraction(assignment[sys.variables[j]])
-        out.append(acc)
+            acc += v * nums[j]
+        out.append(Fraction(acc, den))
     return out

@@ -4,7 +4,7 @@ Each family is a complete one-parameter family of pointed stable
 hyperelliptic curves, reduced to the only data the linear method needs:
 the exact degree of every generator class on the family plus the degree
 of the target divisor (the universal Weierstrass divisor for n = 1, the
-universal degree-2-series divisor for n = 2).  Degrees are cataloged as
+universal degree-2-series divisor for n = 2).  Degrees are integer-valued
 closed-form functions of (g, i); the self-intersection entries are
 recomputed through :mod:`hypdiv.surfcalc` as a consistency gate.
 
@@ -109,13 +109,13 @@ class DegreeVector:
     g: int
     n: int
     target: str
-    target_degree: Fraction
-    degrees: dict[Label, Fraction]
+    target_degree: int
+    degrees: dict[Label, int]
     family: str
     params: dict = field(default_factory=dict)
 
-    def degree(self, label: Label) -> Fraction:
-        return self.degrees.get(label, Fraction(0))
+    def degree(self, label: Label) -> int:
+        return self.degrees.get(label, 0)
 
     def provenance(self) -> str:
         if self.params:
@@ -126,18 +126,18 @@ class DegreeVector:
 
 def _vector(g, n, target, target_degree, degrees, family, params=None) -> DegreeVector:
     B.check_ambient(g, n)
-    clean: dict[Label, Fraction] = {}
+    clean: dict[Label, int] = {}
     for label, value in degrees.items():
-        value = Fraction(value)
-        if not value:
-            continue
-        _check_label(label, g, n)
-        clean[label] = value
+        if value:
+            _check_label(label, g, n)
+            clean[label] = value
+    if any(type(v) is not int for v in (target_degree, *clean.values())):
+        raise CatalogError(f"{family}: non-integer degree in {clean!r} or {target_degree!r}")
     return DegreeVector(
         g=g,
         n=n,
         target=target,
-        target_degree=Fraction(target_degree),
+        target_degree=target_degree,
         degrees=clean,
         family=family,
         params=dict(params or {}),
@@ -148,9 +148,10 @@ class CatalogError(RuntimeError):
     """A cataloged degree disagrees with its surface-calculus recomputation."""
 
 
-def _gate(expected: int, actual: Fraction, what: str) -> None:
-    if Fraction(expected) != actual:
+def _gate(expected: int, actual, what: str) -> int:
+    if expected != actual:
         raise CatalogError(f"catalog self-check failed for {what}: {expected} != {actual}")
+    return expected
 
 
 def diagonal_family(g: int) -> DegreeVector:
@@ -160,8 +161,8 @@ def diagonal_family(g: int) -> DegreeVector:
     target) and deg(psi) = -(diagonal)^2 = 2g - 2; no singular fibers.
     """
     B.check_ambient(g, 1)
-    psi_degree = -surfcalc.diagonal_self_intersection(g)
-    _gate(2 * g - 2, Fraction(psi_degree), "diagonal psi degree")
+    actual = -surfcalc.diagonal_self_intersection(g)
+    psi_degree = _gate(2 * g - 2, actual, "diagonal psi degree")
     return _vector(
         g, 1, WEIERSTRASS, 2 * g + 2, {B.psi(1): psi_degree}, "diagonal"
     )
@@ -216,12 +217,12 @@ def glued_weierstrass_family(g: int, i: int, section: str, side: str, n: int) ->
         eta_key = B.eta(i, "1" if n == 1 else "2")
 
     if section == HORIZONTAL:
-        self_int = surfcalc.branch_section_self_intersection(1, 0, 2)
-        _gate(-1, self_int, "horizontal attachment section")
+        actual = surfcalc.branch_section_self_intersection(1, 0, 2)
+        self_int = _gate(-1, actual, "horizontal attachment section")
         degrees = {delta_key: self_int, B.eta_irr(): 8 * j, eta_key: 2}
     else:
-        self_int = surfcalc.branch_section_self_intersection(1, 1, 2 * j + 2)
-        _gate(-j, self_int, "diagonal attachment section")
+        actual = surfcalc.branch_section_self_intersection(1, 1, 2 * j + 2)
+        self_int = _gate(-j, actual, "diagonal attachment section")
         degrees = {delta_key: self_int, B.eta_irr(): 4 * j, eta_key: 2 * j + 2}
 
     target = WEIERSTRASS if n == 1 else G12
@@ -242,15 +243,14 @@ def two_point_blowup_family(g: int, kind: str) -> DegreeVector:
     B.check_ambient(g, 2)
     diag = surfcalc.diagonal_self_intersection(g)
     if kind == SINGLE:
-        psi1 = -surfcalc.section_after_blowups(0, 1)
-        psi2 = -surfcalc.section_after_blowups(diag, 1)
-        _gate(1, Fraction(psi1), "single-blowup constant section")
-        _gate(2 * g - 1, Fraction(psi2), "single-blowup diagonal section")
+        psi1 = _gate(1, -surfcalc.section_after_blowups(0, 1), "single-blowup constant section")
+        actual = -surfcalc.section_after_blowups(diag, 1)
+        psi2 = _gate(2 * g - 1, actual, "single-blowup diagonal section")
         degrees = {B.psi(1): psi1, B.psi(2): psi2, B.delta_0_2(): 1}
         return _vector(g, 2, G12, 1, degrees, "two_point_single")
     if kind == WEIERSTRASS_INVOLUTION:
-        psi_degree = -surfcalc.section_after_blowups(diag, 2 * g + 2)
-        _gate(4 * g, Fraction(psi_degree), "involution-graph section")
+        actual = -surfcalc.section_after_blowups(diag, 2 * g + 2)
+        psi_degree = _gate(4 * g, actual, "involution-graph section")
         degrees = {B.psi(1): psi_degree, B.psi(2): psi_degree, B.delta_0_2(): 2 * g + 2}
         return _vector(g, 2, G12, 2 - 2 * g, degrees, "two_point_weierstrass")
     raise DomainError(f"unknown two-point family kind {kind!r}")
@@ -272,8 +272,8 @@ def g12_ruling_family(g: int, i: int, side: str) -> DegreeVector:
         raise DomainError(f"unknown side {side!r}")
     j = i if side == LOW else g - i
     eta_index = i - 1 if side == LOW else i
-    self_int = surfcalc.branch_section_self_intersection(1, 0, 2)
-    _gate(-1, self_int, "ruling attachment section")
+    actual = surfcalc.branch_section_self_intersection(1, 0, 2)
+    self_int = _gate(-1, actual, "ruling attachment section")
     degrees = {
         B.delta(i, "1"): 2 * self_int,
         B.eta(eta_index, "1"): 4,
@@ -364,16 +364,16 @@ def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.Divi
     )
 
 
-def pairing_degree(dv: DegreeVector) -> dict[str, Fraction]:
+def pairing_degree(dv: DegreeVector) -> dict[str, int]:
     """Pair the unknown-coefficient expression with a degree vector.
 
-    Returns the exact linear form (unknown -> coefficient); equating it to
+    Returns the integer linear form (unknown -> coefficient); equating it to
     ``dv.target_degree`` is the relation the family contributes.
     """
-    form: dict[str, Fraction] = {}
+    form: dict[str, int] = {}
     for label, degree in dv.degrees.items():
         name = unknown(label)
-        acc = form.get(name, Fraction(0)) + degree
+        acc = form.get(name, 0) + degree
         if acc:
             form[name] = acc
         else:

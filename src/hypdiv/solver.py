@@ -39,9 +39,9 @@ from .families import G12, WEIERSTRASS
 class SolverError(RuntimeError):
     """The assembled system is inconsistent or underdetermined.
 
-    For an inconsistent system ``certificate`` maps row indices to their
-    multipliers and ``inconsistent`` lists those rows' provenances in row
-    order; otherwise they are None and empty.
+    For an inconsistent system ``certificate`` maps relation indices to
+    their multipliers and ``inconsistent`` lists those relations'
+    provenances in order; otherwise they are None and empty.
     """
 
     def __init__(self, message, certificate=None, inconsistent=()):
@@ -52,15 +52,14 @@ class SolverError(RuntimeError):
 
 @dataclass
 class Relation:
-    """One exact linear equation on the unknown coefficients."""
+    """One linear equation on the unknown coefficients, with integer entries."""
 
-    coeffs: dict[str, Fraction]
-    rhs: Fraction
+    coeffs: dict[str, int]
+    rhs: int
     provenance: str
 
     def __post_init__(self):
-        self.coeffs = {k: Fraction(v) for k, v in self.coeffs.items() if v}
-        self.rhs = Fraction(self.rhs)
+        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
         if not self.coeffs:
             raise DomainError(f"relation {self.provenance!r} has no nonzero coefficient")
 
@@ -113,8 +112,8 @@ def identification_relations(g: int, target: str) -> list[Relation]:
             continue
         out.append(
             Relation(
-                coeffs={s2: Fraction(-1), s1: Fraction(1)},
-                rhs=Fraction(0),
+                coeffs={s2: -1, s1: 1},
+                rhs=0,
                 provenance=f"identification[{s1}={s2}]",
             )
         )
@@ -129,7 +128,7 @@ def assemble_system(g: int, target: str) -> list[Relation]:
     """
     position = {s: j for j, s in enumerate(F.formal_unknowns(g, F.marked_points(target)))}
 
-    def in_order(form: dict[str, Fraction]) -> dict[str, Fraction]:
+    def in_order(form: dict[str, int]) -> dict[str, int]:
         return dict(sorted(form.items(), key=lambda kv: position.get(kv[0], len(position))))
 
     relations = [
@@ -158,13 +157,17 @@ class CoefficientReport:
 
     g: int
     target: str
-    solution: DivisorExpression
     coefficients: dict[str, Fraction]
     auxiliaries: dict[str, Fraction]
     rank: int
     n_unknowns: int
     redundant: list[str]
     relations: list[Relation] = field(repr=False, default_factory=list)
+
+    @property
+    def solution(self) -> DivisorExpression:
+        """The formal-view expression giving every label its coefficient."""
+        return F.formal_expression(self.g, F.marked_points(self.target), self.coefficients)
 
 
 def solve_coefficients(g: int, target: str) -> CoefficientReport:
@@ -183,11 +186,16 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
 
     result = exactlin.solve(system)
     if isinstance(result, exactlin.Inconsistent):
-        inconsistent = [relations[r].provenance for r in sorted(result.certificate)]
+        # the multipliers act on the stored primitive rows; rescale to the relations
+        certificate = {}
+        for r, y in sorted(result.certificate.items()):
+            j, v = next(iter(system.rows[r][0].items()))
+            certificate[r] = y * Fraction(v, relations[r].coeffs[variables[j]])
+        inconsistent = [relations[r].provenance for r in certificate]
         raise SolverError(
             f"inconsistent system for g={g}, target={target}; "
             f"certificate combines rows {inconsistent} into 0 = {result.residual}",
-            certificate=result.certificate,
+            certificate=certificate,
             inconsistent=inconsistent,
         )
     if isinstance(result, exactlin.Underdetermined):
@@ -206,7 +214,6 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
     return CoefficientReport(
         g=g,
         target=target,
-        solution=F.formal_expression(g, F.marked_points(target), assignment),
         coefficients={s: assignment[s] for s in formal},
         auxiliaries={s: assignment[s] for s in auxiliaries},
         rank=result.rank,

@@ -137,11 +137,7 @@ def test_criterion_8_cli_contract(capsys, monkeypatch):
 
         def perturbed(g, target):
             report = original(g, target)
-            broken = dict(report.solution.terms)
-            broken[B.psi(1)] += 1
-            report.solution = B.DivisorExpression(
-                report.solution.g, report.solution.n, broken
-            )
+            report.coefficients["d"] += 1  # the psi coefficient
             return report
 
         monkeypatch.setattr(solver, "solve_coefficients", perturbed)

@@ -107,22 +107,56 @@ def test_verify_json_report(capsys):
 
 def test_verify_exit_one_on_injected_fault(capsys, monkeypatch):
     import hypdiv.solver as S
-    from hypdiv import basis as B
-    from hypdiv.basis import psi
 
     original = S.solve_coefficients
 
     def perturbed(g, target):
         report = original(g, target)
-        broken = dict(report.solution.terms)
-        broken[psi(1)] += 1
-        report.solution = B.DivisorExpression(report.solution.g, report.solution.n, broken)
+        report.coefficients["d"] += 1  # the psi coefficient
         return report
 
     monkeypatch.setattr(S, "solve_coefficients", perturbed)
     code, out = run(capsys, "verify", "--range", "3..3", "--divisor", "w")
     assert code == EXIT_MISMATCH
     assert "MISMATCH" in out
+
+
+def test_verify_mismatch_text_names_labels_in_formal_order(capsys, monkeypatch):
+    # a zero solver value reads None; the invariant a_1_1 names both 1a and
+    # 1b; delta_0_2, the third unknown, is the last formal label
+    from fractions import Fraction
+
+    import hypdiv.solver as S
+
+    original = S.solve_coefficients
+
+    def perturbed(g, target):
+        report = original(g, target)
+        report.coefficients["d"] = Fraction(0)
+        report.coefficients["a_0_2"] += 1
+        report.coefficients["a_1_1"] += 1
+        return report
+
+    monkeypatch.setattr(S, "solve_coefficients", perturbed)
+    code, out = run(capsys, "verify", "--range", "2..2", "--divisor", "g12")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines() == [
+        "g12 g=2: MISMATCH (rank 10/10, 1 redundant)",
+        "  psi1: solver=None closed=1",
+        "  psi2: solver=None closed=1",
+        "  delta_1_1a: solver=4/5 closed=-1/5",
+        "  delta_1_1b: solver=4/5 closed=-1/5",
+        "  delta_0_2: solver=-2 closed=-3",
+        "g12: 1 genera checked, mismatches at g in [2]",
+    ]
+    code, out = run(capsys, "verify", "--range", "2..2", "--divisor", "g12", "--json")
+    assert code == EXIT_MISMATCH
+    mismatches = json.loads(out)[0]["results"][0]["mismatches"]
+    assert mismatches[0] == {"class": "psi1", "solver": None, "closed": {"num": 1, "den": 1}}
+    assert [m["class"] for m in mismatches] == [
+        "psi1", "psi2", "delta_1_1a", "delta_1_1b", "delta_0_2"
+    ]
+    assert mismatches[-1]["solver"] == {"num": -2, "den": 1}
 
 
 def test_verify_names_the_family_of_an_inconsistent_catalog(capsys, monkeypatch):

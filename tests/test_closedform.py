@@ -173,9 +173,7 @@ def test_verify_reports_mismatch_without_raising(monkeypatch):
     def perturbed(g, target):
         report = original(g, target)
         if g == 3:
-            broken = dict(report.solution.terms)
-            broken[psi(1)] += 1
-            report.solution = B.DivisorExpression(report.solution.g, report.solution.n, broken)
+            report.coefficients["d"] += 1  # the psi coefficient
         return report
 
     monkeypatch.setattr(S, "solve_coefficients", perturbed)

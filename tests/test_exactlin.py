@@ -1,5 +1,7 @@
 """Exact-arithmetic substrate: solve/rank behavior and exactness oracles."""
 
+import copy
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -89,6 +91,33 @@ def test_row_length_mismatch_is_structural_error():
         sys.add_row({"w": 1}, 0)
 
 
+def test_add_row_stores_primitive_integer_rows():
+    sys = LinearSystem(("x", "y", "z"))
+    sys.add_row({"x": Fraction(1, 2), "y": Fraction(3, 4), "z": 0}, Fraction(5, 4))
+    sys.add_row({"x": 6, "y": -4}, 10)
+    sys.add_row({"x": Fraction(6), "z": True}, 0)
+    assert sys.rows == [({0: 2, 1: 3}, 5), ({0: 3, 1: -2}, 5), ({0: 6, 2: 1}, 0)]
+    assert all(type(v) is int for row, rhs in sys.rows for v in (*row.values(), rhs))
+
+
+@pytest.mark.parametrize(
+    "coeffs, rhs",
+    [
+        ({"x": 0.1}, 0),
+        ({"x": 1}, 0.5),
+        ({"x": 0.0}, 0),
+        ({"x": "1"}, 0),
+        ({"x": None}, 0),
+        ({"x": 1}, Decimal("0.1")),
+    ],
+)
+def test_add_row_rejects_non_rational_entries(coeffs, rhs):
+    sys = LinearSystem(("x",))
+    with pytest.raises(StructuralError):
+        sys.add_row(coeffs, rhs)
+    assert sys.rows == []
+
+
 @pytest.mark.parametrize("corrupt", ["pivot_row", "redundant_row"])
 def test_corrupted_elimination_raises_check_error(monkeypatch, corrupt):
     # a wrong pivot row gives a wrong assignment; a wrong redundant row
@@ -156,7 +185,7 @@ def test_planted_solution_recovered(n_vars, n_rows, data):
 
 def _full_scan_eliminate(sys: LinearSystem):
     """Reference elimination: scan every row for every column."""
-    rows = exactlin._to_integer_rows(sys)
+    rows = list(sys.rows)
     pivots: dict[int, int] = {}
     for col in range(len(sys.variables)):
         pivot = next(
@@ -262,3 +291,41 @@ def test_addition_matches_cross_multiplication_oracle(a, b, c, d):
     common = gcd(abs(num), den)
     num, den = num // common, den // common
     assert (total.numerator, total.denominator) == (num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6), st.data())
+def test_solve_and_rank_leave_stored_rows_unchanged(n_vars, n_rows, data):
+    names = tuple(f"x{j}" for j in range(n_vars))
+    sys = LinearSystem(names)
+    for _ in range(n_rows):
+        row = {name: data.draw(st.integers(min_value=-4, max_value=4)) for name in names}
+        sys.add_row(row, data.draw(st.integers(min_value=-4, max_value=4)))
+    stored = copy.deepcopy(sys.rows)
+    solve(sys)
+    rank(sys)
+    assert sys.rows == stored
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=6), st.data())
+def test_certificate_support_ignores_the_scale_of_a_row(n_vars, n_rows, data):
+    # the certificate multiplies the stored primitive rows, so a row passed
+    # to add_row at 3/2 its size is the same stored row with the same role
+    names = tuple(f"x{j}" for j in range(n_vars))
+    forms = []
+    for _ in range(n_rows):
+        row = {name: data.draw(st.integers(min_value=-3, max_value=3)) for name in names}
+        forms.append((row, data.draw(st.integers(min_value=-3, max_value=3))))
+    forms.append((forms[0][0], forms[0][1] + 1))  # contradicts the first row
+    n_rows += 1
+    scaled_row = data.draw(st.integers(min_value=0, max_value=n_rows - 1))
+    plain, scaled = LinearSystem(names), LinearSystem(names)
+    for r, (row, rhs) in enumerate(forms):
+        plain.add_row(row, rhs)
+        k = Fraction(3, 2) if r == scaled_row else 1
+        scaled.add_row({name: k * v for name, v in row.items()}, k * rhs)
+    result, other = solve(plain), solve(scaled)
+    assert isinstance(result, Inconsistent) and isinstance(other, Inconsistent)
+    assert set(other.certificate) == set(result.certificate)
+    assert other.certificate == result.certificate

@@ -288,3 +288,10 @@ def test_catalog_self_check_failure_is_typed(monkeypatch):
     monkeypatch.setattr(surfcalc, "diagonal_self_intersection", lambda g: 3 - 2 * g)
     with pytest.raises(F.CatalogError, match="diagonal psi degree: 6 != 5"):
         diagonal_family(4)
+
+
+def test_non_integral_degree_is_catalog_error():
+    with pytest.raises(F.CatalogError, match="non-integer degree"):
+        F._vector(3, 1, F.WEIERSTRASS, 0, {psi(1): Fraction(1, 2)}, "half")
+    with pytest.raises(F.CatalogError, match="non-integer degree"):
+        F._vector(3, 1, F.WEIERSTRASS, Fraction(1, 2), {psi(1): 1}, "half_target")

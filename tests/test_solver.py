@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -129,6 +130,22 @@ def _solve_subset(g, target, skip_provenance):
     for r in relations:
         system.add_row(r.coeffs, r.rhs)
     return formal, exactlin.solve(system)
+
+
+def test_relations_and_stored_rows_are_integers():
+    # the catalog, the relations and the rows stay in int; only answers are Fractions
+    for g in range(2, 31):
+        for target in (WEIERSTRASS, G12):
+            relations = assemble_system(g, target)
+            formal, aux = unknown_order(g, target, relations)
+            system = exactlin.LinearSystem(tuple(formal + aux))
+            for r in relations:
+                assert type(r.rhs) is int, r.provenance
+                assert all(type(v) is int for v in r.coeffs.values()), r.provenance
+                system.add_row(r.coeffs, r.rhs)
+            for row, rhs in system.rows:
+                assert all(type(v) is int for v in row.values()) and type(rhs) is int
+                assert gcd(rhs, *row.values()) == 1
 
 
 def test_redundancy_certificate_is_honest():
