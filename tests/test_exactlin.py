@@ -95,7 +95,7 @@ def test_add_row_stores_primitive_integer_rows():
     sys = LinearSystem(("x", "y", "z"))
     sys.add_row({"x": Fraction(1, 2), "y": Fraction(3, 4), "z": 0}, Fraction(5, 4))
     sys.add_row({"x": 6, "y": -4}, 10)
-    sys.add_row({"x": Fraction(6), "z": True}, 0)
+    sys.add_row({"x": Fraction(6), "z": 1}, 0)
     assert sys.rows == [({0: 2, 1: 3}, 5), ({0: 3, 1: -2}, 5), ({0: 6, 2: 1}, 0)]
     assert all(type(v) is int for row, rhs in sys.rows for v in (*row.values(), rhs))
 
