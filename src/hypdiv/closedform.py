@@ -10,6 +10,10 @@ The delta_{i,1} coefficient of the two-pointed class is implemented with
 this denominator; the solver confirms this normalization exactly (see
 the g=3 pins in the acceptance suite), which settles the alternative
 (g-1)(2g+2) reading.
+
+:func:`verify_range` evaluates the closed forms over the formal table
+that each solve carries on its report, so a genus builds that table once
+for the solve and once inside the assembly, never for the comparison.
 """
 
 from __future__ import annotations
@@ -85,9 +89,14 @@ _FORMULAS = {
 
 def closed_form_values(g: int, target: str) -> dict[str, Fraction]:
     """The closed-form value of every formal unknown, keyed by unknown name."""
+    return _values(g, target, F.formal_unknowns(g, F.marked_points(target)))
+
+
+def _values(g: int, target: str, table: dict[str, list[B.BasisElement]]) -> dict[str, Fraction]:
+    """:func:`closed_form_values` over a table already built by ``families.formal_unknowns``."""
     formulas = _FORMULAS[target]
     values = {}
-    for u, (e, *_) in F.formal_unknowns(g, F.marked_points(target)).items():
+    for u, (e, *_) in table.items():
         indexed = (e.index, F.slot(e.marking)) if e.kind in (B.DELTA, B.ETA) else ()
         values[u] = formulas[e.kind](g, *indexed)
     return values
@@ -171,7 +180,7 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
                 )
             )
             continue
-        got, want = solved.coefficients, closed_form_values(g, target)
+        got, want = solved.coefficients, _values(g, target, solved.formal_unknowns)
         mismatches = []
         if got != want:
             # name each differing formal label in order; a zero value reads None

@@ -49,7 +49,9 @@ class LinearSystem:
 
     def add_row(self, coeffs: Mapping[str, Rational], rhs: Rational = 0) -> None:
         """Append ``sum(coeffs[v] * v) = rhs``, scaled to a primitive integer row."""
-        if not all(isinstance(v, Rational) for v in (rhs, *coeffs.values())):
+        # an all-int row, the catalog's case, needs neither the ABC check nor scaling
+        integral = type(rhs) is int and all(type(v) is int for v in coeffs.values())
+        if not integral and not all(isinstance(v, Rational) for v in (rhs, *coeffs.values())):
             raise StructuralError(f"row {dict(coeffs)!r} = {rhs!r} has a non-rational entry")
         row: dict[int, Rational] = {}
         for name, value in coeffs.items():
@@ -57,9 +59,11 @@ class LinearSystem:
                 raise StructuralError(f"unknown variable {name!r}")
             if value:
                 row[self._index[name]] = value
-        scale = lcm(rhs.denominator, *(v.denominator for v in row.values()))
-        irow = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
-        self.rows.append(_normalize(irow, rhs.numerator * (scale // rhs.denominator)))
+        if not integral:
+            scale = lcm(rhs.denominator, *(v.denominator for v in row.values()))
+            row = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+            rhs = rhs.numerator * (scale // rhs.denominator)
+        self.rows.append(_normalize(row, rhs))
 
 
 @dataclass

@@ -87,8 +87,9 @@ def is_auxiliary(label: Label, g: int) -> bool:
 
 
 def _check_label(label: Label, g: int, n: int) -> None:
-    if isinstance(label, PsiSum):
+    if isinstance(label, PsiSum) or B.is_valid(label, g, n):
         return
+    # only auxiliaries and the invariant pair 1a/1b remain legal
     invariant = n == 2 and label.marking == "1"
     if is_auxiliary(label, g):
         markings = B.MARKINGS_1 if n == 1 else B.MARKINGS_2
@@ -357,10 +358,15 @@ def formal_unknowns(g: int, n: int) -> dict[str, list[BasisElement]]:
 
 def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.DivisorExpression":
     """The formal-view expression giving every label its unknown's value."""
+    return _expression(g, n, formal_unknowns(g, n), values)
+
+
+def _expression(
+    g: int, n: int, table: dict[str, list[BasisElement]], values: Mapping[str, Fraction]
+) -> "B.DivisorExpression":
+    """:func:`formal_expression` over a table already built by :func:`formal_unknowns`."""
     return B.DivisorExpression.from_terms(
-        g,
-        n,
-        [(e, values[u]) for u, labels in formal_unknowns(g, n).items() for e in labels],
+        g, n, [(e, values[u]) for u, labels in table.items() for e in labels]
     )
 
 

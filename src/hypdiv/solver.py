@@ -22,6 +22,11 @@ Unknowns carried on out-of-range labels (``b_0_0``, ``b_0_1``, and for
 even g ``b_{g/2}_1`` / ``b_{g/2}_2``) are auxiliaries: first-class solver
 variables, solved, reported, and excluded from the resulting divisor
 expression.
+
+Each solve builds the formal table of unknowns
+(:func:`hypdiv.families.formal_unknowns`) once, after the assembly: it
+orders the variables and is carried on the :class:`CoefficientReport`.
+:func:`assemble_system` builds its own transient table and keeps none.
 """
 
 from __future__ import annotations
@@ -140,7 +145,14 @@ def assemble_system(g: int, target: str) -> list[Relation]:
 
 def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[str], list[str]]:
     """(formal unknowns, auxiliary unknowns of ``relations``), both in solver order."""
-    formal = list(F.formal_unknowns(g, F.marked_points(target)))
+    return _unknown_order(F.formal_unknowns(g, F.marked_points(target)), relations)
+
+
+def _unknown_order(
+    table: dict[str, list[B.BasisElement]], relations: list[Relation]
+) -> tuple[list[str], list[str]]:
+    """:func:`unknown_order` over a table already built by ``families.formal_unknowns``."""
+    formal = list(table)
     known = set(formal)
     auxiliaries = []
     for relation in relations:
@@ -153,7 +165,13 @@ def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[
 
 @dataclass
 class CoefficientReport:
-    """Solved coefficients plus the diagnostics the solve produced."""
+    """Solved coefficients plus the diagnostics the solve produced.
+
+    ``formal_unknowns`` is the formal table (``families.formal_unknowns``)
+    that ordered the solve's variables; ``solution`` and the closed-form
+    comparison of ``closedform.verify_range`` read it instead of building
+    their own.
+    """
 
     g: int
     target: str
@@ -162,23 +180,27 @@ class CoefficientReport:
     rank: int
     n_unknowns: int
     redundant: list[str]
+    formal_unknowns: dict[str, list[B.BasisElement]] = field(repr=False)
     relations: list[Relation] = field(repr=False, default_factory=list)
 
     @property
     def solution(self) -> DivisorExpression:
         """The formal-view expression giving every label its coefficient."""
-        return F.formal_expression(self.g, F.marked_points(self.target), self.coefficients)
+        n = F.marked_points(self.target)
+        return F._expression(self.g, n, self.formal_unknowns, self.coefficients)
 
 
 def solve_coefficients(g: int, target: str) -> CoefficientReport:
     """Solve the assembled system exactly and package the result.
 
-    Raises SolverError if the system is inconsistent (with the combination
-    certificate) or leaves any non-auxiliary unknown free; either one
-    signals a catalog bug, not a data condition.
+    The formal table is built once, after the assembly, and carried on the
+    report.  Raises SolverError if the system is inconsistent (with the
+    combination certificate) or leaves any non-auxiliary unknown free;
+    either one signals a catalog bug, not a data condition.
     """
     relations = assemble_system(g, target)
-    formal, auxiliaries = unknown_order(g, target, relations)
+    table = F.formal_unknowns(g, F.marked_points(target))
+    formal, auxiliaries = _unknown_order(table, relations)
     variables = formal + auxiliaries
     system = exactlin.LinearSystem(tuple(variables))
     for relation in relations:
@@ -219,6 +241,7 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
         rank=result.rank,
         n_unknowns=len(variables),
         redundant=[relations[r].provenance for r in result.redundant_rows],
+        formal_unknowns=table,
         relations=relations,
     )
 

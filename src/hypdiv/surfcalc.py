@@ -93,12 +93,16 @@ class SurfaceLattice:
         return self.intersect(a, a)
 
 
-def branch_halve(self_int) -> Fraction:
+def branch_halve(self_int) -> int | Fraction:
     """Self-intersection of the reduced preimage of a branch-locus curve.
 
-    Half-integral output is legal in general but every cataloged case is
-    integral, so a non-integer result warns: it signals a modeling slip.
+    An even ``int`` halves exactly to an ``int``; anything else gives a
+    ``Fraction``.  Half-integral output is legal in general but every
+    cataloged case is integral, so a non-integer result warns: it signals
+    a modeling slip.
     """
+    if type(self_int) is int and not self_int % 2:
+        return self_int // 2
     half = Fraction(self_int) / 2
     if half.denominator != 1:
         warnings.warn(
@@ -119,7 +123,7 @@ def section_after_blowups(base_self_int: int, blowup_count: int) -> int:
     return base_self_int - blowup_count
 
 
-def branch_section_self_intersection(h1: int, h2: int, blowup_count: int) -> Fraction:
+def branch_section_self_intersection(h1: int, h2: int, blowup_count: int) -> int | Fraction:
     """Composite rule: bidegree-(h1,h2) section, blown up, then halved.
 
     The curve has self-intersection 2·h1·h2 and passes simply through each

@@ -118,6 +118,46 @@ def test_add_row_rejects_non_rational_entries(coeffs, rhs):
     assert sys.rows == []
 
 
+@given(
+    entries=st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+    rhs=st.integers(-40, 40),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_add_row_int_path_matches_rational_path(entries, rhs, data):
+    # the all-int fast path must store exactly what the Fraction path stores
+    names = tuple(f"x{j}" for j in range(len(entries)))
+    mixed = data.draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
+    forms = {
+        "int": (dict(zip(names, entries)), rhs),
+        "fraction": ({v: Fraction(e) for v, e in zip(names, entries)}, Fraction(rhs)),
+        "mixed": (
+            {v: Fraction(e) if m else e for v, e, m in zip(names, entries, mixed)},
+            rhs,
+        ),
+    }
+    stored = []
+    for coeffs, b in forms.values():
+        sys = LinearSystem(names)
+        sys.add_row(coeffs, b)
+        [(row, r)] = sys.rows
+        assert all(type(v) is int for v in (*row.values(), r))
+        assert all(row.values()), "zero entries are dropped"
+        stored.append((list(row.items()), r))
+        with pytest.raises(StructuralError, match="unknown variable 'w'"):
+            sys.add_row({**coeffs, "w": 1}, b)
+        assert len(sys.rows) == 1
+    assert stored[0] == stored[1] == stored[2]
+
+
+@pytest.mark.parametrize("coeffs, rhs", [({"x": 1, "y": 0.5}, 0), ({"x": 1, "y": 2}, 1.0)])
+def test_add_row_rejects_a_float_among_ints(coeffs, rhs):
+    sys = LinearSystem(("x", "y"))
+    with pytest.raises(StructuralError, match="non-rational"):
+        sys.add_row(coeffs, rhs)
+    assert sys.rows == []
+
+
 @pytest.mark.parametrize("corrupt", ["pivot_row", "redundant_row"])
 def test_corrupted_elimination_raises_check_error(monkeypatch, corrupt):
     # a wrong pivot row gives a wrong assignment; a wrong redundant row

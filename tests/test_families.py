@@ -238,6 +238,43 @@ def test_auxiliary_gate_rejects_index_above_half_genus():
         F._check_label(delta(3, "1"), 4, 2)
 
 
+def _reference_check_label(label, g, n):
+    """The label gate as it was before its fast path: auxiliaries and the
+    invariant pair are tested first, then ``basis.validate``."""
+    if isinstance(label, F.PsiSum):
+        return
+    invariant = n == 2 and label.marking == "1"
+    if is_auxiliary(label, g):
+        markings = B.MARKINGS_1 if n == 1 else B.MARKINGS_2
+        if not 0 <= label.index <= g // 2 or not (invariant or label.marking in markings):
+            raise DomainError(f"{label!r} is not a valid auxiliary for (g={g}, n={n})")
+    elif invariant and label.kind in (B.DELTA, B.ETA):
+        if label.index not in B.delta_range(g):
+            raise DomainError(f"{label!r} index out of range")
+    else:
+        B.validate(label, g, n)
+
+
+def _gate_outcome(check, label, g, n):
+    try:
+        check(label, g, n)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_label_matches_reference_branch_order():
+    for g in range(2, 13):
+        for n in (1, 2):
+            labels = [psi(k) for k in range(4)] + [eta_irr(), B.delta_0_2(), PSI_SUM]
+            for i in range(-1, g // 2 + 2):
+                for m in ("", "0", "1", "1a", "1b", "2", "3"):
+                    labels += [delta(i, m), eta(i, m)]
+            for label in labels:
+                want = _gate_outcome(_reference_check_label, label, g, n)
+                assert _gate_outcome(F._check_label, label, g, n) == want, (label, g, n)
+
+
 def _closed_form_values(g, target, n):
     from hypdiv.closedform import closed_form
 

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from hypdiv import closedform, exactlin
+from hypdiv import families as F
 from hypdiv.families import G12, WEIERSTRASS
 from hypdiv.solver import (
     Relation,
@@ -297,3 +298,25 @@ def test_solution_expression_is_formal_view():
     merged = expr.canonical()
     assert merged.terms[delta(1, "0")] == frac(-12, 5)  # sum policy
     assert merged.terms[delta(1, "1a")] == frac(-2, 5)
+
+
+def test_one_formal_table_per_solve(monkeypatch):
+    # a genus builds the table once inside the assembly and once for the
+    # solve; the closed-form comparison and ``solution`` reuse the latter
+    built = []
+    original = F.formal_unknowns
+
+    def counted(g, n):
+        built.append(g)
+        return original(g, n)
+
+    monkeypatch.setattr(F, "formal_unknowns", counted)
+    for target in (WEIERSTRASS, G12):
+        built.clear()
+        assert closedform.verify_range(2, 8, target).ok
+        assert all(built.count(g) <= 2 for g in range(2, 9)), built
+        report = solve_coefficients(5, target)
+        built.clear()
+        expr = report.solution
+        assert built == []
+        assert expr == F.formal_expression(5, F.marked_points(target), report.coefficients)

@@ -68,6 +68,18 @@ def test_branch_halve_flags_half_integers():
     assert value == Fraction(-3, 2)
 
 
+def test_branch_halve_return_types():
+    # an even int halves in integers; everything else keeps the Fraction path
+    for even in (-10, -2, 0, 4):
+        assert type(branch_halve(even)) is int and branch_halve(even) * 2 == even
+    with pytest.warns(HalfIntegerWarning):
+        odd = branch_halve(-3)
+    assert type(odd) is Fraction and odd == Fraction(-3, 2)
+    assert branch_halve(Fraction(-6)) == -3 and type(branch_halve(Fraction(-6))) is Fraction
+    with pytest.warns(HalfIntegerWarning):
+        assert branch_halve(Fraction(1, 2)) == Fraction(1, 4)
+
+
 def test_diagonal_self_intersection():
     assert diagonal_self_intersection(2) == -2
     assert diagonal_self_intersection(0) == 2
