@@ -23,6 +23,10 @@ the canonical representative is a generator:
 * g odd:   eta_{(g-1)/2,1} = eta_{(g-1)/2,0} (n=1);
   eta_{(g-1)/2,2} = eta_{(g-1)/2,0} and the 1a/1b pair merge (n=2).
 
+A label is a :class:`BasisElement`: an immutable ``NamedTuple``, equal
+to (and hashing as) the plain tuple ``(kind, index, marking)``, so it is
+hashed and compared in C.
+
 Expressions keep the *formal* labels (both members of an identified
 pair may carry separate coefficients, as in printed closed forms);
 ``DivisorExpression.canonical()`` merges them by summing.
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 PSI = "psi"
 ETA_IRR = "eta_irr"
@@ -48,8 +52,7 @@ class DomainError(ValueError):
     """Ambient (g, n) is invalid or an element is out of range for it."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """One generator label: kind plus genus index and marking."""
 
     kind: str
@@ -111,17 +114,17 @@ def eta_range(g: int) -> range:
 def is_valid(e: BasisElement, g: int, n: int) -> bool:
     """Structural validity of a formal label for the ambient (g, n)."""
     check_ambient(g, n)
-    markings = MARKINGS_1 if n == 1 else MARKINGS_2
-    if e.kind == PSI:
-        return 1 <= e.index <= n
-    if e.kind == ETA_IRR:
+    kind, index, marking = e
+    if kind == DELTA:
+        return 1 <= index <= g // 2 and marking in (MARKINGS_1 if n == 1 else MARKINGS_2)
+    if kind == ETA:
+        return 1 <= index <= (g - 1) // 2 and marking in (MARKINGS_1 if n == 1 else MARKINGS_2)
+    if kind == PSI:
+        return 1 <= index <= n
+    if kind == ETA_IRR:
         return True
-    if e.kind == DELTA_0_2:
+    if kind == DELTA_0_2:
         return n == 2
-    if e.kind == DELTA:
-        return e.index in delta_range(g) and e.marking in markings
-    if e.kind == ETA:
-        return e.index in eta_range(g) and e.marking in markings
     return False
 
 

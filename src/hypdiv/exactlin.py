@@ -217,10 +217,11 @@ def residual(sys: LinearSystem, assignment: Mapping[str, Rational]) -> list[Frac
     values = [assignment[name] for name in sys.variables]
     den = lcm(*(v.denominator for v in values))
     nums = [v.numerator * (den // v.denominator) for v in values]
+    zero = Fraction(0)
     out = []
     for row, rhs in sys.rows:
         acc = -rhs * den
         for j, v in row.items():
             acc += v * nums[j]
-        out.append(Fraction(acc, den))
+        out.append(Fraction(acc, den) if acc else zero)
     return out

@@ -131,9 +131,11 @@ def _vector(g, n, target, target_degree, degrees, family, params=None) -> Degree
     for label, value in degrees.items():
         if value:
             _check_label(label, g, n)
+            if type(value) is not int:
+                raise CatalogError(f"{family}: non-integer degree {value!r} on {label!r}")
             clean[label] = value
-    if any(type(v) is not int for v in (target_degree, *clean.values())):
-        raise CatalogError(f"{family}: non-integer degree in {clean!r} or {target_degree!r}")
+    if type(target_degree) is not int:
+        raise CatalogError(f"{family}: non-integer degree {target_degree!r} on the target")
     return DegreeVector(
         g=g,
         n=n,
@@ -327,14 +329,20 @@ def unknown(label: Label) -> str:
     under swapping the marked points), which is also what the
     invariant-combination and PSI_SUM keys resolve to.
     """
-    if isinstance(label, PsiSum) or label.kind == B.PSI:
+    if isinstance(label, PsiSum):
         return "d"
-    if label.kind == B.ETA_IRR:
+    kind, index, marking = label
+    if kind == B.DELTA:
+        return f"a_{index}_{marking[0]}"
+    if kind == B.ETA:
+        return f"b_{index}_{marking[0]}"
+    if kind == B.PSI:
+        return "d"
+    if kind == B.ETA_IRR:
         return "c"
-    if label.kind == B.DELTA_0_2:
+    if kind == B.DELTA_0_2:
         return "a_0_2"
-    prefix = "a" if label.kind == B.DELTA else "b"
-    return f"{prefix}_{label.index}_{slot(label.marking)}"
+    raise DomainError(f"{label!r} names no unknown")
 
 
 def slot(marking: str) -> int:

@@ -146,3 +146,20 @@ def test_names_follow_serialization_grammar():
     assert delta(2, "1a").name(2) == "delta_2_1a"
     assert eta(1, "0").name(1) == "eta_1_0"
     assert B.delta_0_2().name(2) == "delta_0_2"
+
+
+def test_labels_are_immutable_tuples_with_their_names():
+    e = delta(2, "1a")
+    assert isinstance(e, tuple) and e == ("delta", 2, "1a") == BasisElement("delta", 2, "1a")
+    assert hash(e) == hash(BasisElement("delta", 2, "1a")) == hash(("delta", 2, "1a"))
+    assert (e.kind, e.index, e.marking) == ("delta", 2, "1a")
+    assert BasisElement("eta_irr") == eta_irr() == ("eta_irr", 0, "")
+    assert e != delta(2, "1b") and psi(1) != psi(2)
+    assert [repr(x) for x in (psi(1), psi(2), eta_irr(), B.delta_0_2(), e, eta(1, "0"))] == [
+        "psi(1)", "psi(2)", "eta_irr", "delta_0_2", "delta_2_1a", "eta_1_0",
+    ]
+    assert [x.name(2) for x in (psi(2), eta_irr(), e)] == ["psi2", "eta_irr", "delta_2_1a"]
+    for attribute in ("kind", "index", "marking", "other"):
+        with pytest.raises(AttributeError):
+            setattr(e, attribute, 1)
+    assert e == ("delta", 2, "1a")

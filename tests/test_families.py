@@ -275,6 +275,73 @@ def test_check_label_matches_reference_branch_order():
                 assert _gate_outcome(F._check_label, label, g, n) == want, (label, g, n)
 
 
+def _reference_is_valid(e, g, n):
+    """``basis.is_valid`` as it was, with ``range`` membership tests."""
+    B.check_ambient(g, n)
+    markings = B.MARKINGS_1 if n == 1 else B.MARKINGS_2
+    if e.kind == B.PSI:
+        return 1 <= e.index <= n
+    if e.kind == B.ETA_IRR:
+        return True
+    if e.kind == B.DELTA_0_2:
+        return n == 2
+    if e.kind == B.DELTA:
+        return e.index in B.delta_range(g) and e.marking in markings
+    if e.kind == B.ETA:
+        return e.index in B.eta_range(g) and e.marking in markings
+    return False
+
+
+def _reference_unknown(label):
+    """``unknown`` as it was, through ``slot`` and repeated ``.kind`` reads."""
+    if isinstance(label, F.PsiSum) or label.kind == B.PSI:
+        return "d"
+    if label.kind == B.ETA_IRR:
+        return "c"
+    if label.kind == B.DELTA_0_2:
+        return "a_0_2"
+    prefix = "a" if label.kind == B.DELTA else "b"
+    return f"{prefix}_{label.index}_{F.slot(label.marking)}"
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as exc:  # the reference's failure must be the new one's too
+        return type(exc)
+
+
+def test_is_valid_and_unknown_match_reference():
+    for g in range(2, 31):
+        labels = [psi(k) for k in range(4)] + [eta_irr(), B.delta_0_2()]
+        for i in range(-1, g // 2 + 2):
+            for m in ("", "0", "1", "1a", "1b", "2", "3"):
+                labels += [delta(i, m), eta(i, m)]
+        for label in labels:
+            for n in (1, 2):
+                want = _reference_is_valid(label, g, n)
+                assert B.is_valid(label, g, n) is want, (label, g, n)
+            assert _outcome(F.unknown, label) == _outcome(_reference_unknown, label), label
+    assert F.unknown(PSI_SUM) == _reference_unknown(PSI_SUM) == "d"
+
+
+def _reference_formal_unknowns(g, n):
+    elements = B.formal_elements(g, n)
+    if n == 2:
+        elements.insert(3, elements.pop())
+    groups = {}
+    for e in elements:
+        groups.setdefault(_reference_unknown(e), []).append(e)
+    return groups
+
+
+def test_formal_unknowns_match_reference():
+    for g in range(2, 61):
+        for n in (1, 2):
+            want = _reference_formal_unknowns(g, n)
+            assert list(formal_unknowns(g, n).items()) == list(want.items()), (g, n)
+
+
 def _closed_form_values(g, target, n):
     from hypdiv.closedform import closed_form
 
