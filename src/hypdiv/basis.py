@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, NamedTuple
 
 PSI = "psi"
@@ -97,6 +98,8 @@ def delta_0_2() -> BasisElement:
 
 
 def check_ambient(g: int, n: int) -> None:
+    if type(g) is not int or type(n) is not int:
+        raise DomainError(f"genus and number of marked points must be int, got g={g!r}, n={n!r}")
     if g < 2:
         raise DomainError(f"genus must be >= 2, got {g}")
     if n not in (1, 2):
@@ -206,10 +209,15 @@ class DivisorExpression:
     def from_terms(
         cls, g: int, n: int, items: Iterable[tuple[BasisElement, Fraction]]
     ) -> "DivisorExpression":
-        """Build an expression; coefficients of a repeated label are summed."""
+        """Build an expression; coefficients of a repeated label are summed.
+
+        A coefficient that is not rational (a float, a string) is a TypeError.
+        """
         check_ambient(g, n)
         terms: dict[BasisElement, Fraction] = {}
         for e, coeff in items:
+            if not isinstance(coeff, Rational):
+                raise TypeError(f"coefficient of {e!r} must be rational, got {coeff!r}")
             coeff = Fraction(coeff)
             if not coeff:
                 continue

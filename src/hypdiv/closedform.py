@@ -10,10 +10,6 @@ The delta_{i,1} coefficient of the two-pointed class is implemented with
 this denominator; the solver confirms this normalization exactly (see
 the g=3 pins in the acceptance suite), which settles the alternative
 (g-1)(2g+2) reading.
-
-:func:`verify_range` evaluates the closed forms over the formal table
-that each solve carries on its report, so a genus builds that table once
-for the solve and once inside the assembly, never for the comparison.
 """
 
 from __future__ import annotations
@@ -89,11 +85,7 @@ _FORMULAS = {
 
 def closed_form_values(g: int, target: str) -> dict[str, Fraction]:
     """The closed-form value of every formal unknown, keyed by unknown name."""
-    return _values(g, target, F.formal_unknowns(g, F.marked_points(target)))
-
-
-def _values(g: int, target: str, table: dict[str, list[B.BasisElement]]) -> dict[str, Fraction]:
-    """:func:`closed_form_values` over a table already built by ``families.formal_unknowns``."""
+    table = F.formal_unknowns(g, F.marked_points(target))
     formulas = _FORMULAS[target]
     values = {}
     for u, (e, *_) in table.items():
@@ -158,6 +150,8 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
     system the solver refuses (inconsistent or underdetermined) is
     reported as not ok, naming the relations of the certificate.
     """
+    if type(g_min) is not int or type(g_max) is not int:
+        raise B.DomainError(f"genus bounds must be int, got {g_min!r}..{g_max!r}")
     if not 2 <= g_min <= g_max:
         raise B.DomainError(f"invalid genus range {g_min}..{g_max}")
     report = VerificationReport(target=target, g_min=g_min, g_max=g_max)
@@ -180,7 +174,7 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
                 )
             )
             continue
-        got, want = solved.coefficients, _values(g, target, solved.formal_unknowns)
+        got, want = solved.coefficients, closed_form_values(g, target)
         mismatches = []
         if got != want:
             # name each differing formal label in order; a zero value reads None

@@ -350,44 +350,44 @@ def slot(marking: str) -> int:
     return int(marking[0])
 
 
-def formal_unknowns(g: int, n: int) -> dict[str, list[BasisElement]]:
-    """The formal unknowns in solver order, each with the labels it carries.
+def _solver_key(label: Label) -> tuple:
+    """Solver order of a label: psi (and PSI_SUM), eta_irr, delta_{0,2}, deltas, etas.
 
-    The order is d, c, a_0_2 (n = 2), the a's by (i, m), then the b's.
+    Labels of one kind follow (index, marking).  Auxiliaries are eta labels,
+    so a relation's form, which names at most one eta, ends with them.
     """
-    elements = B.formal_elements(g, n)
-    if n == 2:
-        elements.insert(3, elements.pop())  # delta_{0,2} right after eta_irr
+    if type(label) is PsiSum:
+        return (0,)
+    kind, index, marking = label
+    return ((B.PSI, B.ETA_IRR, B.DELTA_0_2, B.DELTA, B.ETA).index(kind), index, marking)
+
+
+def formal_unknowns(g: int, n: int) -> dict[str, list[BasisElement]]:
+    """The formal unknowns in solver order, each with the labels it carries."""
     groups: dict[str, list[BasisElement]] = {}
-    for e in elements:
+    for e in sorted(B.formal_elements(g, n), key=_solver_key):
         groups.setdefault(unknown(e), []).append(e)
     return groups
 
 
 def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.DivisorExpression":
     """The formal-view expression giving every label its unknown's value."""
-    return _expression(g, n, formal_unknowns(g, n), values)
-
-
-def _expression(
-    g: int, n: int, table: dict[str, list[BasisElement]], values: Mapping[str, Fraction]
-) -> "B.DivisorExpression":
-    """:func:`formal_expression` over a table already built by :func:`formal_unknowns`."""
     return B.DivisorExpression.from_terms(
-        g, n, [(e, values[u]) for u, labels in table.items() for e in labels]
+        g, n, [(e, values[unknown(e)]) for e in B.formal_elements(g, n)]
     )
 
 
 def pairing_degree(dv: DegreeVector) -> dict[str, int]:
     """Pair the unknown-coefficient expression with a degree vector.
 
-    Returns the integer linear form (unknown -> coefficient); equating it to
-    ``dv.target_degree`` is the relation the family contributes.
+    Returns the integer linear form (unknown -> coefficient), its unknowns
+    in solver order; equating it to ``dv.target_degree`` is the relation the
+    family contributes.
     """
     form: dict[str, int] = {}
-    for label, degree in dv.degrees.items():
+    for label in sorted(dv.degrees, key=_solver_key):
         name = unknown(label)
-        acc = form.get(name, 0) + degree
+        acc = form.get(name, 0) + dv.degrees[label]
         if acc:
             form[name] = acc
         else:

@@ -22,11 +22,6 @@ Unknowns carried on out-of-range labels (``b_0_0``, ``b_0_1``, and for
 even g ``b_{g/2}_1`` / ``b_{g/2}_2``) are auxiliaries: first-class solver
 variables, solved, reported, and excluded from the resulting divisor
 expression.
-
-Each solve builds the formal table of unknowns
-(:func:`hypdiv.families.formal_unknowns`) once, after the assembly: it
-orders the variables and is carried on the :class:`CoefficientReport`.
-:func:`assemble_system` builds its own transient table and keeps none.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from . import exactlin
 from . import families as F
 from . import basis as B
 from .basis import DivisorExpression, DomainError
-from .families import G12, WEIERSTRASS
+from .families import G12
 
 
 class SolverError(RuntimeError):
@@ -82,30 +77,26 @@ class Relation:
 
 def family_vectors(g: int, target: str) -> list[F.DegreeVector]:
     """Every cataloged degree vector entering the (g, target) system."""
-    if target == WEIERSTRASS:
-        vectors = [F.diagonal_family(g), F.quadric_pencil_family(g, 1)]
-        for i in range(1, g // 2 + 1):
-            for section in (F.HORIZONTAL, F.DIAGONAL):
-                for side in (F.LOW, F.HIGH):
-                    vectors.append(F.glued_weierstrass_family(g, i, section, side, 1))
-        return vectors
-    if target == G12:
+    n = F.marked_points(target)
+    if n == 1:
+        vectors = [F.diagonal_family(g)]
+    else:
         vectors = [
             F.two_point_blowup_family(g, F.SINGLE),
             F.two_point_blowup_family(g, F.WEIERSTRASS_INVOLUTION),
-            F.quadric_pencil_family(g, 2),
         ]
-        for i in range(1, g // 2 + 1):
-            for section in (F.HORIZONTAL, F.DIAGONAL):
-                for side in (F.LOW, F.HIGH):
-                    vectors.append(F.glued_weierstrass_family(g, i, section, side, 2))
+    vectors.append(F.quadric_pencil_family(g, n))
+    for i in range(1, g // 2 + 1):
+        for section in (F.HORIZONTAL, F.DIAGONAL):
+            for side in (F.LOW, F.HIGH):
+                vectors.append(F.glued_weierstrass_family(g, i, section, side, n))
+    if n == 2:
         for i in range(1, g // 2 + 1):
             vectors.append(F.g12_ruling_family(g, i, F.LOW))
             vectors.append(F.g12_ruling_family(g, i, F.HIGH))
         for i in range(0, (g - 1) // 2 + 1):
             vectors.append(F.f2ip1_family(g, i))
-        return vectors
-    raise DomainError(f"unknown target {target!r}")
+    return vectors
 
 
 def identification_relations(g: int, target: str) -> list[Relation]:
@@ -128,16 +119,11 @@ def identification_relations(g: int, target: str) -> list[Relation]:
 def assemble_system(g: int, target: str) -> list[Relation]:
     """All relations for (g, target), in deterministic order.
 
-    Every relation lists its unknowns in solver order: the formal unknowns
-    first, then auxiliaries in the order the family first names them.
+    Every relation lists its unknowns in the solver order of
+    :func:`hypdiv.families.pairing_degree`.
     """
-    position = {s: j for j, s in enumerate(F.formal_unknowns(g, F.marked_points(target)))}
-
-    def in_order(form: dict[str, int]) -> dict[str, int]:
-        return dict(sorted(form.items(), key=lambda kv: position.get(kv[0], len(position))))
-
     relations = [
-        Relation(in_order(F.pairing_degree(dv)), dv.target_degree, dv.provenance())
+        Relation(F.pairing_degree(dv), dv.target_degree, dv.provenance())
         for dv in family_vectors(g, target)
     ]
     return relations + identification_relations(g, target)
@@ -145,14 +131,7 @@ def assemble_system(g: int, target: str) -> list[Relation]:
 
 def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[str], list[str]]:
     """(formal unknowns, auxiliary unknowns of ``relations``), both in solver order."""
-    return _unknown_order(F.formal_unknowns(g, F.marked_points(target)), relations)
-
-
-def _unknown_order(
-    table: dict[str, list[B.BasisElement]], relations: list[Relation]
-) -> tuple[list[str], list[str]]:
-    """:func:`unknown_order` over a table already built by ``families.formal_unknowns``."""
-    formal = list(table)
+    formal = list(F.formal_unknowns(g, F.marked_points(target)))
     known = set(formal)
     auxiliaries = []
     for relation in relations:
@@ -165,13 +144,7 @@ def _unknown_order(
 
 @dataclass
 class CoefficientReport:
-    """Solved coefficients plus the diagnostics the solve produced.
-
-    ``formal_unknowns`` is the formal table (``families.formal_unknowns``)
-    that ordered the solve's variables; ``solution`` and the closed-form
-    comparison of ``closedform.verify_range`` read it instead of building
-    their own.
-    """
+    """Solved coefficients plus the diagnostics the solve produced."""
 
     g: int
     target: str
@@ -180,27 +153,23 @@ class CoefficientReport:
     rank: int
     n_unknowns: int
     redundant: list[str]
-    formal_unknowns: dict[str, list[B.BasisElement]] = field(repr=False)
     relations: list[Relation] = field(repr=False, default_factory=list)
 
     @property
     def solution(self) -> DivisorExpression:
         """The formal-view expression giving every label its coefficient."""
-        n = F.marked_points(self.target)
-        return F._expression(self.g, n, self.formal_unknowns, self.coefficients)
+        return F.formal_expression(self.g, F.marked_points(self.target), self.coefficients)
 
 
 def solve_coefficients(g: int, target: str) -> CoefficientReport:
     """Solve the assembled system exactly and package the result.
 
-    The formal table is built once, after the assembly, and carried on the
-    report.  Raises SolverError if the system is inconsistent (with the
-    combination certificate) or leaves any non-auxiliary unknown free;
-    either one signals a catalog bug, not a data condition.
+    Raises SolverError if the system is inconsistent (with the combination
+    certificate) or leaves any non-auxiliary unknown free; either one
+    signals a catalog bug, not a data condition.
     """
     relations = assemble_system(g, target)
-    table = F.formal_unknowns(g, F.marked_points(target))
-    formal, auxiliaries = _unknown_order(table, relations)
+    formal, auxiliaries = unknown_order(g, target, relations)
     variables = formal + auxiliaries
     system = exactlin.LinearSystem(tuple(variables))
     for relation in relations:
@@ -241,7 +210,6 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
         rank=result.rank,
         n_unknowns=len(variables),
         redundant=[relations[r].provenance for r in result.redundant_rows],
-        formal_unknowns=table,
         relations=relations,
     )
 

@@ -81,6 +81,17 @@ def test_genus_below_two_rejected():
         enumerate_basis(1, 1)
 
 
+def test_non_int_ambient_rejected():
+    for g, n in ((2.0, 1), (3, 2.0), (Fraction(4), 2)):
+        with pytest.raises(DomainError, match="must be int"):
+            B.check_ambient(g, n)
+    # integer input keeps its messages
+    with pytest.raises(DomainError, match=r"^genus must be >= 2, got 1$"):
+        B.check_ambient(1, 1)
+    with pytest.raises(DomainError, match=r"^number of marked points must be 1 or 2, got 3$"):
+        B.check_ambient(2, 3)
+
+
 def test_canonicalize_examples():
     assert canonicalize(delta(1, "1"), 2, 1) == delta(1, "0")
     assert canonicalize(eta(1, "1"), 3, 1) == eta(1, "0")
@@ -124,6 +135,19 @@ def _expr(g, n, items):
 def test_cancellation_drops_terms():
     a = _expr(2, 1, [(psi(1), Fraction(3)), (eta_irr(), 1), (psi(1), Fraction(-3))])
     assert a.terms == {eta_irr(): 1}
+
+
+def test_non_rational_coefficient_rejected():
+    for bad in (0.1, 0.5, "1/3"):
+        with pytest.raises(TypeError) as excinfo:
+            _expr(3, 1, [(delta(1, "0"), bad)])
+        assert "delta_1_0" in str(excinfo.value) and repr(bad) in str(excinfo.value)
+    # a zero float is still a float
+    with pytest.raises(TypeError):
+        _expr(3, 1, [(psi(1), 0.0)])
+    e = _expr(3, 1, [(psi(1), 2), (eta_irr(), Fraction(1, 3))])
+    assert e.terms == {psi(1): 2, eta_irr(): Fraction(1, 3)}
+    assert all(type(v) is Fraction for v in e.terms.values())
 
 
 def test_canonical_view_sums_identified_coefficients():

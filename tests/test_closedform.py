@@ -191,3 +191,16 @@ def test_invalid_range_rejected():
         CF.verify_range(5, 2, WEIERSTRASS)
     with pytest.raises(B.DomainError):
         CF.verify_range(1, 3, WEIERSTRASS)
+
+
+def test_non_int_genus_rejected():
+    with pytest.raises(B.DomainError, match="must be int"):
+        CF.closed_form(4.0, G12)
+    with pytest.raises(B.DomainError, match="must be int"):
+        CF.closed_form_values(4.0, WEIERSTRASS)
+    for lo, hi in ((2, 3.5), (2.0, 3)):
+        with pytest.raises(B.DomainError, match="must be int"):
+            CF.verify_range(lo, hi, G12)
+    # integer input keeps its message
+    with pytest.raises(B.DomainError, match=r"^invalid genus range 5\.\.2$"):
+        CF.verify_range(5, 2, WEIERSTRASS)

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from hypdiv import basis as B
 from hypdiv import closedform, exactlin
 from hypdiv import families as F
 from hypdiv.families import G12, WEIERSTRASS
@@ -301,8 +302,8 @@ def test_solution_expression_is_formal_view():
 
 
 def test_one_formal_table_per_solve(monkeypatch):
-    # a genus builds the table once inside the assembly and once for the
-    # solve; the closed-form comparison and ``solution`` reuse the latter
+    # a verified genus builds the table once to order the solve's unknowns
+    # and once for the closed-form values; ``solution`` builds none
     built = []
     original = F.formal_unknowns
 
@@ -320,3 +321,58 @@ def test_one_formal_table_per_solve(monkeypatch):
         expr = report.solution
         assert built == []
         assert expr == F.formal_expression(5, F.marked_points(target), report.coefficients)
+
+
+def test_assembly_builds_no_formal_table(monkeypatch):
+    def forbidden(g, n):
+        raise AssertionError("assemble_system built a formal table")
+
+    monkeypatch.setattr(F, "formal_unknowns", forbidden)
+    for target in (WEIERSTRASS, G12):
+        for g in (2, 3, 8):
+            assert assemble_system(g, target)
+
+
+def _reference_solve(g, target, relations):
+    # the former assembly order: each form sorted by position in the formal
+    # table (delta_{0,2} moved right after eta_irr), auxiliaries last in the
+    # order they are first named
+    n = F.marked_points(target)
+    elements = B.formal_elements(g, n)
+    if n == 2:
+        elements.insert(3, elements.pop())
+    position = {}
+    for e in elements:
+        position.setdefault(F.unknown(e), len(position))
+    forms = [
+        dict(sorted(r.coeffs.items(), key=lambda kv: position.get(kv[0], len(position))))
+        for r in relations
+    ]
+    auxiliaries = list(dict.fromkeys(s for form in forms for s in form if s not in position))
+    variables = list(position) + auxiliaries
+    system = exactlin.LinearSystem(tuple(variables))
+    for form, relation in zip(forms, relations):
+        system.add_row(form, relation.rhs)
+    redundant = [relations[r].provenance for r in exactlin.solve(system).redundant_rows]
+    return variables, [list(form) for form in forms], redundant
+
+
+def test_solver_order_matches_formal_position_reference():
+    for target in (WEIERSTRASS, G12):
+        for g in range(2, 61):
+            report = solve_coefficients(g, target)
+            variables, forms, redundant = _reference_solve(g, target, report.relations)
+            formal, aux = unknown_order(g, target, report.relations)
+            assert formal + aux == variables, (g, target)
+            assert [list(r.coeffs) for r in report.relations] == forms, (g, target)
+            assert report.redundant == redundant, (g, target)
+
+
+def test_non_int_genus_rejected():
+    from hypdiv.basis import DomainError
+
+    for target in (WEIERSTRASS, G12):
+        with pytest.raises(DomainError, match="must be int"):
+            solve_coefficients(2.0, target)
+    with pytest.raises(DomainError, match=r"^unknown target 'bogus'$"):
+        family_vectors(3, "bogus")
