@@ -25,8 +25,10 @@ the canonical representative is a generator:
 
 A label is a :class:`BasisElement`: an immutable ``NamedTuple``, equal
 to (and hashing as) the plain tuple ``(kind, index, marking)``, so it is
-hashed and compared in C.
+hashed and compared in C.  The constructors below build it through
+``tuple.__new__``, skipping the Python-level ``NamedTuple.__new__``.
 
+A :class:`DivisorExpression` is a ``NamedTuple`` too, ``(g, n, terms)``.
 Expressions keep the *formal* labels (both members of an identified
 pair may carry separate coefficients, as in printed closed forms);
 ``DivisorExpression.canonical()`` merges them by summing.
@@ -34,7 +36,6 @@ pair may carry separate coefficients, as in printed closed forms);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, NamedTuple
@@ -78,23 +79,23 @@ class BasisElement(NamedTuple):
 
 
 def psi(k: int = 1) -> BasisElement:
-    return BasisElement(PSI, k)
+    return tuple.__new__(BasisElement, (PSI, k, ""))
 
 
 def eta_irr() -> BasisElement:
-    return BasisElement(ETA_IRR)
+    return tuple.__new__(BasisElement, (ETA_IRR, 0, ""))
 
 
 def delta(i: int, marking: str) -> BasisElement:
-    return BasisElement(DELTA, i, str(marking))
+    return tuple.__new__(BasisElement, (DELTA, i, str(marking)))
 
 
 def eta(i: int, marking: str) -> BasisElement:
-    return BasisElement(ETA, i, str(marking))
+    return tuple.__new__(BasisElement, (ETA, i, str(marking)))
 
 
 def delta_0_2() -> BasisElement:
-    return BasisElement(DELTA_0_2)
+    return tuple.__new__(BasisElement, (DELTA_0_2, 0, ""))
 
 
 def check_ambient(g: int, n: int) -> None:
@@ -117,6 +118,11 @@ def eta_range(g: int) -> range:
 def is_valid(e: BasisElement, g: int, n: int) -> bool:
     """Structural validity of a formal label for the ambient (g, n)."""
     check_ambient(g, n)
+    return _in_range(e, g, n)
+
+
+def _in_range(e: BasisElement, g: int, n: int) -> bool:
+    """``is_valid`` for an ambient the caller has already checked."""
     kind, index, marking = e
     if kind == DELTA:
         return 1 <= index <= g // 2 and marking in (MARKINGS_1 if n == 1 else MARKINGS_2)
@@ -197,8 +203,7 @@ def formal_position(g: int, n: int) -> dict[BasisElement, int]:
     return {e: j for j, e in enumerate(formal_elements(g, n))}
 
 
-@dataclass(frozen=True)
-class DivisorExpression:
+class DivisorExpression(NamedTuple):
     """Sparse exact linear combination of formal labels for one ambient."""
 
     g: int
@@ -221,7 +226,8 @@ class DivisorExpression:
             coeff = Fraction(coeff)
             if not coeff:
                 continue
-            validate(e, g, n)
+            if not _in_range(e, g, n):
+                validate(e, g, n)  # raises, naming e and the ambient
             acc = terms.get(e, Fraction(0)) + coeff
             if acc:
                 terms[e] = acc

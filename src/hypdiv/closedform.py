@@ -10,12 +10,15 @@ The delta_{i,1} coefficient of the two-pointed class is implemented with
 this denominator; the solver confirms this normalization exactly (see
 the g=3 pins in the acceptance suite), which settles the alternative
 (g-1)(2g+2) reading.
+
+A verification is reported as ``NamedTuple`` records: one
+:class:`GenusResult` per genus inside a :class:`VerificationReport`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from . import basis as B
 from . import families as F
@@ -84,13 +87,18 @@ _FORMULAS = {
 
 
 def closed_form_values(g: int, target: str) -> dict[str, Fraction]:
-    """The closed-form value of every formal unknown, keyed by unknown name."""
-    table = F.formal_unknowns(g, F.marked_points(target))
+    """The closed-form value of every formal unknown, keyed by unknown name.
+
+    One pass over the formal labels; the first label of each unknown gives
+    its value, as every label of an unknown shares (kind, index, slot).
+    """
     formulas = _FORMULAS[target]
     values = {}
-    for u, (e, *_) in table.items():
-        indexed = (e.index, F.slot(e.marking)) if e.kind in (B.DELTA, B.ETA) else ()
-        values[u] = formulas[e.kind](g, *indexed)
+    for e in B.formal_elements(g, F.marked_points(target)):
+        u = F.unknown(e)
+        if u not in values:
+            indexed = (e.index, F.slot(e.marking)) if e.kind in (B.DELTA, B.ETA) else ()
+            values[u] = formulas[e.kind](g, *indexed)
     return values
 
 
@@ -103,8 +111,7 @@ def closed_form(g: int, target: str) -> DivisorExpression:
     return F.formal_expression(g, F.marked_points(target), closed_form_values(g, target))
 
 
-@dataclass
-class GenusResult:
+class GenusResult(NamedTuple):
     """One genus of a verification.
 
     When the solver refuses the system, ``error`` holds its message,
@@ -120,15 +127,14 @@ class GenusResult:
     n_redundant: int | None
     auxiliaries: dict[str, Fraction]
     error: str | None = None
-    inconsistent: list[str] = field(default_factory=list)
+    inconsistent: Sequence[str] = ()
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     target: str
     g_min: int
     g_max: int
-    results: list[GenusResult] = field(default_factory=list)
+    results: Sequence[GenusResult] = ()
 
     @property
     def ok(self) -> bool:
@@ -154,13 +160,13 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
         raise B.DomainError(f"genus bounds must be int, got {g_min!r}..{g_max!r}")
     if not 2 <= g_min <= g_max:
         raise B.DomainError(f"invalid genus range {g_min}..{g_max}")
-    report = VerificationReport(target=target, g_min=g_min, g_max=g_max)
+    results = []
     n = F.marked_points(target)
     for g in range(g_min, g_max + 1):
         try:
             solved = solver.solve_coefficients(g, target)
         except solver.SolverError as exc:
-            report.results.append(
+            results.append(
                 GenusResult(
                     g=g,
                     ok=False,
@@ -182,7 +188,7 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
                 u = F.unknown(e)
                 if got[u] != want[u]:
                     mismatches.append((e.name(n), got[u] or None, want[u] or None))
-        report.results.append(
+        results.append(
             GenusResult(
                 g=g,
                 ok=not mismatches,
@@ -193,4 +199,4 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
                 auxiliaries=solved.auxiliaries,
             )
         )
-    return report
+    return VerificationReport(target, g_min, g_max, results)

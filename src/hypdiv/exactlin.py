@@ -2,8 +2,11 @@
 
 ``add_row`` takes ``int`` or ``fractions.Fraction`` entries and stores each
 row as a primitive integer vector with an integer right-hand side; only
-answers are ``Fraction``s.  Systems are solved by integer-preserving
-Gauss-Jordan elimination on a copy of the rows, so no rounding can occur.
+answers are ``Fraction``s.  A ``LinearSystem`` is a plain class whose
+construction rejects duplicate variable names and indexes them; the
+results ``Unique``, ``Underdetermined`` and ``Inconsistent`` are
+``NamedTuple``s.  Systems are solved by integer-preserving Gauss-Jordan
+elimination on a copy of the rows, so no rounding can occur.
 Pivots are chosen deterministically (first nonzero row in column order),
 which makes certificates and free-variable selection reproducible.  A
 column -> rows index of the nonzero entries, kept exact under every row
@@ -19,11 +22,10 @@ before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 
 class StructuralError(ValueError):
@@ -34,18 +36,15 @@ class CheckError(ArithmeticError):
     """A computed answer does not satisfy the rows it was computed from."""
 
 
-@dataclass
 class LinearSystem:
     """Exact linear equations over named variables, as integer rows."""
 
-    variables: tuple[str, ...]
-    rows: list[tuple[dict[int, int], int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.variables = tuple(self.variables)
-        if len(set(self.variables)) != len(self.variables):
-            raise StructuralError("duplicate variable names")
+    def __init__(self, variables, rows: list[tuple[dict[int, int], int]] | None = None):
+        self.variables: tuple[str, ...] = tuple(variables)
+        self.rows = [] if rows is None else rows
         self._index = {v: j for j, v in enumerate(self.variables)}
+        if len(self._index) != len(self.variables):
+            raise StructuralError("duplicate variable names")
 
     def add_row(self, coeffs: Mapping[str, Rational], rhs: Rational = 0) -> None:
         """Append ``sum(coeffs[v] * v) = rhs``, scaled to a primitive integer row."""
@@ -66,8 +65,7 @@ class LinearSystem:
         self.rows.append(_normalize(row, rhs))
 
 
-@dataclass
-class Unique:
+class Unique(NamedTuple):
     """Every variable is determined; ``assignment`` satisfies all rows."""
 
     assignment: dict[str, Fraction]
@@ -75,8 +73,7 @@ class Unique:
     redundant_rows: tuple[int, ...]
 
 
-@dataclass
-class Underdetermined:
+class Underdetermined(NamedTuple):
     """Consistent but with free variables (set to 0 in ``particular``)."""
 
     particular: dict[str, Fraction]
@@ -85,8 +82,7 @@ class Underdetermined:
     redundant_rows: tuple[int, ...]
 
 
-@dataclass
-class Inconsistent:
+class Inconsistent(NamedTuple):
     """No solution.
 
     ``certificate`` gives multipliers on ``LinearSystem.rows`` as stored whose

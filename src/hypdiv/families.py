@@ -42,9 +42,8 @@ psi_1 + psi_2 are recorded against the :data:`PSI_SUM` key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from . import basis as B
 from . import surfcalc
@@ -61,9 +60,11 @@ SINGLE = "single"
 WEIERSTRASS_INVOLUTION = "weierstrass_involution"
 
 
-@dataclass(frozen=True)
 class PsiSum:
-    """Key for degrees recorded against the invariant sum psi_1 + psi_2."""
+    """Key for degrees recorded against the invariant sum psi_1 + psi_2.
+
+    :data:`PSI_SUM` is its one instance; it compares by identity.
+    """
 
     def name(self, n: int = 2) -> str:
         return "psi_sum"
@@ -87,7 +88,8 @@ def is_auxiliary(label: Label, g: int) -> bool:
 
 
 def _check_label(label: Label, g: int, n: int) -> None:
-    if isinstance(label, PsiSum) or B.is_valid(label, g, n):
+    # the caller has checked the ambient
+    if isinstance(label, PsiSum) or B._in_range(label, g, n):
         return
     # only auxiliaries and the invariant pair 1a/1b remain legal
     invariant = n == 2 and label.marking == "1"
@@ -103,9 +105,12 @@ def _check_label(label: Label, g: int, n: int) -> None:
         B.validate(label, g, n)
 
 
-@dataclass(frozen=True)
-class DegreeVector:
-    """Exact degrees of every generator and of the target on one family."""
+class DegreeVector(NamedTuple):
+    """Exact degrees of every generator and of the target on one family.
+
+    ``params`` has no default: a shared default dict would be one object
+    for every vector.
+    """
 
     g: int
     n: int
@@ -113,7 +118,7 @@ class DegreeVector:
     target_degree: int
     degrees: dict[Label, int]
     family: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def degree(self, label: Label) -> int:
         return self.degrees.get(label, 0)
@@ -136,15 +141,7 @@ def _vector(g, n, target, target_degree, degrees, family, params=None) -> Degree
             clean[label] = value
     if type(target_degree) is not int:
         raise CatalogError(f"{family}: non-integer degree {target_degree!r} on the target")
-    return DegreeVector(
-        g=g,
-        n=n,
-        target=target,
-        target_degree=target_degree,
-        degrees=clean,
-        family=family,
-        params=dict(params or {}),
-    )
+    return DegreeVector(g, n, target, target_degree, clean, family, dict(params or {}))
 
 
 class CatalogError(RuntimeError):

@@ -22,12 +22,16 @@ Unknowns carried on out-of-range labels (``b_0_0``, ``b_0_1``, and for
 even g ``b_{g/2}_1`` / ``b_{g/2}_2``) are auxiliaries: first-class solver
 variables, solved, reported, and excluded from the resulting divisor
 expression.
+
+A :class:`Relation` is a small ``__slots__`` class, since building one
+drops zero coefficients and rejects an empty relation; the solve's
+:class:`CoefficientReport` is a ``NamedTuple``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from . import exactlin
 from . import families as F
@@ -50,18 +54,32 @@ class SolverError(RuntimeError):
         self.inconsistent = list(inconsistent)
 
 
-@dataclass
 class Relation:
-    """One linear equation on the unknown coefficients, with integer entries."""
+    """One linear equation on the unknown coefficients, with integer entries.
 
-    coeffs: dict[str, int]
-    rhs: int
-    provenance: str
+    Zero coefficients are dropped; a relation left with none is a DomainError.
+    """
 
-    def __post_init__(self):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
+    __slots__ = ("coeffs", "rhs", "provenance")
+
+    def __init__(self, coeffs: dict[str, int], rhs: int, provenance: str):
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
         if not self.coeffs:
-            raise DomainError(f"relation {self.provenance!r} has no nonzero coefficient")
+            raise DomainError(f"relation {provenance!r} has no nonzero coefficient")
+        self.rhs = rhs
+        self.provenance = provenance
+
+    def __eq__(self, other):
+        if type(other) is not Relation:
+            return NotImplemented
+        return (self.coeffs, self.rhs, self.provenance) == (
+            other.coeffs,
+            other.rhs,
+            other.provenance,
+        )
+
+    def __repr__(self):
+        return f"Relation(coeffs={self.coeffs!r}, rhs={self.rhs!r}, provenance={self.provenance!r})"
 
     def render(self) -> str:
         parts = []
@@ -142,8 +160,7 @@ def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[
     return formal, auxiliaries
 
 
-@dataclass
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     """Solved coefficients plus the diagnostics the solve produced."""
 
     g: int
@@ -153,7 +170,12 @@ class CoefficientReport:
     rank: int
     n_unknowns: int
     redundant: list[str]
-    relations: list[Relation] = field(repr=False, default_factory=list)
+    relations: Sequence[Relation] = ()
+
+    def __repr__(self):
+        # the relations are left out: a large genus has thousands
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self))
+        return f"CoefficientReport({shown})"
 
     @property
     def solution(self) -> DivisorExpression:

@@ -11,15 +11,15 @@ The glued families only need it for a bidegree-(h1, h2) curve through k
 simple points, where the lattice computation closes to the rule
 ``branch_halve(2·h1·h2 - k)`` (``branch_section_self_intersection``);
 ``SurfaceLattice`` is the general calculus and agrees with that rule
-(the tests check it against the lattice).
+(the tests check it against the lattice).  Lattices and their elements
+are immutable ``NamedTuple``s.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class LatticeError(ValueError):
@@ -30,16 +30,14 @@ class HalfIntegerWarning(UserWarning):
     """branch_halve produced a non-integral self-intersection."""
 
 
-@dataclass(frozen=True)
-class LatticeElement:
+class LatticeElement(NamedTuple):
+    """Integer coefficients on (H1, H2, E_1, ..., E_k); build it with
+    :meth:`SurfaceLattice.element`, which checks the length and coerces to int."""
+
     coefficients: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
 
-
-@dataclass(frozen=True)
-class SurfaceLattice:
+class SurfaceLattice(NamedTuple):
     """Blowup of P^1 x P^1 at ``exceptional_count`` points."""
 
     exceptional_count: int
@@ -53,7 +51,7 @@ class SurfaceLattice:
             raise LatticeError(
                 f"expected {self.dimension} coefficients, got {len(coefficients)}"
             )
-        return LatticeElement(tuple(coefficients))
+        return LatticeElement(tuple(int(c) for c in coefficients))
 
     def curve_class(self, h1: int, h2: int) -> LatticeElement:
         """Total transform of a curve of bidegree (h1, h2) downstairs."""
@@ -87,7 +85,7 @@ class SurfaceLattice:
             if not 1 <= j <= self.exceptional_count:
                 raise LatticeError(f"exceptional index {j} out of range")
             coeffs[1 + j] -= m
-        return LatticeElement(tuple(coeffs))
+        return self.element(coeffs)
 
     def self_intersection(self, a: LatticeElement) -> int:
         return self.intersect(a, a)

@@ -187,3 +187,14 @@ def test_labels_are_immutable_tuples_with_their_names():
         with pytest.raises(AttributeError):
             setattr(e, attribute, 1)
     assert e == ("delta", 2, "1a")
+    # the constructors skip NamedTuple.__new__ but build the same label
+    for built, plain in (
+        (psi(), ("psi", 1, "")),
+        (psi(2), ("psi", 2, "")),
+        (eta_irr(), ("eta_irr", 0, "")),
+        (B.delta_0_2(), ("delta_0_2", 0, "")),
+        (delta(2, "1a"), ("delta", 2, "1a")),
+        (eta(1, 0), ("eta", 1, "0")),
+    ):
+        assert type(built) is BasisElement and built == plain == BasisElement(*plain)
+        assert hash(built) == hash(plain)

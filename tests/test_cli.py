@@ -160,8 +160,6 @@ def test_verify_mismatch_text_names_labels_in_formal_order(capsys, monkeypatch):
 
 
 def test_verify_names_the_family_of_an_inconsistent_catalog(capsys, monkeypatch):
-    import dataclasses
-
     import hypdiv.solver as S
 
     original = S.family_vectors
@@ -169,7 +167,7 @@ def test_verify_names_the_family_of_an_inconsistent_catalog(capsys, monkeypatch)
     def perturbed(g, target):
         vectors = original(g, target)
         last = vectors[-1]
-        return vectors[:-1] + [dataclasses.replace(last, target_degree=last.target_degree + 1)]
+        return vectors[:-1] + [last._replace(target_degree=last.target_degree + 1)]
 
     monkeypatch.setattr(S, "family_vectors", perturbed)
     assemble = S.assemble_system

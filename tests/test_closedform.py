@@ -153,6 +153,27 @@ def test_closed_forms_satisfy_every_assembled_relation():
                 assert lhs == relation.rhs, (g, relation.render())
 
 
+def _table_closed_form_values(g, target):
+    # reference: the first label of each unknown in the sorted formal_unknowns table
+    from hypdiv import families as F
+
+    formulas = CF._FORMULAS[target]
+    values = {}
+    for u, (e, *_) in F.formal_unknowns(g, F.marked_points(target)).items():
+        indexed = (e.index, F.slot(e.marking)) if e.kind in (B.DELTA, B.ETA) else ()
+        values[u] = formulas[e.kind](g, *indexed)
+    return values
+
+
+def test_closed_form_values_match_the_table_reference():
+    for target in (WEIERSTRASS, G12):
+        for g in range(2, 61):
+            assert CF.closed_form_values(g, target) == _table_closed_form_values(g, target), (
+                g,
+                target,
+            )
+
+
 def test_verify_single_genus():
     report = CF.verify_range(2, 2, WEIERSTRASS)
     assert report.ok

@@ -1,0 +1,97 @@
+"""Records: immutable where they are values, no shared defaults, and a
+``hypdiv`` process that never loads ``dataclasses`` or ``inspect``."""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import hypdiv
+from hypdiv import closedform as CF
+from hypdiv import exactlin
+from hypdiv import families as F
+from hypdiv import solver as S
+from hypdiv.basis import DomainError
+from hypdiv.surfcalc import SurfaceLattice
+
+SOURCE = Path(hypdiv.__file__).resolve().parents[1]
+
+COMMANDS = [
+    ["verify", "--range", "2..4"],
+    ["relations", "--divisor", "g12", "--genus", "6"],
+    ["coeffs", "--divisor", "g12", "--genus", "6", "--source", "solver"],
+    ["families", "--genus", "6", "--family", "f2ip1", "--i", "1"],
+]
+
+SCRIPT = """
+import contextlib, io, json, sys
+from hypdiv import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)))
+"""
+
+
+def test_cli_process_loads_neither_dataclasses_nor_inspect():
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(COMMANDS)],
+        env={"PYTHONPATH": str(SOURCE)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout) == []
+
+
+def test_value_records_are_immutable():
+    lattice = SurfaceLattice(2)
+    records = [
+        (F.diagonal_family(3), "target_degree"),
+        (CF.closed_form(3, F.WEIERSTRASS), "terms"),
+        (lattice.curve_class(1, 1), "coefficients"),
+        (lattice, "exceptional_count"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def _mutable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return True
+    return False
+
+
+def test_records_built_without_defaults_share_no_mutable_object():
+    constructors = [
+        lambda: CF.GenusResult(2, True, [], 1, 1, 0, {}),
+        lambda: CF.VerificationReport(F.G12, 2, 3),
+        lambda: S.CoefficientReport(2, F.G12, {}, {}, 0, 0, []),
+    ]
+    for build in constructors:
+        a, b = build(), build()
+        assert a._field_defaults
+        for name in a._field_defaults:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x is not y or not _mutable(x), (type(a).__name__, name)
+    assert "params" not in F.DegreeVector._field_defaults
+    assert exactlin.LinearSystem(("x",)).rows is not exactlin.LinearSystem(("x",)).rows
+
+
+def test_relation_drops_zero_coefficients():
+    coeffs = {"d": 0, "c": 2, "a_1_0": 0, "b_1_0": -1}
+    relation = S.Relation(coeffs, 3, "p")
+    assert relation.coeffs == {"c": 2, "b_1_0": -1} and list(relation.coeffs) == ["c", "b_1_0"]
+    assert coeffs["d"] == 0 and len(coeffs) == 4  # the caller's dict is left alone
+    assert relation == S.Relation({"c": 2, "b_1_0": -1}, 3, "p") != S.Relation({"c": 2}, 3, "p")
+    assert relation.render() == "p: 2·c - 1·b_1_0 = 3"
+    with pytest.raises(DomainError):
+        S.Relation({"d": 0}, Fraction(0), "empty")
+    with pytest.raises(AttributeError):
+        relation.other = 1

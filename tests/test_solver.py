@@ -1,6 +1,5 @@
 """System assembly and exact solve: pins, redundancy honesty, determinations."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -222,7 +221,7 @@ def test_contradictory_family_raises_solver_error_with_certificate(monkeypatch):
 
     def with_contradiction(g, target):
         diagonal = F.diagonal_family(g)
-        shifted = dataclasses.replace(diagonal, target_degree=diagonal.target_degree + 1)
+        shifted = diagonal._replace(target_degree=diagonal.target_degree + 1)
         return original(g, target) + [shifted]
 
     monkeypatch.setattr(S, "family_vectors", with_contradiction)
@@ -302,8 +301,8 @@ def test_solution_expression_is_formal_view():
 
 
 def test_one_formal_table_per_solve(monkeypatch):
-    # a verified genus builds the table once to order the solve's unknowns
-    # and once for the closed-form values; ``solution`` builds none
+    # a verified genus builds the table once, to order the solve's unknowns;
+    # the closed-form values and ``solution`` build none
     built = []
     original = F.formal_unknowns
 
@@ -315,7 +314,7 @@ def test_one_formal_table_per_solve(monkeypatch):
     for target in (WEIERSTRASS, G12):
         built.clear()
         assert closedform.verify_range(2, 8, target).ok
-        assert all(built.count(g) <= 2 for g in range(2, 9)), built
+        assert all(built.count(g) == 1 for g in range(2, 9)), built
         report = solve_coefficients(5, target)
         built.clear()
         expr = report.solution
@@ -366,6 +365,28 @@ def test_solver_order_matches_formal_position_reference():
             assert formal + aux == variables, (g, target)
             assert [list(r.coeffs) for r in report.relations] == forms, (g, target)
             assert report.redundant == redundant, (g, target)
+
+
+def test_assembly_checks_the_ambient_per_family_not_per_label(monkeypatch):
+    # each family checks (g, n) once itself and once in families._vector;
+    # identification_relations adds one through identified_pairs
+    calls = []
+    check = B.check_ambient
+
+    def counted(g, n):
+        calls.append((g, n))
+        check(g, n)
+
+    cases = [(g, t, len(family_vectors(g, t))) for t in (WEIERSTRASS, G12) for g in (2, 7, 12)]
+    expr = closedform.closed_form(12, G12)
+    monkeypatch.setattr(B, "check_ambient", counted)
+    for g, target, families in cases:
+        calls.clear()
+        assemble_system(g, target)
+        assert len(calls) <= 2 * families + 1, (g, target, len(calls), families)
+    calls.clear()
+    B.DivisorExpression.from_terms(12, 2, expr.terms.items())
+    assert calls == [(12, 2)]
 
 
 def test_non_int_genus_rejected():
