@@ -116,9 +116,9 @@ def eta_range(g: int) -> range:
 
 
 def is_valid(e: BasisElement, g: int, n: int) -> bool:
-    """Structural validity of a formal label for the ambient (g, n)."""
+    """Whether ``e`` is a (kind, index, marking) label valid for the ambient (g, n)."""
     check_ambient(g, n)
-    return _in_range(e, g, n)
+    return isinstance(e, tuple) and len(e) == 3 and _in_range(e, g, n)
 
 
 def _in_range(e: BasisElement, g: int, n: int) -> bool:

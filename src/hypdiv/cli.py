@@ -251,31 +251,27 @@ def cmd_relations(parser, args) -> int:
     return EXIT_OK
 
 
+# family name -> (catalog function, the options it takes after the genus, in order)
+FAMILIES = {
+    "diagonal": (F.diagonal_family, ()),
+    "quadric_pencil": (F.quadric_pencil_family, ("marks",)),
+    "glued": (F.glued_weierstrass_family, ("i", "section", "side", "marks")),
+    "two_point": (F.two_point_blowup_family, ("kind",)),
+    "ruling": (F.g12_ruling_family, ("i", "side")),
+    "f2ip1": (F.f2ip1_family, ("i",)),
+}
+
+
 def cmd_families(parser, args) -> int:
     g = _genus(parser, args.genus)
-
-    def need(name):
+    build, options = FAMILIES[args.family]
+    values = []
+    for name in options:
         if getattr(args, name) is None:
             parser.error(f"--{name} is required for family {args.family!r}")
-        return getattr(args, name)
-
+        values.append(getattr(args, name))
     try:
-        if args.family == "diagonal":
-            dv = F.diagonal_family(g)
-        elif args.family == "quadric_pencil":
-            dv = F.quadric_pencil_family(g, need("marks"))
-        elif args.family == "glued":
-            dv = F.glued_weierstrass_family(
-                g, need("i"), need("section"), need("side"), need("marks")
-            )
-        elif args.family == "two_point":
-            dv = F.two_point_blowup_family(g, need("kind"))
-        elif args.family == "ruling":
-            dv = F.g12_ruling_family(g, need("i"), need("side"))
-        elif args.family == "f2ip1":
-            dv = F.f2ip1_family(g, need("i"))
-        else:
-            parser.error(f"unknown family {args.family!r}")
+        dv = build(g, *values)
     except B.DomainError as exc:
         parser.error(str(exc))
     print(json.dumps(degree_vector_record(dv), indent=2))
@@ -311,11 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("families", help="dump one family's degree vector as JSON")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument(
-        "--family",
-        choices=["diagonal", "quadric_pencil", "glued", "two_point", "ruling", "f2ip1"],
-        required=True,
-    )
+    p.add_argument("--family", choices=list(FAMILIES), required=True)
     p.add_argument("--i", type=int)
     p.add_argument("--section", choices=[F.HORIZONTAL, F.DIAGONAL])
     p.add_argument("--side", choices=[F.LOW, F.HIGH])

@@ -187,7 +187,7 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
     """Solve the assembled system exactly and package the result.
 
     Raises SolverError if the system is inconsistent (with the combination
-    certificate) or leaves any non-auxiliary unknown free; either one
+    certificate) or leaves any unknown free, auxiliary or not; either one
     signals a catalog bug, not a data condition.
     """
     relations = assemble_system(g, target)
@@ -212,15 +212,9 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
             inconsistent=inconsistent,
         )
     if isinstance(result, exactlin.Underdetermined):
-        free_formal = [s for s in result.free if s in set(formal)]
-        if free_formal:
-            raise SolverError(
-                f"underdetermined system for g={g}, target={target}: "
-                f"free non-auxiliary unknowns {free_formal}"
-            )
         raise SolverError(
             f"underdetermined system for g={g}, target={target}: "
-            f"free auxiliary unknowns {list(result.free)}"
+            f"free unknowns {list(result.free)}"
         )
 
     assignment = result.assignment

@@ -6,7 +6,8 @@ identified only by the exceptional class they generate and the
 multiplicity of each curve through them; no coordinates are modeled.
 
 ``branch_halve`` implements the degree-2 cover rule: a curve contained
-in the branch locus has a reduced preimage of half the self-intersection.
+in the branch locus has a reduced preimage of half the self-intersection,
+so it halves an even ``int`` and raises :class:`LatticeError` on anything else.
 The glued families only need it for a bidegree-(h1, h2) curve through k
 simple points, where the lattice computation closes to the rule
 ``branch_halve(2·h1·h2 - k)`` (``branch_section_self_intersection``);
@@ -17,17 +18,11 @@ are immutable ``NamedTuple``s.
 
 from __future__ import annotations
 
-import warnings
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 
 class LatticeError(ValueError):
-    """Element length or exceptional index does not match the lattice."""
-
-
-class HalfIntegerWarning(UserWarning):
-    """branch_halve produced a non-integral self-intersection."""
+    """A length or index that does not fit the lattice, or an odd number to halve."""
 
 
 class LatticeElement(NamedTuple):
@@ -91,22 +86,15 @@ class SurfaceLattice(NamedTuple):
         return self.intersect(a, a)
 
 
-def branch_halve(self_int) -> int | Fraction:
+def branch_halve(self_int: int) -> int:
     """Self-intersection of the reduced preimage of a branch-locus curve.
 
-    An even ``int`` halves exactly to an ``int``; anything else gives a
-    ``Fraction``.  Half-integral output is legal in general but every
-    cataloged case is integral, so a non-integer result warns: it signals
-    a modeling slip.
+    Every cataloged case is an even ``int``; anything else would be a
+    modeling slip and raises :class:`LatticeError`.
     """
-    if type(self_int) is int and not self_int % 2:
-        return self_int // 2
-    half = Fraction(self_int) / 2
-    if half.denominator != 1:
-        warnings.warn(
-            f"halved self-intersection {half} is not an integer", HalfIntegerWarning
-        )
-    return half
+    if type(self_int) is not int or self_int % 2:
+        raise LatticeError(f"cannot halve self-intersection {self_int!r}: not an even int")
+    return self_int // 2
 
 
 def diagonal_self_intersection(genus: int) -> int:
@@ -121,7 +109,7 @@ def section_after_blowups(base_self_int: int, blowup_count: int) -> int:
     return base_self_int - blowup_count
 
 
-def branch_section_self_intersection(h1: int, h2: int, blowup_count: int) -> int | Fraction:
+def branch_section_self_intersection(h1: int, h2: int, blowup_count: int) -> int:
     """Composite rule: bidegree-(h1,h2) section, blown up, then halved.
 
     The curve has self-intersection 2·h1·h2 and passes simply through each

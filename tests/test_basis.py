@@ -108,6 +108,15 @@ def test_canonicalize_out_of_range_rejected():
         canonicalize(B.delta_0_2(), 3, 1)
 
 
+def test_malformed_label_is_domain_error():
+    # a label that is not a (kind, index, marking) tuple is invalid, not an unpacking error
+    for bad in (("delta", 1), ("delta", 1, "0", "x"), (), "eta", None, 5):
+        assert not B.is_valid(bad, 4, 1)
+        with pytest.raises(DomainError) as caught:
+            canonicalize(bad, 4, 1)
+        assert type(caught.value) is DomainError
+
+
 ambient = st.tuples(st.integers(min_value=2, max_value=30), st.sampled_from((1, 2)))
 
 

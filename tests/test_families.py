@@ -386,12 +386,54 @@ def test_cataloged_degrees_are_integers():
             assert all(v.denominator == 1 for v in dv.degrees.values())
 
 
-def test_catalog_self_check_failure_is_typed(monkeypatch):
-    from hypdiv import surfcalc
+def test_self_intersection_literals_match_surfcalc_for_every_cli_genus():
+    """Each catalog entry written as a self-intersection formula equals its
+    surfcalc recomputation, for every genus the command line accepts, at both
+    ends of the index range, on both sides, both sections and n = 1, 2."""
+    from hypdiv import surfcalc as S
+    from hypdiv.cli import MAX_GENUS
 
-    monkeypatch.setattr(surfcalc, "diagonal_self_intersection", lambda g: 3 - 2 * g)
-    with pytest.raises(F.CatalogError, match="diagonal psi degree: 6 != 5"):
-        diagonal_family(4)
+    horizontal = S.branch_section_self_intersection(1, 0, 2)
+    for g in range(2, MAX_GENUS + 1):
+        diag = S.diagonal_self_intersection(g)
+        single = two_point_blowup_family(g, F.SINGLE)
+        involution = two_point_blowup_family(g, F.WEIERSTRASS_INVOLUTION)
+        checks = [
+            (diagonal_family(g), psi(1), -diag),
+            (single, psi(1), -S.section_after_blowups(0, 1)),
+            (single, psi(2), -S.section_after_blowups(diag, 1)),
+            (involution, psi(1), -S.section_after_blowups(diag, 2 * g + 2)),
+            (involution, psi(2), -S.section_after_blowups(diag, 2 * g + 2)),
+        ]
+        for i in {1, g // 2}:
+            for side in (F.LOW, F.HIGH):
+                j = i if side == F.LOW else g - i
+                # the base change of the ruling family doubles every degree
+                checks.append((g12_ruling_family(g, i, side), delta(i, "1"), 2 * horizontal))
+                for n in (1, 2):
+                    key = delta(i, "0" if side == F.LOW else str(n))
+                    for section, expected in (
+                        (F.HORIZONTAL, horizontal),
+                        (F.DIAGONAL, S.branch_section_self_intersection(1, 1, 2 * j + 2)),
+                    ):
+                        dv = glued_weierstrass_family(g, i, section, side, n)
+                        checks.append((dv, key, expected))
+        for dv, label, expected in checks:
+            assert dv.degree(label) == expected, (dv.provenance(), dv.g, dv.n, label)
+
+
+def test_non_int_family_index_is_domain_error():
+    builders = (
+        lambda i: glued_weierstrass_family(6, i, F.HORIZONTAL, F.LOW, 1),
+        lambda i: glued_weierstrass_family(6, i, F.DIAGONAL, F.HIGH, 2),
+        lambda i: g12_ruling_family(6, i, F.LOW),
+        lambda i: f2ip1_family(5, i),
+    )
+    for build in builders:
+        for bad in (2.0, True, Fraction(1), "1", None):
+            with pytest.raises(DomainError) as caught:
+                build(bad)
+            assert type(caught.value) is DomainError, (bad, caught.value)
 
 
 def test_non_integral_degree_is_catalog_error():

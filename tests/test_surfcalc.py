@@ -1,6 +1,5 @@
 """Intersection pairing, strict transforms, and the double-cover halving rule."""
 
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypdiv.surfcalc import (
-    HalfIntegerWarning,
     LatticeError,
     SurfaceLattice,
     branch_halve,
@@ -62,22 +60,18 @@ def test_branch_halve_values():
     assert branch_halve(0) == 0
 
 
-def test_branch_halve_flags_half_integers():
-    with pytest.warns(HalfIntegerWarning):
-        value = branch_halve(-3)
-    assert value == Fraction(-3, 2)
+def test_branch_halve_rejects_odd_input():
+    with pytest.raises(LatticeError, match="-3"):
+        branch_halve(-3)
 
 
 def test_branch_halve_return_types():
-    # an even int halves in integers; everything else keeps the Fraction path
+    # an even int halves in integers; anything else is a LatticeError
     for even in (-10, -2, 0, 4):
         assert type(branch_halve(even)) is int and branch_halve(even) * 2 == even
-    with pytest.warns(HalfIntegerWarning):
-        odd = branch_halve(-3)
-    assert type(odd) is Fraction and odd == Fraction(-3, 2)
-    assert branch_halve(Fraction(-6)) == -3 and type(branch_halve(Fraction(-6))) is Fraction
-    with pytest.warns(HalfIntegerWarning):
-        assert branch_halve(Fraction(1, 2)) == Fraction(1, 4)
+    for bad in (-3, 1, Fraction(-6), Fraction(1, 2), -6.0, True):
+        with pytest.raises(LatticeError):
+            branch_halve(bad)
 
 
 def test_diagonal_self_intersection():
@@ -120,14 +114,19 @@ def test_strict_transform_drops_sum_of_squares(u, mults):
 
 
 def test_branch_section_rule_matches_lattice_oracle():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HalfIntegerWarning)
-        for h1 in range(4):
-            for h2 in range(4):
-                for k in range(41):
-                    lattice = SurfaceLattice(k)
-                    curve = lattice.strict_transform(
-                        lattice.curve_class(h1, h2), [(j, 1) for j in range(1, k + 1)]
-                    )
-                    expected = branch_halve(lattice.self_intersection(curve))
-                    assert branch_section_self_intersection(h1, h2, k) == expected
+    for h1 in range(4):
+        for h2 in range(4):
+            for k in range(41):
+                lattice = SurfaceLattice(k)
+                curve = lattice.strict_transform(
+                    lattice.curve_class(h1, h2), [(j, 1) for j in range(1, k + 1)]
+                )
+                self_int = lattice.self_intersection(curve)
+                if self_int % 2:
+                    # an odd self-intersection has no integral half: both sides refuse it
+                    with pytest.raises(LatticeError):
+                        branch_halve(self_int)
+                    with pytest.raises(LatticeError):
+                        branch_section_self_intersection(h1, h2, k)
+                else:
+                    assert branch_section_self_intersection(h1, h2, k) == branch_halve(self_int)
