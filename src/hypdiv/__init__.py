@@ -7,46 +7,52 @@ two ways: by assembling and exactly solving the linear relations cut out
 by a catalog of test families, and by direct evaluation of the closed
 forms.  ``hypdiv.closedform.verify_range`` checks that the two agree,
 term by term, in exact rational arithmetic.
+
+Importing the package loads no submodule: each public name (and each
+submodule named in the table below) is imported on first access, so a
+command loads only the modules it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .basis import (
-    BasisElement,
-    DivisorExpression,
-    DomainError,
-    basis_dimension,
-    canonicalize,
-    enumerate_basis,
-)
-from .closedform import closed_form, verify_range
-from .exactlin import LinearSystem, rank, solve
-from .families import G12, WEIERSTRASS, DegreeVector, pairing_degree
-from .solver import CoefficientReport, Relation, assemble_system, solve_coefficients
-from .surfcalc import SurfaceLattice, branch_halve, diagonal_self_intersection
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "BasisElement": "basis",
+    "DivisorExpression": "basis",
+    "DomainError": "basis",
+    "basis_dimension": "basis",
+    "canonicalize": "basis",
+    "enumerate_basis": "basis",
+    "closed_form": "closedform",
+    "verify_range": "closedform",
+    "LinearSystem": "exactlin",
+    "rank": "exactlin",
+    "solve": "exactlin",
+    "G12": "families",
+    "WEIERSTRASS": "families",
+    "DegreeVector": "families",
+    "pairing_degree": "families",
+    "CoefficientReport": "solver",
+    "Relation": "solver",
+    "assemble_system": "solver",
+    "solve_coefficients": "solver",
+    "SurfaceLattice": "surfcalc",
+    "branch_halve": "surfcalc",
+    "diagonal_self_intersection": "surfcalc",
+}
 
-__all__ = [
-    "BasisElement",
-    "CoefficientReport",
-    "DegreeVector",
-    "DivisorExpression",
-    "DomainError",
-    "G12",
-    "LinearSystem",
-    "Relation",
-    "SurfaceLattice",
-    "WEIERSTRASS",
-    "assemble_system",
-    "basis_dimension",
-    "branch_halve",
-    "canonicalize",
-    "closed_form",
-    "diagonal_self_intersection",
-    "enumerate_basis",
-    "pairing_degree",
-    "rank",
-    "solve",
-    "solve_coefficients",
-    "verify_range",
-    "__version__",
-]
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _EXPORTS.values():
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -118,7 +118,12 @@ def eta_range(g: int) -> range:
 def is_valid(e: BasisElement, g: int, n: int) -> bool:
     """Whether ``e`` is a (kind, index, marking) label valid for the ambient (g, n)."""
     check_ambient(g, n)
-    return isinstance(e, tuple) and len(e) == 3 and _in_range(e, g, n)
+    if not (isinstance(e, tuple) and len(e) == 3):
+        return False
+    try:
+        return _in_range(e, g, n)
+    except TypeError:  # an index that does not compare with int
+        return False
 
 
 def _in_range(e: BasisElement, g: int, n: int) -> bool:
@@ -226,7 +231,11 @@ class DivisorExpression(NamedTuple):
             coeff = Fraction(coeff)
             if not coeff:
                 continue
-            if not _in_range(e, g, n):
+            try:
+                in_range = _in_range(e, g, n)
+            except (TypeError, ValueError):  # not a (kind, int index, marking) triple
+                in_range = False
+            if not in_range:
                 validate(e, g, n)  # raises, naming e and the ambient
             acc = terms.get(e, Fraction(0)) + coeff
             if acc:

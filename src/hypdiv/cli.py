@@ -5,22 +5,21 @@ Rationals are always serialized as integer (numerator, denominator)
 pairs; nothing is ever rendered as a decimal.  Exit status contract:
 0 success, 1 verification mismatch, 2 usage error (including a genus
 above ``MAX_GENUS``).
+
+The module level imports only what ``build_parser`` and ``--version``
+need; each command imports the modules it runs, and writes its output to
+standard output in one call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from fractions import Fraction
 
 from . import __version__
 from . import basis as B
-from . import closedform
 from . import families as F
-from . import solver
 from .families import G12, WEIERSTRASS
 
 DIVISOR_NAMES = {"w": WEIERSTRASS, "g12": G12}
@@ -67,14 +66,21 @@ def output_record(g: int, target: str, view: str, expr: B.DivisorExpression) -> 
 
 
 def render_json(record: dict) -> str:
+    import json
+
     return json.dumps(record, indent=2, sort_keys=False)
 
 
 def parse_record(text: str) -> dict:
+    import json
+
     return json.loads(text)
 
 
 def render_csv(record: dict) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["class", "numerator", "denominator"])
@@ -155,7 +161,8 @@ def degree_vector_record(dv: F.DegreeVector) -> dict:
     }
 
 
-def verification_record(report: closedform.VerificationReport) -> dict:
+def verification_record(report) -> dict:
+    """JSON-serializable form of a ``closedform.VerificationReport``."""
     results = []
     for r in report.results:
         failure = {} if r.error is None else {"error": r.error, "inconsistent": r.inconsistent}
@@ -204,50 +211,69 @@ def _parse_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _write_lines(lines) -> None:
+    """Write each line, newline-terminated, to standard output in one call."""
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
 def cmd_coeffs(parser, args) -> int:
     g = _genus(parser, args.genus)
     target = DIVISOR_NAMES[args.divisor]
     if args.source == "solver":
+        from . import solver
+
         expr = solver.solve_coefficients(g, target).solution
     else:
+        from . import closedform
+
         expr = closedform.closed_form(g, target)
     record = output_record(g, target, args.view, expr)
-    print(RENDERERS[args.format](record))
+    _write_lines([RENDERERS[args.format](record)])
     return EXIT_OK
 
 
+def _verify_lines(reports):
+    """The text report of ``cmd_verify``, line by line."""
+    for report in reports:
+        for r in report.results:
+            if r.error is not None:
+                yield f"{report.target} g={r.g}: MISMATCH"
+                if r.inconsistent:
+                    yield f"  inconsistent: {', '.join(r.inconsistent)}"
+                else:
+                    yield f"  {r.error}"
+                continue
+            status = "ok" if r.ok else "MISMATCH"
+            yield (
+                f"{report.target} g={r.g}: {status} "
+                f"(rank {r.rank}/{r.n_unknowns}, {r.n_redundant} redundant)"
+            )
+            for name, got, want in r.mismatches:
+                yield f"  {name}: solver={got} closed={want}"
+        yield report.summary()
+
+
 def cmd_verify(parser, args) -> int:
+    from . import closedform
+
     lo, hi = _parse_range(parser, args.range)
     targets = [WEIERSTRASS, G12] if args.divisor == "both" else [DIVISOR_NAMES[args.divisor]]
     reports = [closedform.verify_range(lo, hi, t) for t in targets]
     if args.json:
-        print(json.dumps([verification_record(r) for r in reports], indent=2))
+        import json
+
+        _write_lines([json.dumps([verification_record(r) for r in reports], indent=2)])
     else:
-        for report in reports:
-            for r in report.results:
-                if r.error is not None:
-                    print(f"{report.target} g={r.g}: MISMATCH")
-                    if r.inconsistent:
-                        print(f"  inconsistent: {', '.join(r.inconsistent)}")
-                    else:
-                        print(f"  {r.error}")
-                    continue
-                status = "ok" if r.ok else "MISMATCH"
-                print(
-                    f"{report.target} g={r.g}: {status} "
-                    f"(rank {r.rank}/{r.n_unknowns}, {r.n_redundant} redundant)"
-                )
-                for name, got, want in r.mismatches:
-                    print(f"  {name}: solver={got} closed={want}")
-            print(report.summary())
+        _write_lines(_verify_lines(reports))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_MISMATCH
 
 
 def cmd_relations(parser, args) -> int:
+    from . import solver
+
     g = _genus(parser, args.genus)
     target = DIVISOR_NAMES[args.divisor]
-    for relation in solver.assemble_system(g, target):
-        print(relation.render())
+    _write_lines(relation.render() for relation in solver.assemble_system(g, target))
     return EXIT_OK
 
 
@@ -274,7 +300,7 @@ def cmd_families(parser, args) -> int:
         dv = build(g, *values)
     except B.DomainError as exc:
         parser.error(str(exc))
-    print(json.dumps(degree_vector_record(dv), indent=2))
+    _write_lines([render_json(degree_vector_record(dv))])
     return EXIT_OK
 
 

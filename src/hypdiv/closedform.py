@@ -27,48 +27,61 @@ from .basis import DivisorExpression
 from .families import G12, WEIERSTRASS
 
 
+def _genus(g: int) -> int:
+    """``g`` itself; a DomainError unless it is an ``int`` >= 2."""
+    if type(g) is not int or g < 2:
+        raise B.DomainError(f"genus must be an int >= 2, got {g!r}")
+    return g
+
+
 def _den(g: int) -> int:
     return (g - 1) * (2 * g + 1)
 
 
 def w_psi(g: int) -> Fraction:
+    g = _genus(g)
     return Fraction(g + 1, g - 1)
 
 
 def w_eta_irr(g: int) -> Fraction:
-    return Fraction(-1, 2 * _den(g))
+    return Fraction(-1, 2 * _den(_genus(g)))
 
 
 def w_delta(g: int, i: int, m: int) -> Fraction:
+    g = _genus(g)
     if m == 1:  # the far side is the near side seen from genus g - i
         return w_delta(g, g - i, 0)
     return Fraction(-2 * i * (2 * i + 1), _den(g))
 
 
 def w_eta(g: int, i: int, m: int) -> Fraction:
+    g = _genus(g)
     if m == 1:  # the far side is the near side seen from genus g - 1 - i
         return w_eta(g, g - 1 - i, 0)
     return Fraction(-(i + 1) * (2 * i + 1), _den(g))
 
 
 def g12_psi(g: int) -> Fraction:
-    return Fraction(1, g - 1)
+    return Fraction(1, _genus(g) - 1)
 
 
 g12_eta_irr = w_eta_irr
 
 
 def g12_delta_0_2(g: int) -> Fraction:
+    g = _genus(g)
     return Fraction(-(g + 1), g - 1)
 
 
 def g12_delta(g: int, i: int, m: int) -> Fraction:
+    g = _genus(g)
     if m == 1:
         return Fraction((2 * i - 1) * (2 * (g - i) - 1) - 2, _den(g))
     return w_delta(g, i, m // 2)
 
 
 def g12_eta(g: int, i: int, m: int) -> Fraction:
+    g = _genus(g)
     if m == 1:
         return Fraction(2 * i * (g - i - 1) - 1, _den(g))
     return w_eta(g, i, m // 2)

@@ -89,8 +89,14 @@ def is_auxiliary(label: Label, g: int) -> bool:
 
 def _check_label(label: Label, g: int, n: int) -> None:
     # the caller has checked the ambient
-    if isinstance(label, PsiSum) or B._in_range(label, g, n):
-        return
+    try:
+        if isinstance(label, PsiSum) or B._in_range(label, g, n):
+            return
+        shaped = isinstance(label, BasisElement)
+    except (TypeError, ValueError):  # not a (kind, int index, marking) triple
+        shaped = False
+    if not shaped:
+        B.validate(label, g, n)  # raises, naming the label and the ambient
     # only auxiliaries and the invariant pair 1a/1b remain legal
     invariant = n == 2 and label.marking == "1"
     if is_auxiliary(label, g):

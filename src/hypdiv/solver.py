@@ -33,7 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import exactlin
 from . import families as F
 from . import basis as B
 from .basis import DivisorExpression, DomainError
@@ -190,6 +189,8 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
     certificate) or leaves any unknown free, auxiliary or not; either one
     signals a catalog bug, not a data condition.
     """
+    from . import exactlin  # here, not at the top: ``hypdiv relations`` never solves
+
     relations = assemble_system(g, target)
     formal, auxiliaries = unknown_order(g, target, relations)
     variables = formal + auxiliaries

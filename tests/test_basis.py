@@ -117,6 +117,16 @@ def test_malformed_label_is_domain_error():
         assert type(caught.value) is DomainError
 
 
+@pytest.mark.parametrize(
+    "bad", [("delta", 1), ("delta", 1, "0", "x"), "delta", 5, ("delta", "1", "0")]
+)
+def test_from_terms_rejects_malformed_label_with_domain_error(bad):
+    # the shape is checked before the range, so no unpacking or comparison error leaks
+    with pytest.raises(DomainError) as caught:
+        DivisorExpression.from_terms(4, 1, [(bad, 1)])
+    assert type(caught.value) is DomainError
+
+
 ambient = st.tuples(st.integers(min_value=2, max_value=30), st.sampled_from((1, 2)))
 
 

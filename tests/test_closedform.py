@@ -225,3 +225,29 @@ def test_non_int_genus_rejected():
     # integer input keeps its message
     with pytest.raises(B.DomainError, match=r"^invalid genus range 5\.\.2$"):
         CF.verify_range(5, 2, WEIERSTRASS)
+
+
+CLOSED_FORMS = [
+    (CF.w_psi, ()),
+    (CF.w_eta_irr, ()),
+    (CF.w_delta, (1, 0)),
+    (CF.w_delta, (1, 1)),
+    (CF.w_eta, (1, 0)),
+    (CF.w_eta, (1, 1)),
+    (CF.g12_psi, ()),
+    (CF.g12_eta_irr, ()),
+    (CF.g12_delta_0_2, ()),
+    (CF.g12_delta, (1, 0)),
+    (CF.g12_delta, (1, 1)),
+    (CF.g12_eta, (1, 0)),
+    (CF.g12_eta, (1, 1)),
+]
+
+
+@pytest.mark.parametrize("formula, indices", CLOSED_FORMS)
+def test_closed_form_functions_reject_a_bad_genus(formula, indices):
+    # exactly DomainError: not the ZeroDivisionError of g = 1, nor a TypeError
+    for g in (1, 0, -3, 2.0, Fraction(3), "3", None, True):
+        with pytest.raises(B.DomainError) as caught:
+            formula(g, *indices)
+        assert type(caught.value) is B.DomainError, g

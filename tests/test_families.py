@@ -238,6 +238,15 @@ def test_auxiliary_gate_rejects_index_above_half_genus():
         F._check_label(delta(3, "1"), 4, 2)
 
 
+@pytest.mark.parametrize(
+    "bad", [("delta", 1), ("delta", 1, "0", "x"), "delta", 5, ("delta", 9, "0")]
+)
+def test_check_label_rejects_malformed_label_with_domain_error(bad):
+    with pytest.raises(DomainError) as caught:
+        F._check_label(bad, 4, 1)
+    assert type(caught.value) is DomainError
+
+
 def _reference_check_label(label, g, n):
     """The label gate as it was before its fast path: auxiliaries and the
     invariant pair are tested first, then ``basis.validate``."""
