@@ -260,9 +260,7 @@ def cmd_verify(parser, args) -> int:
     targets = [WEIERSTRASS, G12] if args.divisor == "both" else [DIVISOR_NAMES[args.divisor]]
     reports = [closedform.verify_range(lo, hi, t) for t in targets]
     if args.json:
-        import json
-
-        _write_lines([json.dumps([verification_record(r) for r in reports], indent=2)])
+        _write_lines([render_json([verification_record(r) for r in reports])])
     else:
         _write_lines(_verify_lines(reports))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_MISMATCH
