@@ -36,8 +36,6 @@ pair may carry separate coefficients, as in printed closed forms);
 
 from __future__ import annotations
 
-from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, NamedTuple
 
 PSI = "psi"
@@ -223,6 +221,9 @@ class DivisorExpression(NamedTuple):
 
         A coefficient that is not rational (a float, a string) is a TypeError.
         """
+        from fractions import Fraction  # here: ``hypdiv relations`` builds no rational
+        from numbers import Rational
+
         check_ambient(g, n)
         terms: dict[BasisElement, Fraction] = {}
         for e, coeff in items:

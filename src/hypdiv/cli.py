@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import __version__
 from . import basis as B

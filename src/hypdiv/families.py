@@ -43,7 +43,6 @@ psi_1 + psi_2 are recorded against the :data:`PSI_SUM` key.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
 from . import basis as B
@@ -87,10 +86,28 @@ def is_auxiliary(label: Label, g: int) -> bool:
     )
 
 
+# n -> the markings of a boundary label in a degree vector; "1" is the invariant 1a/1b
+_MARKINGS = {1: B.MARKINGS_1, 2: B.MARKINGS_2 + ("1",)}
+
+
 def _check_label(label: Label, g: int, n: int) -> None:
-    # the caller has checked the ambient
+    # the caller has checked the ambient; one kind dispatch accepts a legal label
+    # with an int index, and the gate after it decides everything else
+    if type(label) is BasisElement and type(label[1]) is int:
+        kind, index, marking = label
+        if kind == B.DELTA or kind == B.ETA:
+            # an eta below eta_range(g) or above it, up to g // 2, is an auxiliary
+            if (0 if kind == B.ETA else 1) <= index <= g // 2 and marking in _MARKINGS[n]:
+                return
+        elif kind == B.PSI:
+            if 1 <= index <= n:
+                return
+        elif kind == B.ETA_IRR or kind == B.DELTA_0_2 and n == 2:
+            return
+    elif type(label) is PsiSum:
+        return
     try:
-        if isinstance(label, PsiSum) or B._in_range(label, g, n):
+        if B._in_range(label, g, n):
             return
         shaped = isinstance(label, BasisElement)
     except (TypeError, ValueError):  # not a (kind, int index, marking) triple
@@ -98,12 +115,10 @@ def _check_label(label: Label, g: int, n: int) -> None:
     if not shaped:
         B.validate(label, g, n)  # raises, naming the label and the ambient
     # only auxiliaries and the invariant pair 1a/1b remain legal
-    invariant = n == 2 and label.marking == "1"
     if is_auxiliary(label, g):
-        markings = B.MARKINGS_1 if n == 1 else B.MARKINGS_2
-        if not 0 <= label.index <= g // 2 or not (invariant or label.marking in markings):
+        if not 0 <= label.index <= g // 2 or label.marking not in _MARKINGS[n]:
             raise DomainError(f"{label!r} is not a valid auxiliary for (g={g}, n={n})")
-    elif invariant and label.kind in (B.DELTA, B.ETA):
+    elif n == 2 and label.marking == "1" and label.kind in (B.DELTA, B.ETA):
         # the invariant pair 1a/1b, legal in degree vectors only; an eta here is in range
         if label.index not in B.delta_range(g):
             raise DomainError(f"{label!r} index out of range")
@@ -130,10 +145,11 @@ class DegreeVector(NamedTuple):
         return self.degrees.get(label, 0)
 
     def provenance(self) -> str:
-        if self.params:
-            inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-            return f"{self.family}[{inner}]"
-        return self.family
+        if len(self.params) == 1:  # every indexed member: no sort
+            ((k, v),) = self.params.items()
+            return f"{self.family}[{k}={v}]"
+        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
+        return f"{self.family}[{inner}]" if self.params else self.family
 
 
 def _vector(g, n, target, target_degree, degrees, family, params=None) -> DegreeVector:
@@ -146,11 +162,16 @@ def _vector(g, n, target, target_degree, degrees, family, params=None) -> Degree
             clean[label] = value
     if type(target_degree) is not int:
         raise CatalogError(f"{family}: non-integer degree {target_degree!r} on the target")
-    return DegreeVector(g, n, target, target_degree, clean, family, dict(params or {}))
+    params = {} if params is None else params  # each vector its own dict, never copied
+    return tuple.__new__(DegreeVector, (g, n, target, target_degree, clean, family, params))
 
 
 class CatalogError(RuntimeError):
     """A catalog formula produced a non-integer degree: a catalog bug, not bad input."""
+
+
+# the labels of index 0 or a fixed index, built once: a label is an immutable tuple
+_PSI_1, _PSI_2, _ETA_IRR, _DELTA_0_2 = B.psi(1), B.psi(2), B.eta_irr(), B.delta_0_2()
 
 
 def diagonal_family(g: int) -> DegreeVector:
@@ -160,9 +181,7 @@ def diagonal_family(g: int) -> DegreeVector:
     target) and deg(psi) = -(diagonal)^2 = 2g - 2; no singular fibers.
     """
     B.check_ambient(g, 1)
-    return _vector(
-        g, 1, WEIERSTRASS, 2 * g + 2, {B.psi(1): 2 * g - 2}, "diagonal"
-    )
+    return _vector(g, 1, WEIERSTRASS, 2 * g + 2, {_PSI_1: 2 * g - 2}, "diagonal")
 
 
 def quadric_pencil_family(g: int, marks: int) -> DegreeVector:
@@ -176,9 +195,9 @@ def quadric_pencil_family(g: int, marks: int) -> DegreeVector:
     B.check_ambient(g, marks)
     eta_irr_degree = 4 * (2 * g + 1)
     if marks == 1:
-        degrees = {B.psi(1): 1, B.eta_irr(): eta_irr_degree}
+        degrees = {_PSI_1: 1, _ETA_IRR: eta_irr_degree}
         return _vector(g, 1, WEIERSTRASS, 1, degrees, "quadric_pencil")
-    degrees = {B.psi(1): 1, B.psi(2): 1, B.eta_irr(): eta_irr_degree}
+    degrees = {_PSI_1: 1, _PSI_2: 1, _ETA_IRR: eta_irr_degree}
     return _vector(g, 2, G12, 0, degrees, "quadric_pencil", {"marks": 2})
 
 
@@ -194,7 +213,7 @@ def glued_weierstrass_family(g: int, i: int, section: str, side: str, n: int) ->
     constant, so psi degrees and the target degree vanish.
     """
     B.check_ambient(g, n)
-    if type(i) is not int or i not in B.delta_range(g):
+    if type(i) is not int or not 1 <= i <= g // 2:
         raise DomainError(f"i={i!r} out of range 1..{g // 2} for g={g}")
     if section not in (HORIZONTAL, DIAGONAL):
         raise DomainError(f"unknown section kind {section!r}")
@@ -212,9 +231,9 @@ def glued_weierstrass_family(g: int, i: int, section: str, side: str, n: int) ->
         eta_key = B.eta(i, "1" if n == 1 else "2")
 
     if section == HORIZONTAL:
-        degrees = {delta_key: -1, B.eta_irr(): 8 * j, eta_key: 2}
+        degrees = {delta_key: -1, _ETA_IRR: 8 * j, eta_key: 2}
     else:
-        degrees = {delta_key: -j, B.eta_irr(): 4 * j, eta_key: 2 * j + 2}
+        degrees = {delta_key: -j, _ETA_IRR: 4 * j, eta_key: 2 * j + 2}
 
     target = WEIERSTRASS if n == 1 else G12
     return _vector(
@@ -235,10 +254,10 @@ def two_point_blowup_family(g: int, kind: str) -> DegreeVector:
     """
     B.check_ambient(g, 2)
     if kind == SINGLE:
-        degrees = {B.psi(1): 1, B.psi(2): 2 * g - 1, B.delta_0_2(): 1}
+        degrees = {_PSI_1: 1, _PSI_2: 2 * g - 1, _DELTA_0_2: 1}
         return _vector(g, 2, G12, 1, degrees, "two_point_single")
     if kind == WEIERSTRASS_INVOLUTION:
-        degrees = {B.psi(1): 4 * g, B.psi(2): 4 * g, B.delta_0_2(): 2 * g + 2}
+        degrees = {_PSI_1: 4 * g, _PSI_2: 4 * g, _DELTA_0_2: 2 * g + 2}
         return _vector(g, 2, G12, 2 - 2 * g, degrees, "two_point_weierstrass")
     raise DomainError(f"unknown two-point family kind {kind!r}")
 
@@ -253,7 +272,7 @@ def g12_ruling_family(g: int, i: int, side: str) -> DegreeVector:
     constrained, recorded against PSI_SUM.
     """
     B.check_ambient(g, 2)
-    if type(i) is not int or i not in B.delta_range(g):
+    if type(i) is not int or not 1 <= i <= g // 2:
         raise DomainError(f"i={i!r} out of range 1..{g // 2} for g={g}")
     if side not in (LOW, HIGH):
         raise DomainError(f"unknown side {side!r}")
@@ -263,7 +282,7 @@ def g12_ruling_family(g: int, i: int, side: str) -> DegreeVector:
         # the base change doubles the attachment section's self-intersection -1
         B.delta(i, "1"): -2,
         B.eta(eta_index, "1"): 4,
-        B.eta_irr(): 16 * j,
+        _ETA_IRR: 16 * j,
         PSI_SUM: 2,
     }
     return _vector(g, 2, G12, 0, degrees, f"ruling_{side}", {"i": i})
@@ -286,10 +305,10 @@ def f2ip1_family(g: int, i: int) -> DegreeVector:
     if type(i) is not int or not 0 <= i <= (g - 1) // 2:
         raise DomainError(f"i={i!r} out of range 0..{(g - 1) // 2} for g={g}")
     degrees = {
-        B.psi(1): 2 * (i + 1),
-        B.psi(2): 2,
+        _PSI_1: 2 * (i + 1),
+        _PSI_2: 2,
         B.eta(i, "1"): 2,
-        B.eta_irr(): 4 * (i + 1) * (4 * g - 2 * i + 1),
+        _ETA_IRR: 4 * (i + 1) * (4 * g - 2 * i + 1),
     }
     return _vector(g, 2, G12, 0, degrees, "f2ip1", {"i": i})
 
@@ -303,29 +322,39 @@ def marked_points(target: str) -> int:
     raise DomainError(f"unknown target {target!r}")
 
 
-def unknown(label: Label) -> str:
-    """Name of the rational unknown that multiplies ``label``.
+def _entry(label: Label, value=None) -> tuple:
+    """(solver key, unknown name, ``value``) of a label, in one kind dispatch.
 
-    ``d`` for psi classes, ``c`` for eta_irr, ``a_0_2`` for delta_{0,2},
-    ``a_i_m`` / ``b_i_m`` for delta / eta boundary labels.  The 1a/1b
-    markings share the invariant unknown ``a_i_1`` (the class is symmetric
-    under swapping the marked points), which is also what the
+    Solver order: psi (and PSI_SUM), eta_irr, delta_{0,2}, deltas, etas;
+    labels of one kind follow (index, marking).  Auxiliaries are eta labels,
+    so a relation's form, which names at most one eta, ends with them.  The
+    keys of distinct labels differ, so sorting entries never compares values.
+
+    The unknown is ``d`` for psi classes, ``c`` for eta_irr, ``a_0_2`` for
+    delta_{0,2}, ``a_i_m`` / ``b_i_m`` for delta / eta boundary labels.  The
+    1a/1b markings share the invariant unknown ``a_i_1`` (the class is
+    symmetric under swapping the marked points), which is also what the
     invariant-combination and PSI_SUM keys resolve to.
     """
-    if isinstance(label, PsiSum):
-        return "d"
+    if type(label) is PsiSum:
+        return (0,), "d", value
     kind, index, marking = label
     if kind == B.DELTA:
-        return f"a_{index}_{marking[0]}"
+        return (3, index, marking), f"a_{index}_{marking[0]}", value
     if kind == B.ETA:
-        return f"b_{index}_{marking[0]}"
+        return (4, index, marking), f"b_{index}_{marking[0]}", value
     if kind == B.PSI:
-        return "d"
+        return (0, index, marking), "d", value
     if kind == B.ETA_IRR:
-        return "c"
+        return (1, index, marking), "c", value
     if kind == B.DELTA_0_2:
-        return "a_0_2"
+        return (2, index, marking), "a_0_2", value
     raise DomainError(f"{label!r} names no unknown")
+
+
+def unknown(label: Label) -> str:
+    """Name of the rational unknown that multiplies ``label`` (see :func:`_entry`)."""
+    return _entry(label)[1]
 
 
 def slot(marking: str) -> int:
@@ -333,23 +362,11 @@ def slot(marking: str) -> int:
     return int(marking[0])
 
 
-def _solver_key(label: Label) -> tuple:
-    """Solver order of a label: psi (and PSI_SUM), eta_irr, delta_{0,2}, deltas, etas.
-
-    Labels of one kind follow (index, marking).  Auxiliaries are eta labels,
-    so a relation's form, which names at most one eta, ends with them.
-    """
-    if type(label) is PsiSum:
-        return (0,)
-    kind, index, marking = label
-    return ((B.PSI, B.ETA_IRR, B.DELTA_0_2, B.DELTA, B.ETA).index(kind), index, marking)
-
-
 def formal_unknowns(g: int, n: int) -> dict[str, list[BasisElement]]:
     """The formal unknowns in solver order, each with the labels it carries."""
     groups: dict[str, list[BasisElement]] = {}
-    for e in sorted(B.formal_elements(g, n), key=_solver_key):
-        groups.setdefault(unknown(e), []).append(e)
+    for _, name, e in sorted([_entry(e, e) for e in B.formal_elements(g, n)]):
+        groups.setdefault(name, []).append(e)
     return groups
 
 
@@ -368,9 +385,8 @@ def pairing_degree(dv: DegreeVector) -> dict[str, int]:
     family contributes.
     """
     form: dict[str, int] = {}
-    for label in sorted(dv.degrees, key=_solver_key):
-        name = unknown(label)
-        acc = form.get(name, 0) + dv.degrees[label]
+    for _, name, value in sorted([_entry(label, value) for label, value in dv.degrees.items()]):
+        acc = form.get(name, 0) + value
         if acc:
             form[name] = acc
         else:

@@ -30,7 +30,6 @@ drops zero coefficients and rejects an empty relation; the solve's
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import families as F
@@ -200,6 +199,8 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
 
     result = exactlin.solve(system)
     if isinstance(result, exactlin.Inconsistent):
+        from fractions import Fraction  # not at the top: ``hypdiv relations`` builds no rational
+
         # the multipliers act on the stored primitive rows; rescale to the relations
         certificate = {}
         for r, y in sorted(result.certificate.items()):
@@ -239,6 +240,8 @@ def independent_a1_determinations(g: int) -> dict[int, dict[str, Fraction]]:
     family).  Returns i -> {side: value} for the sides whose eta unknown
     has an f2ip1 source; every i has at least one.
     """
+    from fractions import Fraction
+
     report = solve_coefficients(g, G12)
     pinned = {"c": report.coefficients["c"], "d": report.coefficients["d"]}
 

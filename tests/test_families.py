@@ -272,6 +272,14 @@ def _gate_outcome(check, label, g, n):
     return None
 
 
+def _reference_accepts(label, g, n):
+    try:
+        _reference_check_label(label, g, n)
+    except (DomainError, TypeError):  # TypeError: an index that does not compare with int
+        return False
+    return True
+
+
 def test_check_label_matches_reference_branch_order():
     for g in range(2, 13):
         for n in (1, 2):
@@ -282,6 +290,13 @@ def test_check_label_matches_reference_branch_order():
             for label in labels:
                 want = _gate_outcome(_reference_check_label, label, g, n)
                 assert _gate_outcome(F._check_label, label, g, n) == want, (label, g, n)
+            # an index that is not an int, on the invariant marking "1" and on
+            # auxiliaries: accepted exactly where the reference accepts it, and
+            # otherwise a DomainError (delta(1.5, "1") at n = 2 is one to refuse)
+            for i in (True, 1.0, 1.5, "1"):
+                for label in [delta(i, "1"), eta(i, "1")] + [eta(i, m) for m in ("0", "2", "3")]:
+                    accepted = _gate_outcome(F._check_label, label, g, n) is None
+                    assert accepted == _reference_accepts(label, g, n), (label, g, n)
 
 
 def _reference_is_valid(e, g, n):
@@ -332,6 +347,67 @@ def test_is_valid_and_unknown_match_reference():
                 assert B.is_valid(label, g, n) is want, (label, g, n)
             assert _outcome(F.unknown, label) == _outcome(_reference_unknown, label), label
     assert F.unknown(PSI_SUM) == _reference_unknown(PSI_SUM) == "d"
+
+
+def _reference_solver_key(label):
+    """``_solver_key`` as it was, the kind's position found by ``tuple.index``."""
+    if type(label) is F.PsiSum:
+        return (0,)
+    kind, index, marking = label
+    return ((B.PSI, B.ETA_IRR, B.DELTA_0_2, B.DELTA, B.ETA).index(kind), index, marking)
+
+
+def _reference_pairing_degree(dv):
+    """``pairing_degree`` as it was: a key sort, then one ``unknown`` per label."""
+    form = {}
+    for label in sorted(dv.degrees, key=_reference_solver_key):
+        name = _reference_unknown(label)
+        acc = form.get(name, 0) + dv.degrees[label]
+        if acc:
+            form[name] = acc
+        else:
+            form.pop(name, None)
+    return form
+
+
+def _reference_provenance(dv):
+    """``DegreeVector.provenance`` as it was, sorting the params of every member."""
+    if dv.params:
+        inner = ",".join(f"{k}={v}" for k, v in sorted(dv.params.items()))
+        return f"{dv.family}[{inner}]"
+    return dv.family
+
+
+def test_pairing_and_provenance_match_reference_on_every_member():
+    for g in range(2, 61):
+        for dv in _all_vectors(g):
+            want = _reference_pairing_degree(dv)
+            assert list(pairing_degree(dv).items()) == list(want.items()), (g, dv)
+            assert dv.provenance() == _reference_provenance(dv), (g, dv)
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [
+        {psi(2): 3, PSI_SUM: 2, psi(1): -5, eta_irr(): 7},  # psi merge and cancel
+        {PSI_SUM: 4, eta(1, "1"): 2, psi(1): 1, psi(2): -1},  # cancel, then PSI_SUM
+        {eta(0, "1"): 2, psi(1): 1, PSI_SUM: 1, psi(2): 1, B.delta_0_2(): -1},
+        {delta(2, "1b"): 1, delta(2, "1"): 3, delta(2, "1a"): -4, eta_irr(): 1},  # 1a/1b/1
+        {eta(2, "1b"): -2, eta(2, "1a"): 2, delta(1, "2"): 5, eta(0, "0"): 1},
+    ],
+)
+def test_pairing_merges_and_cancels_like_reference(degrees):
+    dv = F._vector(6, 2, F.G12, 0, degrees, "hand", {"i": 2, "a": 1})
+    assert list(pairing_degree(dv).items()) == list(_reference_pairing_degree(dv).items())
+    assert dv.provenance() == _reference_provenance(dv) == "hand[a=1,i=2]"
+
+
+def test_vectors_keep_their_own_params():
+    params = {"i": 1}
+    dv = F._vector(4, 1, F.WEIERSTRASS, 0, {psi(1): 1}, "hand", params)
+    assert dv.params is params and dv.provenance() == "hand[i=1]"
+    first, second = (F._vector(4, 1, F.WEIERSTRASS, 0, {psi(1): 1}, "bare") for _ in range(2))
+    assert first.params == second.params == {} and first.params is not second.params
 
 
 def _reference_formal_unknowns(g, n):

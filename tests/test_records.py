@@ -2,6 +2,7 @@
 ``hypdiv`` process that never loads ``dataclasses`` or ``inspect``."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -39,7 +40,8 @@ print(json.dumps(sorted(m for m in ("dataclasses", "inspect") if m in sys.module
 def test_cli_process_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps(COMMANDS)],
-        env={"PYTHONPATH": str(SOURCE)},
+        # the caller's environment, so PYTHONDONTWRITEBYTECODE reaches the child too
+        env=dict(os.environ, PYTHONPATH=str(SOURCE)),
         capture_output=True,
         text=True,
         check=True,

@@ -65,6 +65,13 @@ def test_relations_loads_no_solving_module():
     assert not loaded & SOLVING, loaded
 
 
+def test_only_commands_that_build_rationals_load_fractions():
+    rational = {"fractions", "decimal", "numbers"}
+    for argv in (["--version"], ["relations", "--divisor", "g12", "--genus", "5"]):
+        assert not loaded_by(*argv) & rational, argv
+    assert {"fractions", "decimal"} <= loaded_by("coeffs", "--divisor", "g12", "--genus", "5")
+
+
 def test_importing_the_package_loads_no_submodule():
     code = "import sys, hypdiv; print(sorted(m for m in sys.modules if m.startswith('hypdiv.')))"
     assert fresh(code).stdout.strip() == "[]"
