@@ -116,16 +116,16 @@ def eta_range(g: int) -> range:
 def is_valid(e: BasisElement, g: int, n: int) -> bool:
     """Whether ``e`` is a (kind, index, marking) label valid for the ambient (g, n)."""
     check_ambient(g, n)
-    if not (isinstance(e, tuple) and len(e) == 3):
-        return False
-    try:
-        return _in_range(e, g, n)
-    except TypeError:  # an index that does not compare with int
-        return False
+    return _in_range(e, g, n)
 
 
 def _in_range(e: BasisElement, g: int, n: int) -> bool:
-    """``is_valid`` for an ambient the caller has already checked."""
+    """``is_valid`` for an ambient the caller has already checked.
+
+    The index must be an ``int``; a ``bool``, a float or a string is not one.
+    """
+    if not (isinstance(e, tuple) and len(e) == 3 and type(e[1]) is int):
+        return False
     kind, index, marking = e
     if kind == DELTA:
         return 1 <= index <= g // 2 and marking in (MARKINGS_1 if n == 1 else MARKINGS_2)
@@ -232,11 +232,7 @@ class DivisorExpression(NamedTuple):
             coeff = Fraction(coeff)
             if not coeff:
                 continue
-            try:
-                in_range = _in_range(e, g, n)
-            except (TypeError, ValueError):  # not a (kind, int index, marking) triple
-                in_range = False
-            if not in_range:
+            if not _in_range(e, g, n):
                 validate(e, g, n)  # raises, naming e and the ambient
             acc = terms.get(e, Fraction(0)) + coeff
             if acc:

@@ -92,7 +92,6 @@ _MARKINGS = {1: B.MARKINGS_1, 2: B.MARKINGS_2 + ("1",)}
 
 def _check_label(label: Label, g: int, n: int) -> None:
     # the caller has checked the ambient; one kind dispatch accepts a legal label
-    # with an int index, and the gate after it decides everything else
     if type(label) is BasisElement and type(label[1]) is int:
         kind, index, marking = label
         if kind == B.DELTA or kind == B.ETA:
@@ -106,24 +105,7 @@ def _check_label(label: Label, g: int, n: int) -> None:
             return
     elif type(label) is PsiSum:
         return
-    try:
-        if B._in_range(label, g, n):
-            return
-        shaped = isinstance(label, BasisElement)
-    except (TypeError, ValueError):  # not a (kind, int index, marking) triple
-        shaped = False
-    if not shaped:
-        B.validate(label, g, n)  # raises, naming the label and the ambient
-    # only auxiliaries and the invariant pair 1a/1b remain legal
-    if is_auxiliary(label, g):
-        if not 0 <= label.index <= g // 2 or label.marking not in _MARKINGS[n]:
-            raise DomainError(f"{label!r} is not a valid auxiliary for (g={g}, n={n})")
-    elif n == 2 and label.marking == "1" and label.kind in (B.DELTA, B.ETA):
-        # the invariant pair 1a/1b, legal in degree vectors only; an eta here is in range
-        if label.index not in B.delta_range(g):
-            raise DomainError(f"{label!r} index out of range")
-    else:
-        B.validate(label, g, n)
+    raise DomainError(f"{label!r} is not a valid class for (g={g}, n={n})")
 
 
 class DegreeVector(NamedTuple):

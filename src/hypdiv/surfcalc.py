@@ -98,9 +98,9 @@ def branch_halve(self_int: int) -> int:
 
 
 def diagonal_self_intersection(genus: int) -> int:
-    """Self-intersection 2 - 2g of the diagonal in C x C."""
-    if genus < 0:
-        raise LatticeError("genus must be >= 0")
+    """Self-intersection 2 - 2g of the diagonal in C x C; the genus is an ``int`` >= 0."""
+    if type(genus) is not int or genus < 0:
+        raise LatticeError(f"genus must be an int >= 0, got {genus!r}")
     return 2 - 2 * genus
 
 

@@ -127,6 +127,21 @@ def test_from_terms_rejects_malformed_label_with_domain_error(bad):
     assert type(caught.value) is DomainError
 
 
+@pytest.mark.parametrize("bad", [delta(1.0, "0"), delta(True, "0"), eta(1.0, "0")])
+def test_non_int_index_is_domain_error(bad):
+    # an index is an int, and a bool is not one: 1.0 and True name no generator
+    for g, n in ((4, 1), (5, 1), (4, 2)):
+        assert B.is_valid(bad, g, n) is False
+        for call in (
+            lambda: DivisorExpression.from_terms(g, n, [(bad, 1), (delta(1, "0"), 1)]),
+            lambda: canonicalize(bad, g, n),
+            lambda: B.validate(bad, g, n),
+        ):
+            with pytest.raises(DomainError) as caught:
+                call()
+            assert type(caught.value) is DomainError
+
+
 ambient = st.tuples(st.integers(min_value=2, max_value=30), st.sampled_from((1, 2)))
 
 

@@ -264,20 +264,19 @@ def _reference_check_label(label, g, n):
         B.validate(label, g, n)
 
 
-def _gate_outcome(check, label, g, n):
-    try:
-        check(label, g, n)
-    except DomainError as exc:
-        return str(exc)
-    return None
-
-
 def _reference_accepts(label, g, n):
     try:
         _reference_check_label(label, g, n)
-    except (DomainError, TypeError):  # TypeError: an index that does not compare with int
+    except DomainError:
         return False
     return True
+
+
+def _assert_rejected(label, g, n):
+    with pytest.raises(DomainError) as caught:
+        F._check_label(label, g, n)
+    assert type(caught.value) is DomainError, (label, g, n)
+    assert repr(label) in str(caught.value) and f"(g={g}, n={n})" in str(caught.value)
 
 
 def test_check_label_matches_reference_branch_order():
@@ -288,15 +287,18 @@ def test_check_label_matches_reference_branch_order():
                 for m in ("", "0", "1", "1a", "1b", "2", "3"):
                     labels += [delta(i, m), eta(i, m)]
             for label in labels:
-                want = _gate_outcome(_reference_check_label, label, g, n)
-                assert _gate_outcome(F._check_label, label, g, n) == want, (label, g, n)
-            # an index that is not an int, on the invariant marking "1" and on
-            # auxiliaries: accepted exactly where the reference accepts it, and
-            # otherwise a DomainError (delta(1.5, "1") at n = 2 is one to refuse)
-            for i in (True, 1.0, 1.5, "1"):
-                for label in [delta(i, "1"), eta(i, "1")] + [eta(i, m) for m in ("0", "2", "3")]:
-                    accepted = _gate_outcome(F._check_label, label, g, n) is None
-                    assert accepted == _reference_accepts(label, g, n), (label, g, n)
+                if _reference_accepts(label, g, n):
+                    F._check_label(label, g, n)
+                else:
+                    _assert_rejected(label, g, n)
+            # an index that is not an int is rejected on every kind and marking
+            for i in (True, False, 1.0, 1.5, "1", None):
+                odd = [B.BasisElement(kind, i, "") for kind in (B.PSI, B.ETA_IRR, B.DELTA_0_2)]
+                for m in ("", "0", "1", "1a", "1b", "2", "3"):
+                    odd += [delta(i, m), eta(i, m)]
+                for label in odd:
+                    _assert_rejected(label, g, n)
+            _assert_rejected(("delta", 1, "0"), g, n)  # a plain tuple has no .name
 
 
 def _reference_is_valid(e, g, n):

@@ -78,6 +78,9 @@ def test_diagonal_self_intersection():
     assert diagonal_self_intersection(2) == -2
     assert diagonal_self_intersection(0) == 2
     assert diagonal_self_intersection(11) == -20
+    for bad in (-1, 1.5, 2.0, True, False, "2", None):
+        with pytest.raises(LatticeError):
+            diagonal_self_intersection(bad)
     # one blowup on the diagonal of C x C
     assert section_after_blowups(diagonal_self_intersection(2), 1) == -3
 
