@@ -5,19 +5,22 @@ row as a primitive integer vector with an integer right-hand side; only
 answers are ``Fraction``s.  A ``LinearSystem`` is a plain class whose
 construction rejects duplicate variable names and indexes them; the
 results ``Unique``, ``Underdetermined`` and ``Inconsistent`` are
-``NamedTuple``s.  Systems are solved by integer-preserving Gauss-Jordan
-elimination on a copy of the rows, so no rounding can occur.
+``NamedTuple``s.  Systems are solved by integer-preserving forward
+elimination on a copy of the rows, then back-substitution in integers over
+one common denominator, so no rounding can occur.
 Pivots are chosen deterministically (first nonzero row in column order),
 which makes certificates and free-variable selection reproducible.  A
 column -> rows index of the nonzero entries, kept exact under every row
-operation, lets the pivot search and the sweep visit only the rows that
-hold the column, so the cost follows the fill-in rather than rows x
-columns.  The certificate for an inconsistent A·x = b solves the dual
-system y·A = 0, y·b = 1 (one unknown per row) through ``solve`` itself:
-by the Fredholm alternative the dual is solvable exactly when A·x = b is
-not.  It multiplies ``LinearSystem.rows`` as stored.  Every answer is
-substituted into every row, in integers over one common denominator,
-before it is returned.
+operation, lets the pivot search and the elimination visit only the rows
+that hold the column, so the cost follows the fill-in rather than rows x
+columns.  A pivot clears its column from the rows that are not yet pivots
+only, so a caller that puts the columns most rows share last keeps them out
+of most row operations.  The certificate for an inconsistent A·x = b solves
+the dual system y·A = 0, y·b = 1 (one unknown per row) through ``solve``
+itself: by the Fredholm alternative the dual is solvable exactly when
+A·x = b is not.  It multiplies ``LinearSystem.rows`` as stored.  Every
+answer is substituted into every row, in integers over one common
+denominator, before it is returned.
 """
 
 from __future__ import annotations
@@ -111,13 +114,15 @@ def _normalize(row: dict[int, int], rhs: int) -> tuple[dict[int, int], int]:
 
 
 def _eliminate(sys: LinearSystem):
-    """Gauss-Jordan elimination with deterministic pivoting.
+    """Forward elimination with deterministic pivoting.
 
-    Returns (pivots, rows) where pivots maps column -> row position and
-    rows is a fully reduced copy of ``sys.rows`` (a pivot row retains only
-    its pivot column and free columns).  ``holders[j]`` is the set of rows
-    with a nonzero entry in column j, kept exact under every row
-    operation, so the pivot search and the sweep visit only those rows.
+    Returns (pivots, rows) where pivots maps column -> row position, in
+    column order, and rows is an echelon copy of ``sys.rows``: a pivot row
+    holds its pivot column and later columns only, and it is never changed
+    once chosen; every other row ends empty (0 = rhs).  ``holders[j]`` is
+    the set of rows with a nonzero entry in column j, kept exact under
+    every row operation, so the pivot search and the elimination visit
+    only those rows.
     """
     rows = list(sys.rows)
     holders: list[set[int]] = [set() for _ in sys.variables]
@@ -131,11 +136,12 @@ def _eliminate(sys: LinearSystem):
         if not candidates:
             continue
         pivot = min(candidates)
+        candidates.discard(pivot)
         pivots[col] = pivot
         pivot_rows.add(pivot)
         prow, prhs = rows[pivot]
         p = prow[col]
-        for r in holding - {pivot}:
+        for r in candidates:
             row, rhs = rows[r]
             q = row[col]
             new_row = {j: p * v for j, v in row.items()}
@@ -182,12 +188,25 @@ def solve(sys: LinearSystem) -> SolveResult:
         if rhs:
             return Inconsistent(certificate=_certificate(sys), residual=Fraction(1), rank=rank)
         redundant.append(r)
-    # After full Jordan reduction a pivot row holds its pivot column plus
-    # free columns only; with free variables pinned to 0 the solve is direct.
-    assignment = dict.fromkeys(sys.variables, Fraction(0))
-    for col, r in pivots.items():
+    # Back-substitute in reverse pivot order with the free variables at 0:
+    # a pivot row holds its column, still 0 here, and later columns, all
+    # solved by then.  Value j is nums[j] / den; den grows only when a pivot
+    # does not divide its row's sum.
+    nums = [0] * len(sys.variables)
+    den = 1
+    for col, r in reversed(pivots.items()):
         row, rhs = rows[r]
-        assignment[sys.variables[col]] = Fraction(rhs, row[col])
+        acc = rhs * den
+        for j, v in row.items():
+            acc -= v * nums[j]
+        p = row[col]
+        step = abs(p) // gcd(acc, p)
+        if step > 1:
+            den *= step
+            nums = [x * step for x in nums]
+            acc *= step
+        nums[col] = acc // p
+    assignment = {name: Fraction(x, den) for name, x in zip(sys.variables, nums)}
     failed = [r for r, value in enumerate(residual(sys, assignment)) if value]
     if failed:
         raise CheckError(f"the computed answer fails rows {failed[:10]}")

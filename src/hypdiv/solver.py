@@ -23,6 +23,14 @@ even g ``b_{g/2}_1`` / ``b_{g/2}_2``) are auxiliaries: first-class solver
 variables, solved, reported, and excluded from the resulting divisor
 expression.
 
+The linear system takes its columns as the boundary unknowns, then the
+auxiliaries, then the global unknowns d, c and a_0_2: almost every family
+meets the global classes but only one or two boundary classes, and forward
+elimination clears a pivot's column only from rows that are not yet pivots.
+With the dense columns last, most rows are pivots of their boundary block
+before d, c or a_0_2 is reached, so those columns enter few row operations.
+The report, the relations and ``unknown_order`` keep the solver order.
+
 A :class:`Relation` is a small ``__slots__`` class, since building one
 drops zero coefficients and rejects an empty relation; the solve's
 :class:`CoefficientReport` is a ``NamedTuple``.
@@ -36,6 +44,10 @@ from . import families as F
 from . import basis as B
 from .basis import DivisorExpression, DomainError
 from .families import G12
+
+
+# the unknowns of psi, eta_irr and delta_{0,2}, which almost every family meets
+_GLOBAL_UNKNOWNS = frozenset(("d", "c", "a_0_2"))
 
 
 class SolverError(RuntimeError):
@@ -192,7 +204,8 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
 
     relations = assemble_system(g, target)
     formal, auxiliaries = unknown_order(g, target, relations)
-    variables = formal + auxiliaries
+    dense = [s for s in formal if s in _GLOBAL_UNKNOWNS]
+    variables = [s for s in formal if s not in _GLOBAL_UNKNOWNS] + auxiliaries + dense
     system = exactlin.LinearSystem(tuple(variables))
     for relation in relations:
         system.add_row(relation.coeffs, relation.rhs)

@@ -223,8 +223,13 @@ def test_planted_solution_recovered(n_vars, n_rows, data):
         assert len(other.redundant_rows) == len(result.redundant_rows) + extra
 
 
-def _full_scan_eliminate(sys: LinearSystem):
-    """Reference elimination: scan every row for every column."""
+def _full_scan_eliminate(sys: LinearSystem, sweep_pivots: bool = False):
+    """Reference elimination: scan every row for every column.
+
+    Forward only: a pivot clears its column from the rows that are not yet
+    pivots.  ``sweep_pivots`` clears it from the earlier pivot rows too,
+    which is the Gauss-Jordan elimination ``exactlin`` ran before.
+    """
     rows = list(sys.rows)
     pivots: dict[int, int] = {}
     for col in range(len(sys.variables)):
@@ -239,13 +244,46 @@ def _full_scan_eliminate(sys: LinearSystem):
         p = prow[col]
         for r, (row, rhs) in enumerate(rows):
             q = row.get(col)
-            if r == pivot or not q:
+            if r == pivot or not q or (r in pivots.values() and not sweep_pivots):
                 continue
             new_row = {j: p * v for j, v in row.items()}
             for j, v in prow.items():
                 new_row[j] = new_row.get(j, 0) - q * v
             rows[r] = exactlin._normalize({j: v for j, v in new_row.items() if v}, p * rhs - q * prhs)
     return pivots, rows
+
+
+def _gauss_jordan_solve(sys: LinearSystem):
+    """The previous ``solve``: read each pivot off a Gauss-Jordan reduced row.
+
+    Its certificate solves the dual with this function too, so no part of
+    the answer comes from ``exactlin.solve``.
+    """
+    pivots, rows = _full_scan_eliminate(sys, sweep_pivots=True)
+    redundant = []
+    for r, (row, rhs) in enumerate(rows):
+        if row:
+            continue
+        if rhs:
+            dual_rows = [({}, 0) for _ in sys.variables]
+            for k, (stored, _) in enumerate(sys.rows):
+                for j, v in stored.items():
+                    dual_rows[j][0][k] = v
+            dual_rows.append(({k: b for k, (_, b) in enumerate(sys.rows) if b}, 1))
+            dual = _gauss_jordan_solve(LinearSystem(tuple(map(str, range(len(sys.rows)))), dual_rows))
+            y = dual.assignment if isinstance(dual, Unique) else dual.particular
+            certificate = {int(name): v for name, v in y.items() if v}
+            return Inconsistent(certificate=certificate, residual=Fraction(1), rank=len(pivots))
+        redundant.append(r)
+    # a pivot row holds its pivot column plus free columns, pinned to 0
+    assignment = dict.fromkeys(sys.variables, Fraction(0))
+    for col, r in pivots.items():
+        row, rhs = rows[r]
+        assignment[sys.variables[col]] = Fraction(rhs, row[col])
+    free = tuple(v for j, v in enumerate(sys.variables) if j not in pivots)
+    if free:
+        return Underdetermined(assignment, free, len(pivots), tuple(redundant))
+    return Unique(assignment, len(pivots), tuple(redundant))
 
 
 entry = st.integers(min_value=-6, max_value=6)
@@ -262,6 +300,31 @@ def test_indexed_elimination_matches_full_scan(n_vars, n_rows, data):
         support = data.draw(columns)
         sys.add_row({name: data.draw(nonzero_entry) for name in support}, data.draw(entry))
     assert exactlin._eliminate(sys) == _full_scan_eliminate(sys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=14),
+    st.booleans(),
+    st.data(),
+)
+def test_solve_matches_gauss_jordan_oracle(n_vars, n_rows, planted, data):
+    # a planted solution gives a consistent system, unique or underdetermined
+    # by its rank; free right-hand sides make most tall systems inconsistent
+    names = tuple(f"x{j}" for j in range(n_vars))
+    columns = st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)
+    values = dict(zip(names, (data.draw(small_fraction) for _ in names)))
+    sys = LinearSystem(names)
+    for _ in range(n_rows):
+        form = {name: data.draw(nonzero_entry) for name in data.draw(columns)}
+        rhs = sum(c * values[name] for name, c in form.items()) if planted else data.draw(entry)
+        sys.add_row(form, rhs)
+    result, oracle = solve(sys), _gauss_jordan_solve(sys)
+    assert type(result) is type(oracle)
+    assert result == oracle
+    if planted:
+        assert not isinstance(result, Inconsistent)
 
 
 @settings(max_examples=60, deadline=None)

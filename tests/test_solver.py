@@ -397,3 +397,29 @@ def test_non_int_genus_rejected():
             solve_coefficients(2.0, target)
     with pytest.raises(DomainError, match=r"^unknown target 'bogus'$"):
         family_vectors(3, "bogus")
+
+
+@pytest.mark.parametrize("target", [WEIERSTRASS, G12])
+def test_elimination_row_operations_stay_within_budget(monkeypatch, target):
+    # each row operation of the elimination ends in one _normalize call;
+    # add_row's calls, made outside _eliminate, are not counted
+    eliminate, normalize = exactlin._eliminate, exactlin._normalize
+    state = {"inside": False, "calls": 0}
+
+    def counted_eliminate(sys):
+        state["inside"] = True
+        try:
+            return eliminate(sys)
+        finally:
+            state["inside"] = False
+
+    def counted_normalize(row, rhs):
+        state["calls"] += state["inside"]
+        return normalize(row, rhs)
+
+    monkeypatch.setattr(exactlin, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(exactlin, "_normalize", counted_normalize)
+    for g in [*range(2, 61), 200, 1000]:
+        state["calls"] = 0
+        report = solve_coefficients(g, target)
+        assert state["calls"] <= 1.5 * len(report.relations), (g, target, state["calls"])
