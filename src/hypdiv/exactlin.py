@@ -1,26 +1,20 @@
 """Exact linear algebra over Q.
 
-``add_row`` takes ``int`` or ``fractions.Fraction`` entries and stores each
-row as a primitive integer vector with an integer right-hand side; only
-answers are ``Fraction``s.  A ``LinearSystem`` is a plain class whose
-construction rejects duplicate variable names and indexes them; the
-results ``Unique``, ``Underdetermined`` and ``Inconsistent`` are
-``NamedTuple``s.  Systems are solved by integer-preserving forward
-elimination on a copy of the rows, then back-substitution in integers over
-one common denominator, so no rounding can occur.
-Pivots are chosen deterministically (first nonzero row in column order),
-which makes certificates and free-variable selection reproducible.  A
-column -> rows index of the nonzero entries, kept exact under every row
-operation, lets the pivot search and the elimination visit only the rows
-that hold the column, so the cost follows the fill-in rather than rows x
-columns.  A pivot clears its column from the rows that are not yet pivots
-only, so a caller that puts the columns most rows share last keeps them out
-of most row operations.  The certificate for an inconsistent A·x = b solves
-the dual system y·A = 0, y·b = 1 (one unknown per row) through ``solve``
-itself: by the Fredholm alternative the dual is solvable exactly when
-A·x = b is not.  It multiplies ``LinearSystem.rows`` as stored.  Every
-answer is substituted into every row, in integers over one common
-denominator, before it is returned.
+``add_row`` takes ``int`` or ``fractions.Fraction`` entries (never a
+``bool``) and stores each row as a primitive integer vector with an integer
+right-hand side; only answers are ``Fraction``s.  ``solve`` runs
+integer-preserving forward elimination on a copy of the rows, with
+deterministic pivots (first nonzero row in column order), then
+back-substitution in integers over one common denominator, so no rounding
+can occur.  A column -> rows index of the nonzero entries, kept exact under
+every row operation, lets the pivot search and the elimination visit only
+the rows that hold the column, so the cost follows the fill-in.  A pivot
+clears its column from the rows that are not yet pivots only, so a caller
+that puts the columns most rows share last keeps them out of most row
+operations.  The certificate for an inconsistent A·x = b solves the dual
+y·A = 0, y·b = 1 through ``solve`` itself (Fredholm alternative); it
+multiplies ``LinearSystem.rows`` as stored.  Every answer is substituted
+into every stored row, in those integers, before it is returned.
 """
 
 from __future__ import annotations
@@ -53,8 +47,11 @@ class LinearSystem:
         """Append ``sum(coeffs[v] * v) = rhs``, scaled to a primitive integer row."""
         # an all-int row, the catalog's case, needs neither the ABC check nor scaling
         integral = type(rhs) is int and all(type(v) is int for v in coeffs.values())
-        if not integral and not all(isinstance(v, Rational) for v in (rhs, *coeffs.values())):
-            raise StructuralError(f"row {dict(coeffs)!r} = {rhs!r} has a non-rational entry")
+        # a bool is an int subclass, so it leaves the all-int path and is refused here
+        if not integral and any(
+            type(v) is bool or not isinstance(v, Rational) for v in (rhs, *coeffs.values())
+        ):
+            raise StructuralError(f"row {dict(coeffs)!r} = {rhs!r}: a bool or non-rational entry")
         row: dict[int, Rational] = {}
         for name, value in coeffs.items():
             if name not in self._index:
@@ -188,11 +185,25 @@ def solve(sys: LinearSystem) -> SolveResult:
         if rhs:
             return Inconsistent(certificate=_certificate(sys), residual=Fraction(1), rank=rank)
         redundant.append(r)
-    # Back-substitute in reverse pivot order with the free variables at 0:
-    # a pivot row holds its column, still 0 here, and later columns, all
-    # solved by then.  Value j is nums[j] / den; den grows only when a pivot
-    # does not divide its row's sum.
-    nums = [0] * len(sys.variables)
+    nums, den = _back_substitute(pivots, rows, len(sys.variables))
+    # every stored row is checked on the integers at hand; Fractions only for the answer
+    failed = [r for r, excess in enumerate(_excess(sys.rows, nums, den)) if excess]
+    if failed:
+        raise CheckError(f"the computed answer fails rows {failed[:10]}")
+    assignment = {name: Fraction(x, den) for name, x in zip(sys.variables, nums)}
+    free = tuple(sys.variables[j] for j in range(len(sys.variables)) if j not in pivots)
+    if free:
+        return Underdetermined(assignment, free, rank, redundant_rows=tuple(redundant))
+    return Unique(assignment=assignment, rank=rank, redundant_rows=tuple(redundant))
+
+
+def _back_substitute(pivots: dict[int, int], rows, width: int) -> tuple[list[int], int]:
+    """(nums, den), value j being nums[j] / den with the free variables at 0.
+
+    In reverse pivot order a pivot row's later columns are all solved; den
+    grows only when a pivot does not divide its row's sum.
+    """
+    nums = [0] * width
     den = 1
     for col, r in reversed(pivots.items()):
         row, rhs = rows[r]
@@ -206,19 +217,12 @@ def solve(sys: LinearSystem) -> SolveResult:
             nums = [x * step for x in nums]
             acc *= step
         nums[col] = acc // p
-    assignment = {name: Fraction(x, den) for name, x in zip(sys.variables, nums)}
-    failed = [r for r, value in enumerate(residual(sys, assignment)) if value]
-    if failed:
-        raise CheckError(f"the computed answer fails rows {failed[:10]}")
-    free = tuple(sys.variables[j] for j in range(len(sys.variables)) if j not in pivots)
-    if free:
-        return Underdetermined(
-            particular=assignment,
-            free=free,
-            rank=rank,
-            redundant_rows=tuple(redundant),
-        )
-    return Unique(assignment=assignment, rank=rank, redundant_rows=tuple(redundant))
+    return nums, den
+
+
+def _excess(rows, nums: list[int], den: int) -> list[int]:
+    """``den * (lhs - rhs)`` per row, for the values nums[j] / den."""
+    return [sum([v * nums[j] for j, v in row.items()]) - rhs * den for row, rhs in rows]
 
 
 def rank(sys: LinearSystem) -> int:
@@ -233,10 +237,4 @@ def residual(sys: LinearSystem, assignment: Mapping[str, Rational]) -> list[Frac
     den = lcm(*(v.denominator for v in values))
     nums = [v.numerator * (den // v.denominator) for v in values]
     zero = Fraction(0)
-    out = []
-    for row, rhs in sys.rows:
-        acc = -rhs * den
-        for j, v in row.items():
-            acc += v * nums[j]
-        out.append(Fraction(acc, den) if acc else zero)
-    return out
+    return [Fraction(acc, den) if acc else zero for acc in _excess(sys.rows, nums, den)]

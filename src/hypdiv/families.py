@@ -1,38 +1,18 @@
-"""Catalog of one-parameter test families and their exact degree vectors.
+"""Catalog of one-parameter test families, each written once as a template in (g, i).
 
 Each family is a complete one-parameter family of pointed stable
 hyperelliptic curves, reduced to the only data the linear method needs:
 the exact degree of every generator class on the family plus the degree
 of the target divisor (the universal Weierstrass divisor for n = 1, the
-universal degree-2-series divisor for n = 2).  Degrees are integer-valued
-closed-form functions of (g, i) built from +, - and * alone; a test checks
-each self-intersection entry against :mod:`hypdiv.surfcalc` for every
-genus the command line accepts.
-
-Families
---------
-* ``diagonal_family`` - constant curve C, section moving along the
-  diagonal of C x C.  Pins the psi coefficient.
-* ``quadric_pencil_family`` - general pencil of bidegree-(2, g+1) curves
-  on a quadric, marked at one or two base points.  The discriminant
-  contributes degree 4(2g+1) on eta_irr; it pins the eta_irr coefficient.
-* ``glued_weierstrass_family`` - a moving branched-cover family of genus
-  i with a Weierstrass section (from a horizontal ruling, self-intersection
-  -1, or a bidegree-(1,1) ruling, self-intersection -i) glued to a fixed
-  pointed curve of genus g-i.  Lies in delta_{i,.}; nodal fibers hit
-  eta_irr with multiplicity 2 and two fibers degenerate to eta_{i-1,.}.
-* ``two_point_blowup_family`` - blowups of C x C giving 2-pointed
-  families meeting only delta_{0,2}; two variants pin psi_1 + psi_2 and
-  delta_{0,2} together.
-* ``g12_ruling_family`` - the glued construction with an extra marked
-  ruling, after the degree-2 base change that makes the marking a
-  section; all degrees double.
-* ``f2ip1_family`` - the pencil branched along 2i+2 bidegree-(1,1)
-  curves through a common point and 2g-2i rulings, marked along one
-  general and one special ruling.  The special fiber lies in eta_{i,.}.
-  The boundary instance i = 0 is the member with no moving genus: its
-  eta-degree lands on the out-of-range label eta_{0,1}, which is exactly
-  what pins that auxiliary for small g.
+universal degree-2-series divisor for n = 2).  :data:`CATALOG` is the one
+table of families, as :class:`Template` s: label constructors in the member
+index i with integer degree formulas in (g, i, j) built from +, - and *
+alone.  The public catalog functions (and the ``families`` command)
+evaluate one member into a :class:`DegreeVector`, checking every label and
+degree; :func:`hypdiv.solver.assemble_system` resolves each template once
+per genus and evaluates its members straight into relations.  A test
+checks each self-intersection entry against :mod:`hypdiv.surfcalc` for
+every genus the command line accepts.
 
 Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g)
 are registered, never dropped; :func:`is_auxiliary` tells them apart.
@@ -43,7 +23,7 @@ psi_1 + psi_2 are recorded against the :data:`PSI_SUM` key.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from . import basis as B
 from .basis import BasisElement, DomainError
@@ -79,11 +59,8 @@ Label = Union[BasisElement, PsiSum]
 
 def is_auxiliary(label: Label, g: int) -> bool:
     """Whether ``label`` is an eta label whose index is outside eta_range(g)."""
-    return (
-        isinstance(label, BasisElement)
-        and label.kind == B.ETA
-        and label.index not in B.eta_range(g)
-    )
+    eta = isinstance(label, BasisElement) and label.kind == B.ETA
+    return eta and label.index not in B.eta_range(g)
 
 
 # n -> the markings of a boundary label in a degree vector; "1" is the invariant 1a/1b
@@ -156,167 +133,189 @@ class CatalogError(RuntimeError):
 _PSI_1, _PSI_2, _ETA_IRR, _DELTA_0_2 = B.psi(1), B.psi(2), B.eta_irr(), B.delta_0_2()
 
 
-def diagonal_family(g: int) -> DegreeVector:
-    """Fixed curve C, diagonal section of C x C (n = 1).
+class Shifted(NamedTuple):
+    """The boundary label (kind, i + offset, marking) of the member at index i."""
 
-    The section hits every Weierstrass point once (degree 2g+2 on the
-    target) and deg(psi) = -(diagonal)^2 = 2g - 2; no singular fibers.
+    kind: str
+    offset: int
+    marking: str
+
+
+def _label_at(label, i) -> Label:
+    """The label that a template entry puts on the member at index ``i``."""
+    if type(label) is Shifted:
+        return tuple.__new__(BasisElement, (label.kind, i + label.offset, label.marking))
+    return label
+
+
+class Template(NamedTuple):
+    """One family for every genus: ``entries`` pairs each label (fixed, or
+    :class:`Shifted` by i) with its degree formula, in degree-vector order.
+
+    ``j`` gives the moving genus from (g, i), None meaning j = i; ``indices``
+    gives the member indices at genus g.  A family without ``indices`` has
+    one member, at i = j = None, with the fixed ``params`` (name, value) pairs.
     """
+
+    family: str
+    n: int
+    target_degree: Callable
+    entries: tuple
+    indices: Callable | None = None
+    j: Callable | None = None
+    params: tuple = ()
+
+
+_ZERO, _ONE = (lambda g, i, j: 0), (lambda g, i, j: 1)
+_PENCIL = lambda g, i, j: 4 * (2 * g + 1)  # the discriminant of a bidegree-(2, g+1) pencil
+_MOVING = {LOW: None, HIGH: lambda g, i: g - i}  # side -> the genus j of the moving part
+
+
+def _glued(section: str, side: str, n: int) -> Template:
+    # nodal fibers meet eta_irr twice; two fibers meet eta_{i-1,.} (low) or eta_{i,.} (high)
+    m = "0" if side == LOW else "1" if n == 1 else "2"
+    delta, eta = Shifted(B.DELTA, 0, m), Shifted(B.ETA, -1 if side == LOW else 0, m)
+    if section == HORIZONTAL:  # attached along a ruling: self-intersection -1
+        degrees = (lambda g, i, j: -1), (lambda g, i, j: 8 * j), (lambda g, i, j: 2)
+    else:  # along a bidegree-(1,1) ruling: self-intersection -j
+        degrees = (lambda g, i, j: -j), (lambda g, i, j: 4 * j), (lambda g, i, j: 2 * j + 2)
+    entries = tuple(zip((delta, _ETA_IRR, eta), degrees))
+    return Template(f"glued_{section}_{side}", n, _ZERO, entries, B.delta_range, _MOVING[side])
+
+
+def _ruling(side: str) -> Template:
+    entries = (  # the base change doubles every degree of the glued family
+        (Shifted(B.DELTA, 0, "1"), lambda g, i, j: -2),
+        (Shifted(B.ETA, -1 if side == LOW else 0, "1"), lambda g, i, j: 4),
+        (_ETA_IRR, lambda g, i, j: 16 * j), (PSI_SUM, lambda g, i, j: 2),
+    )
+    return Template(f"ruling_{side}", 2, _ZERO, entries, B.delta_range, _MOVING[side])
+
+
+# n -> groups of templates that share their index range, in assembly order; the
+# members of a group run i-major: each template at the first i, then at the next
+CATALOG: dict[int, tuple[tuple[Template, ...], ...]] = {
+    1: (
+        (
+            Template("diagonal", 1, lambda g, i, j: 2 * g + 2, (
+                (_PSI_1, lambda g, i, j: 2 * g - 2),
+            )),
+            Template("quadric_pencil", 1, _ONE, ((_PSI_1, _ONE), (_ETA_IRR, _PENCIL))),
+        ),
+        tuple(_glued(s, side, 1) for s in (HORIZONTAL, DIAGONAL) for side in (LOW, HIGH)),
+    ),
+    2: (
+        (
+            Template("two_point_single", 2, _ONE, (
+                (_PSI_1, _ONE), (_PSI_2, lambda g, i, j: 2 * g - 1), (_DELTA_0_2, _ONE),
+            )),
+            Template("two_point_weierstrass", 2, lambda g, i, j: 2 - 2 * g, (
+                (_PSI_1, lambda g, i, j: 4 * g), (_PSI_2, lambda g, i, j: 4 * g),
+                (_DELTA_0_2, lambda g, i, j: 2 * g + 2),
+            )),
+            Template("quadric_pencil", 2, _ZERO, (
+                (_PSI_1, _ONE), (_PSI_2, _ONE), (_ETA_IRR, _PENCIL),
+            ), params=(("marks", 2),)),
+        ),
+        tuple(_glued(s, side, 2) for s in (HORIZONTAL, DIAGONAL) for side in (LOW, HIGH)),
+        (_ruling(LOW), _ruling(HIGH)),
+        (
+            Template("f2ip1", 2, _ZERO, (
+                (_PSI_1, lambda g, i, j: 2 * (i + 1)), (_PSI_2, lambda g, i, j: 2),
+                (Shifted(B.ETA, 0, "1"), lambda g, i, j: 2),
+                (_ETA_IRR, lambda g, i, j: 4 * (i + 1) * (4 * g - 2 * i + 1)),
+            ), lambda g: range((g - 1) // 2 + 1)),
+        ),
+    ),
+}
+
+# (family, n) -> its template, for the public catalog functions
+TEMPLATES = {(t.family, t.n): t for groups in CATALOG.values() for group in groups for t in group}
+
+
+def evaluate(template: Template, g: int, i: int | None = None) -> DegreeVector:
+    """The degree vector of the member at index ``i`` (None for a one-member family),
+    every label and degree checked by ``_vector``; the caller checks the ambient."""
+    if template.indices is not None:
+        indices = template.indices(g)
+        if type(i) is not int or i not in indices:
+            raise DomainError(f"i={i!r} out of range {indices.start}..{indices.stop - 1} for g={g}")
+    j = i if template.j is None else template.j(g, i)
+    degrees = {_label_at(label, i): degree(g, i, j) for label, degree in template.entries}
+    params = dict(template.params) if template.indices is None else {"i": i}
+    target, n = (WEIERSTRASS if template.n == 1 else G12), template.n
+    return _vector(g, n, target, template.target_degree(g, i, j), degrees, template.family, params)
+
+
+def diagonal_family(g: int) -> DegreeVector:
+    """Fixed curve C, diagonal section of C x C (n = 1): it meets each of the
+    2g+2 Weierstrass points once, and deg(psi) = -(diagonal)^2 = 2g - 2."""
     B.check_ambient(g, 1)
-    return _vector(g, 1, WEIERSTRASS, 2 * g + 2, {_PSI_1: 2 * g - 2}, "diagonal")
+    return evaluate(TEMPLATES["diagonal", 1], g)
 
 
 def quadric_pencil_family(g: int, marks: int) -> DegreeVector:
-    """General bidegree-(2, g+1) pencil on P^1 x P^1, marked at base points.
-
-    Base points are exceptional after blowing up, so each psi degree is 1;
-    the only boundary met is eta_irr, with the discriminant degree 4(2g+1).
-    With two marks the target degree is 0: the two base points never lie
-    in a common ruling, so no fiber of the degree-2 series contains both.
-    """
+    """General bidegree-(2, g+1) pencil on P^1 x P^1, marked at base points: each
+    psi degree is 1, and two base points never share a ruling (target degree 0)."""
     B.check_ambient(g, marks)
-    eta_irr_degree = 4 * (2 * g + 1)
-    if marks == 1:
-        degrees = {_PSI_1: 1, _ETA_IRR: eta_irr_degree}
-        return _vector(g, 1, WEIERSTRASS, 1, degrees, "quadric_pencil")
-    degrees = {_PSI_1: 1, _PSI_2: 1, _ETA_IRR: eta_irr_degree}
-    return _vector(g, 2, G12, 0, degrees, "quadric_pencil", {"marks": 2})
+    return evaluate(TEMPLATES["quadric_pencil", marks], g)
 
 
 def glued_weierstrass_family(g: int, i: int, section: str, side: str, n: int) -> DegreeVector:
-    """Moving genus-i cover glued to a fixed pointed curve of genus g-i.
-
-    ``section`` picks the Weierstrass attachment section: ``horizontal``
-    (a ruling, self-intersection -1 upstairs) or ``diagonal`` (a
-    bidegree-(1,1) ruling, self-intersection -i).  ``side = low`` keeps
-    the marked point(s) on the fixed genus g-i component, so the family
-    lies in delta_{i,0}; ``side = high`` switches the genera, landing in
-    delta_{i,1} (n = 1) or delta_{i,2} (n = 2).  The marked points stay
-    constant, so psi degrees and the target degree vanish.
-    """
+    """Moving genus-i cover with a Weierstrass section (``horizontal`` or ``diagonal``)
+    glued to a fixed curve of genus g-i; ``side = high`` puts the constant
+    marks on the moving component (delta_{i,1} or delta_{i,2}), ``low`` not."""
     B.check_ambient(g, n)
-    if type(i) is not int or not 1 <= i <= g // 2:
-        raise DomainError(f"i={i!r} out of range 1..{g // 2} for g={g}")
     if section not in (HORIZONTAL, DIAGONAL):
         raise DomainError(f"unknown section kind {section!r}")
     if side not in (LOW, HIGH):
         raise DomainError(f"unknown side {side!r}")
-
-    # the moving component has genus j; boundary labels carry the mark m
-    if side == LOW:
-        j = i
-        delta_key = B.delta(i, "0")
-        eta_key = B.eta(i - 1, "0")
-    else:
-        j = g - i
-        delta_key = B.delta(i, "1" if n == 1 else "2")
-        eta_key = B.eta(i, "1" if n == 1 else "2")
-
-    if section == HORIZONTAL:
-        degrees = {delta_key: -1, _ETA_IRR: 8 * j, eta_key: 2}
-    else:
-        degrees = {delta_key: -j, _ETA_IRR: 4 * j, eta_key: 2 * j + 2}
-
-    target = WEIERSTRASS if n == 1 else G12
-    return _vector(
-        g, n, target, 0, degrees, f"glued_{section}_{side}", {"i": i}
-    )
+    return evaluate(TEMPLATES[f"glued_{section}_{side}", n], g, i)
 
 
 def two_point_blowup_family(g: int, kind: str) -> DegreeVector:
-    """Blowup of C x C along diagonal points, two sections (n = 2).
-
-    ``single``: blow up one non-Weierstrass point (p, p); sections are the
-    strict transforms of C x {p} and the diagonal.  ``weierstrass_involution``:
-    blow up all 2g+2 Weierstrass diagonal points; sections are the strict
-    transforms of the diagonal and the involution graph, so the family lies
-    entirely inside the target divisor.  Each psi degree is minus its
-    section's self-intersection after the blowups: 1 and 2g - 1 for
-    ``single``, 4g for both sections of ``weierstrass_involution``.
-    """
+    """Blowup of C x C at one non-Weierstrass diagonal point (``single``) or at the
+    2g+2 Weierstrass ones (``weierstrass_involution``), with two sections (n = 2)."""
     B.check_ambient(g, 2)
-    if kind == SINGLE:
-        degrees = {_PSI_1: 1, _PSI_2: 2 * g - 1, _DELTA_0_2: 1}
-        return _vector(g, 2, G12, 1, degrees, "two_point_single")
-    if kind == WEIERSTRASS_INVOLUTION:
-        degrees = {_PSI_1: 4 * g, _PSI_2: 4 * g, _DELTA_0_2: 2 * g + 2}
-        return _vector(g, 2, G12, 2 - 2 * g, degrees, "two_point_weierstrass")
-    raise DomainError(f"unknown two-point family kind {kind!r}")
+    if kind not in (SINGLE, WEIERSTRASS_INVOLUTION):
+        raise DomainError(f"unknown two-point family kind {kind!r}")
+    family = "two_point_single" if kind == SINGLE else "two_point_weierstrass"
+    return evaluate(TEMPLATES[family, 2], g)
 
 
 def g12_ruling_family(g: int, i: int, side: str) -> DegreeVector:
-    """Glued family with a marked ruling, after a degree-2 base change (n = 2).
-
-    One marked point rides the moving genus component (via the pulled-back
-    ruling), the other sits on the fixed component, so the family lies in
-    delta_{i,1} and misses the target.  The base change doubles every
-    degree of the underlying glued family.  Only the sum psi_1 + psi_2 is
-    constrained, recorded against PSI_SUM.
-    """
+    """Glued family with a marked ruling, after a degree-2 base change (n = 2); it
+    lies in delta_{i,1}, misses the target, and pins only psi_1 + psi_2."""
     B.check_ambient(g, 2)
-    if type(i) is not int or not 1 <= i <= g // 2:
-        raise DomainError(f"i={i!r} out of range 1..{g // 2} for g={g}")
     if side not in (LOW, HIGH):
         raise DomainError(f"unknown side {side!r}")
-    j = i if side == LOW else g - i
-    eta_index = i - 1 if side == LOW else i
-    degrees = {
-        # the base change doubles the attachment section's self-intersection -1
-        B.delta(i, "1"): -2,
-        B.eta(eta_index, "1"): 4,
-        _ETA_IRR: 16 * j,
-        PSI_SUM: 2,
-    }
-    return _vector(g, 2, G12, 0, degrees, f"ruling_{side}", {"i": i})
+    return evaluate(TEMPLATES[f"ruling_{side}", 2], g, i)
 
 
 def f2ip1_family(g: int, i: int) -> DegreeVector:
-    """Pencil branched along 2i+2 concurrent (1,1)-curves and 2g-2i rulings.
-
-    Marked along one general ruling (pulled back by the degree-2 base
-    change, deg psi = 2(i+1)) and one line over the special ruling through
-    the common point (deg psi = 2).  One fiber lies in eta_{i,.} with the
-    moving mark on the genus-i side; nodal fibers give
-    deg(eta_irr) = 4(i+1)(4g-2i+1).
-
-    The index range is 0 <= i <= (g-1)//2.  The boundary member i = 0 has
-    no moving genus: its eta-degree is registered on the auxiliary label
-    eta_{0,1}, and including it closes the coefficient system at g = 2.
-    """
+    """Pencil branched along 2i+2 concurrent (1,1)-curves and 2g-2i rulings (n = 2);
+    its member i = 0 puts its eta-degree on the auxiliary eta_{0,1}, which
+    closes the coefficient system at g = 2."""
     B.check_ambient(g, 2)
-    if type(i) is not int or not 0 <= i <= (g - 1) // 2:
-        raise DomainError(f"i={i!r} out of range 0..{(g - 1) // 2} for g={g}")
-    degrees = {
-        _PSI_1: 2 * (i + 1),
-        _PSI_2: 2,
-        B.eta(i, "1"): 2,
-        _ETA_IRR: 4 * (i + 1) * (4 * g - 2 * i + 1),
-    }
-    return _vector(g, 2, G12, 0, degrees, "f2ip1", {"i": i})
+    return evaluate(TEMPLATES["f2ip1", 2], g, i)
 
 
 def marked_points(target: str) -> int:
     """Number of marked points of the stack on which ``target`` lives."""
-    if target == WEIERSTRASS:
-        return 1
-    if target == G12:
-        return 2
-    raise DomainError(f"unknown target {target!r}")
+    if target not in (WEIERSTRASS, G12):
+        raise DomainError(f"unknown target {target!r}")
+    return 1 if target == WEIERSTRASS else 2
 
 
 def _entry(label: Label, value=None) -> tuple:
     """(solver key, unknown name, ``value``) of a label, in one kind dispatch.
 
-    Solver order: psi (and PSI_SUM), eta_irr, delta_{0,2}, deltas, etas;
-    labels of one kind follow (index, marking).  Auxiliaries are eta labels,
-    so a relation's form, which names at most one eta, ends with them.  The
-    keys of distinct labels differ, so sorting entries never compares values.
-
+    Solver order: psi (and PSI_SUM), eta_irr, delta_{0,2}, deltas, etas, each
+    kind by (index, marking), so a relation's form ends with its auxiliary
+    eta; distinct labels have distinct keys, so a sort never compares values.
     The unknown is ``d`` for psi classes, ``c`` for eta_irr, ``a_0_2`` for
-    delta_{0,2}, ``a_i_m`` / ``b_i_m`` for delta / eta boundary labels.  The
-    1a/1b markings share the invariant unknown ``a_i_1`` (the class is
-    symmetric under swapping the marked points), which is also what the
-    invariant-combination and PSI_SUM keys resolve to.
+    delta_{0,2}, ``a_i_m`` / ``b_i_m`` for delta / eta boundary labels; the class
+    is symmetric in the marks, so 1a, 1b and the invariant "1" share ``a_i_1``.
     """
     if type(label) is PsiSum:
         return (0,), "d", value
@@ -360,12 +359,8 @@ def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.Divi
 
 
 def pairing_degree(dv: DegreeVector) -> dict[str, int]:
-    """Pair the unknown-coefficient expression with a degree vector.
-
-    Returns the integer linear form (unknown -> coefficient), its unknowns
-    in solver order; equating it to ``dv.target_degree`` is the relation the
-    family contributes.
-    """
+    """The integer linear form (unknown -> coefficient, in solver order) that
+    pairs the unknown coefficients with ``dv``; it equals ``dv.target_degree``."""
     form: dict[str, int] = {}
     for _, name, value in sorted([_entry(label, value) for label, value in dv.degrees.items()]):
         acc = form.get(name, 0) + value

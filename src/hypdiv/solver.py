@@ -1,39 +1,31 @@
 """Assemble and exactly solve the coefficient system for a target divisor.
 
-For a fixed genus and target, every cataloged family contributes one
-linear relation: pairing the unknown coefficients (named by
-:func:`hypdiv.families.unknown`) with the family's degree vector and
-equating to the target degree.  The assembly is
-deliberately overdetermined; redundant relations are reported, never
-pruned, since they cross-check the catalog.
+For a fixed genus and target, every cataloged family member contributes
+one linear relation: pairing the unknown coefficients (named by
+:func:`hypdiv.families.unknown`) with the member's degree vector and
+equating to the target degree.  The assembly is deliberately
+overdetermined; redundant relations are reported, never pruned, since they
+cross-check the catalog.  Each template of :data:`hypdiv.families.CATALOG`
+is resolved once per genus (labels checked at both ends of the index
+range, degrees checked to be integers once: +, - and * keep an int an int;
+unknown names, solver order and merged entries fixed), so a member's
+relation is integer evaluation with no degree vector, sort or label check.
 
-Two kinds of relation enter beyond the families themselves:
-
-* identification relations: at the top boundary index two formal labels
-  name the same irreducible divisor, and the printed closed forms give
-  both labels one common value.  The symmetric constraint (e.g.
-  ``b_t_0 = b_t_1`` for odd g) is forced; without it the formal
-  coefficient of the label that no family reaches would be free.
-* the boundary member i = 0 of the f2ip1 pencil (target g12 only).  It
-  pins the auxiliary ``b_0_1``; for g >= 3 it is implied by the other
-  relations, while at g = 2 it is what makes delta_{1,1} computable.
-
-Unknowns carried on out-of-range labels (``b_0_0``, ``b_0_1``, and for
-even g ``b_{g/2}_1`` / ``b_{g/2}_2``) are auxiliaries: first-class solver
-variables, solved, reported, and excluded from the resulting divisor
-expression.
+Beyond the families, identification relations enter: at the top boundary
+index two formal labels name the same irreducible divisor, and the printed
+closed forms give both one common value, so ``b_t_0 = b_t_1`` (odd g) and
+its like are forced.  The f2ip1 member i = 0 (target g12) pins the
+auxiliary ``b_0_1``; at g = 2 it is what makes delta_{1,1} computable.
+Unknowns on out-of-range labels (``b_0_0``, ``b_0_1``, and for even g
+``b_{g/2}_1`` / ``b_{g/2}_2``) are auxiliaries: solved and reported, but
+excluded from the resulting divisor expression.
 
 The linear system takes its columns as the boundary unknowns, then the
 auxiliaries, then the global unknowns d, c and a_0_2: almost every family
 meets the global classes but only one or two boundary classes, and forward
-elimination clears a pivot's column only from rows that are not yet pivots.
-With the dense columns last, most rows are pivots of their boundary block
-before d, c or a_0_2 is reached, so those columns enter few row operations.
-The report, the relations and ``unknown_order`` keep the solver order.
-
-A :class:`Relation` is a small ``__slots__`` class, since building one
-drops zero coefficients and rejects an empty relation; the solve's
-:class:`CoefficientReport` is a ``NamedTuple``.
+elimination clears a pivot's column only from rows that are not yet pivots,
+so with the dense columns last they enter few row operations.  The report,
+the relations and ``unknown_order`` keep the solver order.
 """
 
 from __future__ import annotations
@@ -53,9 +45,8 @@ _GLOBAL_UNKNOWNS = frozenset(("d", "c", "a_0_2"))
 class SolverError(RuntimeError):
     """The assembled system is inconsistent or underdetermined.
 
-    For an inconsistent system ``certificate`` maps relation indices to
-    their multipliers and ``inconsistent`` lists those relations'
-    provenances in order; otherwise they are None and empty.
+    For an inconsistent system ``certificate`` maps relation indices to their
+    multipliers and ``inconsistent`` lists their provenances; else None and empty.
     """
 
     def __init__(self, message, certificate=None, inconsistent=()):
@@ -83,48 +74,29 @@ class Relation:
         if type(other) is not Relation:
             return NotImplemented
         return (self.coeffs, self.rhs, self.provenance) == (
-            other.coeffs,
-            other.rhs,
-            other.provenance,
+            other.coeffs, other.rhs, other.provenance
         )
 
     def __repr__(self):
         return f"Relation(coeffs={self.coeffs!r}, rhs={self.rhs!r}, provenance={self.provenance!r})"
 
     def render(self) -> str:
-        parts = []
-        for symbol, value in self.coeffs.items():
-            if not parts:
-                parts.append(f"{value}·{symbol}")
-            elif value < 0:
-                parts.append(f"- {-value}·{symbol}")
-            else:
-                parts.append(f"+ {value}·{symbol}")
-        return f"{self.provenance}: {' '.join(parts)} = {self.rhs}"
+        (symbol, value), *rest = self.coeffs.items()
+        signed = [f"- {-v}·{s}" if v < 0 else f"+ {v}·{s}" for s, v in rest]
+        return f"{self.provenance}: {' '.join([f'{value}·{symbol}', *signed])} = {self.rhs}"
+
+
+def _indices(group: tuple[F.Template, ...], g: int):
+    """The member indices of a group of templates at genus g, (None,) for one member."""
+    return (None,) if group[0].indices is None else group[0].indices(g)
 
 
 def family_vectors(g: int, target: str) -> list[F.DegreeVector]:
-    """Every cataloged degree vector entering the (g, target) system."""
+    """Every cataloged degree vector entering the (g, target) system, in assembly order."""
     n = F.marked_points(target)
-    if n == 1:
-        vectors = [F.diagonal_family(g)]
-    else:
-        vectors = [
-            F.two_point_blowup_family(g, F.SINGLE),
-            F.two_point_blowup_family(g, F.WEIERSTRASS_INVOLUTION),
-        ]
-    vectors.append(F.quadric_pencil_family(g, n))
-    for i in range(1, g // 2 + 1):
-        for section in (F.HORIZONTAL, F.DIAGONAL):
-            for side in (F.LOW, F.HIGH):
-                vectors.append(F.glued_weierstrass_family(g, i, section, side, n))
-    if n == 2:
-        for i in range(1, g // 2 + 1):
-            vectors.append(F.g12_ruling_family(g, i, F.LOW))
-            vectors.append(F.g12_ruling_family(g, i, F.HIGH))
-        for i in range(0, (g - 1) // 2 + 1):
-            vectors.append(F.f2ip1_family(g, i))
-    return vectors
+    B.check_ambient(g, n)
+    groups = F.CATALOG[n]
+    return [F.evaluate(t, g, i) for group in groups for i in _indices(group, g) for t in group]
 
 
 def identification_relations(g: int, target: str) -> list[Relation]:
@@ -132,28 +104,59 @@ def identification_relations(g: int, target: str) -> list[Relation]:
     out = []
     for twin, canonical in B.identified_pairs(g, F.marked_points(target)):
         s1, s2 = F.unknown(twin), F.unknown(canonical)
-        if s1 == s2:
-            continue
-        out.append(
-            Relation(
-                coeffs={s2: -1, s1: 1},
-                rhs=0,
-                provenance=f"identification[{s1}={s2}]",
-            )
-        )
+        if s1 != s2:
+            out.append(Relation({s2: -1, s1: 1}, 0, f"identification[{s1}={s2}]"))
     return out
 
 
-def assemble_system(g: int, target: str) -> list[Relation]:
-    """All relations for (g, target), in deterministic order.
+def _resolve(template: F.Template, g: int, n: int, indices):
+    """The function i -> relation of the template's member at index i, at genus g.
 
-    Every relation lists its unknowns in the solver order of
-    :func:`hypdiv.families.pairing_degree`.
+    Label indices are i plus a constant and markings are fixed, so
+    ``_check_label`` at both ends of ``indices`` covers every member; +, - and *
+    keep an int an int, so one evaluated member settles every degree's type.
+    The first member fixes the unknown names, solver order and merged entries.
     """
-    relations = [
-        Relation(F.pairing_degree(dv), dv.target_degree, dv.provenance())
-        for dv in family_vectors(g, target)
-    ]
+    first, entries = indices[0], template.entries
+    for i in (first, indices[-1]):
+        for label, _ in entries:
+            F._check_label(F._label_at(label, i), g, n)
+    dv = F.evaluate(template, g, first)
+    spots: dict[tuple, list] = {}  # (head, offset, tail) of an unknown -> its degree formulas
+    for _, name, k in sorted(F._entry(F._label_at(e[0], first), k) for k, e in enumerate(entries)):
+        label, degree = entries[k]
+        if type(label) is F.Shifted:  # x_index_slot, spelled per member as x_, i + offset, _slot
+            head, _, slot = name.split("_")
+            spots.setdefault((f"{head}_", label.offset, f"_{slot}"), []).append(degree)
+        else:
+            spots.setdefault((name, None, ""), []).append(degree)
+    merged = lambda ds: ds[0] if len(ds) == 1 else lambda g, i, j: sum(d(g, i, j) for d in ds)
+    pattern = [(head, offset, tail, merged(ds)) for (head, offset, tail), ds in spots.items()]
+    target, moving, family = template.target_degree, template.j, template.family
+    fixed = None if template.indices else dv.provenance()
+
+    def member(i):
+        j = i if moving is None else moving(g, i)
+        coeffs = {
+            (head if offset is None else f"{head}{i + offset}{tail}"): degree(g, i, j)
+            for head, offset, tail, degree in pattern
+        }
+        return Relation(coeffs, target(g, i, j), fixed or f"{family}[i={i}]")
+
+    return member
+
+
+def assemble_system(g: int, target: str) -> list[Relation]:
+    """All relations for (g, target), in deterministic order, each template
+    resolved once (:func:`_resolve`); every form lists its unknowns in solver order."""
+    n = F.marked_points(target)
+    B.check_ambient(g, n)
+    relations = []
+    for group in F.CATALOG[n]:
+        indices = _indices(group, g)
+        if indices:
+            members = [_resolve(t, g, n, indices) for t in group]
+            relations += [member(i) for i in indices for member in members]
     return relations + identification_relations(g, target)
 
 

@@ -160,16 +160,15 @@ def test_verify_mismatch_text_names_labels_in_formal_order(capsys, monkeypatch):
 
 
 def test_verify_names_the_family_of_an_inconsistent_catalog(capsys, monkeypatch):
+    import hypdiv.families as F
     import hypdiv.solver as S
 
-    original = S.family_vectors
+    *groups, (pencil,) = F.CATALOG[2]
 
-    def perturbed(g, target):
-        vectors = original(g, target)
-        last = vectors[-1]
-        return vectors[:-1] + [last._replace(target_degree=last.target_degree + 1)]
+    def perturbed(g, i, j):  # the target degree of the catalog's last member, plus one
+        return pencil.target_degree(g, i, j) + (1 if i == pencil.indices(g)[-1] else 0)
 
-    monkeypatch.setattr(S, "family_vectors", perturbed)
+    monkeypatch.setitem(F.CATALOG, 2, (*groups, (pencil._replace(target_degree=perturbed),)))
     assemble = S.assemble_system
     assembled = []
 
@@ -178,7 +177,7 @@ def test_verify_names_the_family_of_an_inconsistent_catalog(capsys, monkeypatch)
         return assemble(g, target)
 
     monkeypatch.setattr(S, "assemble_system", counted)
-    family = original(3, "g12")[-1].provenance()
+    family = S.family_vectors(3, "g12")[-1].provenance()
     code, out = run(capsys, "verify", "--range", "3..4", "--divisor", "g12")
     assert code == EXIT_MISMATCH
     assert assembled == [3, 4]  # naming the certificate needs no second assembly
@@ -195,14 +194,11 @@ def test_verify_names_the_family_of_an_inconsistent_catalog(capsys, monkeypatch)
 
 
 def test_verify_reports_an_underdetermined_catalog(capsys, monkeypatch):
-    import hypdiv.solver as S
+    import hypdiv.families as F
 
-    original = S.family_vectors
-
-    def without_boundary_pencil(g, target):
-        return [dv for dv in original(g, target) if (dv.family, dv.params) != ("f2ip1", {"i": 0})]
-
-    monkeypatch.setattr(S, "family_vectors", without_boundary_pencil)
+    *groups, (pencil,) = F.CATALOG[2]  # the f2ip1 pencil, without its member i = 0
+    without_boundary_pencil = pencil._replace(indices=lambda g: range(1, (g - 1) // 2 + 1))
+    monkeypatch.setitem(F.CATALOG, 2, (*groups, (without_boundary_pencil,)))
     code, out = run(capsys, "verify", "--range", "2..3", "--divisor", "g12")
     assert code == EXIT_MISMATCH
     lines = out.splitlines()

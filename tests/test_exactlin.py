@@ -158,6 +158,38 @@ def test_add_row_rejects_a_float_among_ints(coeffs, rhs):
     assert sys.rows == []
 
 
+@pytest.mark.parametrize(
+    "coeffs, rhs",
+    [({"x": True}, 1), ({"x": 1, "y": False}, 0), ({"x": 1}, True), ({"x": Fraction(1, 2)}, False)],
+)
+def test_add_row_rejects_bool_entries(coeffs, rhs):
+    # a bool is an int subclass; without the check {"x": True} = 1 is stored as x = 1
+    sys = LinearSystem(("x", "y"))
+    with pytest.raises(StructuralError, match="bool"):
+        sys.add_row(coeffs, rhs)
+    assert sys.rows == []
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_corrupted_back_substitution_raises_check_error(monkeypatch, column):
+    # the self-check runs on the integer numerators, not on the Fraction answer
+    original = exactlin._back_substitute
+
+    def corrupted(pivots, rows, width):
+        nums, den = original(pivots, rows, width)
+        nums[column] += 1
+        return nums, den
+
+    monkeypatch.setattr(exactlin, "_back_substitute", corrupted)
+    sys = LinearSystem(("x", "y"))
+    sys.add_row({"x": 1, "y": 1}, 2)
+    sys.add_row({"x": 3, "y": -1}, Fraction(1, 2))
+    with pytest.raises(CheckError, match="fails rows"):
+        solve(sys)
+    monkeypatch.undo()
+    assert solve(sys).assignment == {"x": Fraction(5, 8), "y": Fraction(11, 8)}
+
+
 @pytest.mark.parametrize("corrupt", ["pivot_row", "redundant_row"])
 def test_corrupted_elimination_raises_check_error(monkeypatch, corrupt):
     # a wrong pivot row gives a wrong assignment; a wrong redundant row

@@ -1,10 +1,11 @@
-"""Byte-level pins of ``relations --divisor g12`` at two large genera.
+"""Byte-level pins of ``relations --divisor g12`` at every genus the benchmark checks.
 
 The digests are read from ``perfbench/golden_relations.json`` (line count
 and sha256 of the UTF-8 stdout), which the benchmark's relations-large
-workload checks its jobs against; this test never writes it.  One genus
-is odd and one even, since the parity of g decides the top boundary
-index and its identification rows.
+workload checks its jobs against; this test never writes it.  The file
+covers the workload's band 980..1020, both parities (the parity of g
+decides the top boundary index and its identification rows), plus the
+half-size genera.
 """
 
 import contextlib
@@ -20,7 +21,10 @@ from hypdiv import cli
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden_relations.json"
 
 
-@pytest.mark.parametrize("genus", [1001, 490])
+GENERA = sorted(map(int, json.loads(GOLDEN.read_text())))
+
+
+@pytest.mark.parametrize("genus", GENERA)
 def test_relations_output_matches_benchmark_golden(genus):
     golden = json.loads(GOLDEN.read_text())[str(genus)]
     out = io.StringIO()

@@ -217,14 +217,13 @@ def test_contradictory_family_raises_solver_error_with_certificate(monkeypatch):
     import hypdiv.families as F
     import hypdiv.solver as S
 
-    original = S.family_vectors
+    diagonal = F.TEMPLATES["diagonal", 1]
 
-    def with_contradiction(g, target):
-        diagonal = F.diagonal_family(g)
-        shifted = diagonal._replace(target_degree=diagonal.target_degree + 1)
-        return original(g, target) + [shifted]
+    def shifted(g, i, j):
+        return diagonal.target_degree(g, i, j) + 1
 
-    monkeypatch.setattr(S, "family_vectors", with_contradiction)
+    with_contradiction = (*F.CATALOG[1], (diagonal._replace(target_degree=shifted),))
+    monkeypatch.setitem(F.CATALOG, 1, with_contradiction)
     with pytest.raises(SolverError) as exc:
         S.solve_coefficients(2, WEIERSTRASS)
     certificate = exc.value.certificate
@@ -256,14 +255,12 @@ def test_dropping_the_boundary_pencil_exposes_the_g2_gap():
 
 
 def test_solve_refuses_to_guess_when_gap_is_injected(monkeypatch):
+    import hypdiv.families as F
     import hypdiv.solver as S
 
-    original = S.family_vectors
-
-    def without_boundary_pencil(g, target):
-        return [dv for dv in original(g, target) if (dv.family, dv.params) != ("f2ip1", {"i": 0})]
-
-    monkeypatch.setattr(S, "family_vectors", without_boundary_pencil)
+    *groups, (pencil,) = F.CATALOG[2]  # the f2ip1 pencil, without its member i = 0
+    without_boundary_pencil = pencil._replace(indices=lambda g: range(1, (g - 1) // 2 + 1))
+    monkeypatch.setitem(F.CATALOG, 2, (*groups, (without_boundary_pencil,)))
     with pytest.raises(SolverError):
         S.solve_coefficients(2, G12)
 

@@ -1,0 +1,91 @@
+"""The family-template table: assembly from resolved templates against the
+per-member degree-vector path, and the checks made once per template."""
+
+import pytest
+
+from hypdiv import families as F
+from hypdiv import solver as S
+from hypdiv.basis import DomainError
+from hypdiv.families import G12, WEIERSTRASS
+
+
+def _per_member_system(g, target):
+    """The assembly as it was: one degree vector, pairing and sort per member."""
+    relations = [
+        S.Relation(F.pairing_degree(dv), dv.target_degree, dv.provenance())
+        for dv in S.family_vectors(g, target)
+    ]
+    return relations + S.identification_relations(g, target)
+
+
+@pytest.mark.parametrize("target", [WEIERSTRASS, G12])
+def test_assembly_matches_the_per_member_path(target):
+    for g in [*range(2, 301), 1000, 2000]:
+        got, want = S.assemble_system(g, target), _per_member_system(g, target)
+        assert got == want, (g, target)
+        # Relation equality compares dicts; the solver order is the key order
+        assert [list(r.coeffs.items()) for r in got] == [list(r.coeffs.items()) for r in want]
+
+
+def test_label_checks_do_not_grow_with_the_genus(monkeypatch):
+    calls = []
+    check = F._check_label
+
+    def counted(label, g, n):
+        calls.append(g)
+        return check(label, g, n)
+
+    monkeypatch.setattr(F, "_check_label", counted)
+    S.assemble_system(200, G12)
+    at_200 = len(calls)
+    calls.clear()
+    S.assemble_system(2000, G12)
+    assert len(calls) == at_200 > 0
+
+
+def _replace_template(monkeypatch, family, n, **changes):
+    groups = tuple(
+        tuple(t._replace(**changes) if (t.family, t.n) == (family, n) else t for t in group)
+        for group in F.CATALOG[n]
+    )
+    assert groups != F.CATALOG[n], family
+    monkeypatch.setitem(F.CATALOG, n, groups)
+
+
+@pytest.mark.parametrize("g", [6, 7, 40])
+def test_label_leaving_its_range_at_the_last_member_is_domain_error(monkeypatch, g):
+    # eta_{i+1,2} is a legal auxiliary up to i + 1 = g // 2, so only the last
+    # member i = g // 2 carries an illegal label
+    template = F.TEMPLATES["glued_horizontal_high", 2]
+    (delta, d), irr, (eta, e) = template.entries
+    mutated = ((delta, d), irr, (eta._replace(offset=1), e))
+    for i in range(1, g // 2):
+        F._check_label(F._label_at(eta._replace(offset=1), i), g, 2)
+    _replace_template(monkeypatch, "glued_horizontal_high", 2, entries=mutated)
+    with pytest.raises(DomainError, match=rf"eta_{g // 2 + 1}_2 is not a valid class"):
+        S.assemble_system(g, G12)
+    S.assemble_system(g, WEIERSTRASS)  # the n = 1 templates are untouched
+
+
+def test_non_integer_degree_formula_is_catalog_error(monkeypatch):
+    template = F.TEMPLATES["f2ip1", 2]
+    entries = (*template.entries[:-1], (template.entries[-1][0], lambda g, i, j: (i + 1) / 2))
+    _replace_template(monkeypatch, "f2ip1", 2, entries=entries)
+    with pytest.raises(F.CatalogError, match="f2ip1: non-integer degree 0.5 on eta_irr"):
+        S.assemble_system(5, G12)
+
+
+def test_templates_of_a_group_share_their_index_range():
+    for n, groups in F.CATALOG.items():
+        for group in groups:
+            assert len({t.indices for t in group}) == 1, (n, [t.family for t in group])
+            assert all(t.n == n for t in group)
+
+
+def test_catalog_functions_read_the_table(monkeypatch):
+    template = F.TEMPLATES["f2ip1", 2]
+    seven = template._replace(target_degree=lambda g, i, j: 7)
+    monkeypatch.setitem(F.TEMPLATES, ("f2ip1", 2), seven)
+    assert F.f2ip1_family(5, 2).target_degree == 7
+    with pytest.raises(DomainError, match=r"i=3 out of range 0\.\.2 for g=5"):
+        F.f2ip1_family(5, 3)
