@@ -34,11 +34,10 @@ _EXPORTS = {
     "WEIERSTRASS": "families",
     "DegreeVector": "families",
     "pairing_degree": "families",
+    "Relation": "families",
     "CoefficientReport": "solver",
-    "Relation": "solver",
     "assemble_system": "solver",
     "solve_coefficients": "solver",
-    "SurfaceLattice": "surfcalc",
     "branch_halve": "surfcalc",
     "diagonal_self_intersection": "surfcalc",
 }

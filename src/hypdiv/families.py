@@ -9,10 +9,10 @@ table of families, as :class:`Template` s: label constructors in the member
 index i with integer degree formulas in (g, i, j) built from +, - and *
 alone.  The public catalog functions (and the ``families`` command)
 evaluate one member into a :class:`DegreeVector`, checking every label and
-degree; :func:`hypdiv.solver.assemble_system` resolves each template once
-per genus and evaluates its members straight into relations.  A test
-checks each self-intersection entry against :mod:`hypdiv.surfcalc` for
-every genus the command line accepts.
+degree; :func:`relations` resolves each template once per genus and
+evaluates its members straight into :class:`Relation` s.  A test checks
+each self-intersection entry against :mod:`hypdiv.surfcalc` for every
+genus the command line accepts.
 
 Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g)
 are registered, never dropped; :func:`is_auxiliary` tells them apart.
@@ -104,9 +104,6 @@ class DegreeVector(NamedTuple):
         return self.degrees.get(label, 0)
 
     def provenance(self) -> str:
-        if len(self.params) == 1:  # every indexed member: no sort
-            ((k, v),) = self.params.items()
-            return f"{self.family}[{k}={v}]"
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.family}[{inner}]" if self.params else self.family
 
@@ -307,6 +304,9 @@ def marked_points(target: str) -> int:
     return 1 if target == WEIERSTRASS else 2
 
 
+_HEADS = {B.DELTA: "a_", B.ETA: "b_"}  # boundary kind -> head of its unknowns a_i_m, b_i_m
+
+
 def _entry(label: Label, value=None) -> tuple:
     """(solver key, unknown name, ``value``) of a label, in one kind dispatch.
 
@@ -320,10 +320,9 @@ def _entry(label: Label, value=None) -> tuple:
     if type(label) is PsiSum:
         return (0,), "d", value
     kind, index, marking = label
-    if kind == B.DELTA:
-        return (3, index, marking), f"a_{index}_{marking[0]}", value
-    if kind == B.ETA:
-        return (4, index, marking), f"b_{index}_{marking[0]}", value
+    if kind == B.DELTA or kind == B.ETA:
+        rank = 3 if kind == B.DELTA else 4
+        return (rank, index, marking), f"{_HEADS[kind]}{index}_{marking[0]}", value
     if kind == B.PSI:
         return (0, index, marking), "d", value
     if kind == B.ETA_IRR:
@@ -369,3 +368,88 @@ def pairing_degree(dv: DegreeVector) -> dict[str, int]:
         else:
             form.pop(name, None)
     return form
+
+
+class Relation:
+    """One linear equation on the unknown coefficients, with integer entries;
+    zero coefficients are dropped, and a relation left with none is a DomainError."""
+
+    __slots__ = ("coeffs", "rhs", "provenance")
+
+    def __init__(self, coeffs: dict[str, int], rhs: int, provenance: str):
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
+        if not self.coeffs:
+            raise DomainError(f"relation {provenance!r} has no nonzero coefficient")
+        self.rhs = rhs
+        self.provenance = provenance
+
+    def __eq__(self, other):
+        if type(other) is not Relation:
+            return NotImplemented
+        return (self.coeffs, self.rhs, self.provenance) == (other.coeffs, other.rhs, other.provenance)
+
+    def __repr__(self):
+        return f"Relation(coeffs={self.coeffs!r}, rhs={self.rhs!r}, provenance={self.provenance!r})"
+
+    def render(self) -> str:
+        (symbol, value), *rest = self.coeffs.items()
+        signed = [f"- {-v}·{s}" if v < 0 else f"+ {v}·{s}" for s, v in rest]
+        return f"{self.provenance}: {' '.join([f'{value}·{symbol}', *signed])} = {self.rhs}"
+
+
+def _indices(group: tuple[Template, ...], g: int):
+    """The member indices of a group of templates at genus g, (None,) for one member."""
+    return (None,) if group[0].indices is None else group[0].indices(g)
+
+
+def vectors(g: int, n: int) -> list[DegreeVector]:
+    """Every cataloged degree vector on (g, n), in assembly order; the caller checks the ambient."""
+    return [evaluate(t, g, i) for group in CATALOG[n] for i in _indices(group, g) for t in group]
+
+
+def _resolve(template: Template, g: int, n: int, indices):
+    """The function i -> relation of the template's member at index i, at genus g.
+
+    Label indices are i plus a constant and markings are fixed, so
+    ``_check_label`` at both ends of ``indices`` covers every member; +, - and *
+    keep an int an int, so one evaluated member settles every degree's type.
+    The first member fixes the unknown names, solver order and merged entries.
+    """
+    first, entries = indices[0], template.entries
+    for i in (first, indices[-1]):
+        for label, _ in entries:
+            _check_label(_label_at(label, i), g, n)
+    dv = evaluate(template, g, first)
+    spots: dict[tuple, list] = {}  # (head, offset, tail) of an unknown -> its degree formulas
+    for _, name, k in sorted(_entry(_label_at(e[0], first), k) for k, e in enumerate(entries)):
+        label, degree = entries[k]
+        if type(label) is Shifted:  # spelled per member as _entry does: head, i + offset, tail
+            spot = (_HEADS[label.kind], label.offset, f"_{label.marking[0]}")
+        else:
+            spot = (name, None, "")
+        spots.setdefault(spot, []).append(degree)
+    merged = lambda ds: ds[0] if len(ds) == 1 else lambda g, i, j: sum(d(g, i, j) for d in ds)
+    pattern = [(head, offset, tail, merged(ds)) for (head, offset, tail), ds in spots.items()]
+    target, moving, family = template.target_degree, template.j, template.family
+    fixed = None if template.indices else dv.provenance()
+
+    def member(i):
+        j = i if moving is None else moving(g, i)
+        coeffs = {
+            (head if offset is None else f"{head}{i + offset}{tail}"): degree(g, i, j)
+            for head, offset, tail, degree in pattern
+        }
+        return Relation(coeffs, target(g, i, j), fixed or f"{family}[i={i}]")
+
+    return member
+
+
+def relations(g: int, n: int) -> list[Relation]:
+    """The relation of every cataloged member on (g, n), in assembly order, each
+    template resolved once (:func:`_resolve`); the caller checks the ambient."""
+    out = []
+    for group in CATALOG[n]:
+        indices = _indices(group, g)
+        members = [_resolve(t, g, n, indices) for t in group] if indices else ()
+        out += [member(i) for i in indices for member in members]
+    return out

@@ -1,15 +1,11 @@
 """Assemble and exactly solve the coefficient system for a target divisor.
 
 For a fixed genus and target, every cataloged family member contributes
-one linear relation: pairing the unknown coefficients (named by
-:func:`hypdiv.families.unknown`) with the member's degree vector and
-equating to the target degree.  The assembly is deliberately
-overdetermined; redundant relations are reported, never pruned, since they
-cross-check the catalog.  Each template of :data:`hypdiv.families.CATALOG`
-is resolved once per genus (labels checked at both ends of the index
-range, degrees checked to be integers once: +, - and * keep an int an int;
-unknown names, solver order and merged entries fixed), so a member's
-relation is integer evaluation with no degree vector, sort or label check.
+one linear relation (:func:`hypdiv.families.relations`): pairing the
+unknown coefficients (named by :func:`hypdiv.families.unknown`) with the
+member's degree vector and equating to the target degree.  The assembly is
+deliberately overdetermined; redundant relations are reported, never
+pruned, since they cross-check the catalog.
 
 Beyond the families, identification relations enter: at the top boundary
 index two formal labels name the same irreducible divisor, and the printed
@@ -34,8 +30,8 @@ from typing import NamedTuple, Sequence
 
 from . import families as F
 from . import basis as B
-from .basis import DivisorExpression, DomainError
-from .families import G12
+from .basis import DivisorExpression
+from .families import G12, Relation
 
 
 # the unknowns of psi, eta_irr and delta_{0,2}, which almost every family meets
@@ -55,48 +51,11 @@ class SolverError(RuntimeError):
         self.inconsistent = list(inconsistent)
 
 
-class Relation:
-    """One linear equation on the unknown coefficients, with integer entries.
-
-    Zero coefficients are dropped; a relation left with none is a DomainError.
-    """
-
-    __slots__ = ("coeffs", "rhs", "provenance")
-
-    def __init__(self, coeffs: dict[str, int], rhs: int, provenance: str):
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
-        if not self.coeffs:
-            raise DomainError(f"relation {provenance!r} has no nonzero coefficient")
-        self.rhs = rhs
-        self.provenance = provenance
-
-    def __eq__(self, other):
-        if type(other) is not Relation:
-            return NotImplemented
-        return (self.coeffs, self.rhs, self.provenance) == (
-            other.coeffs, other.rhs, other.provenance
-        )
-
-    def __repr__(self):
-        return f"Relation(coeffs={self.coeffs!r}, rhs={self.rhs!r}, provenance={self.provenance!r})"
-
-    def render(self) -> str:
-        (symbol, value), *rest = self.coeffs.items()
-        signed = [f"- {-v}·{s}" if v < 0 else f"+ {v}·{s}" for s, v in rest]
-        return f"{self.provenance}: {' '.join([f'{value}·{symbol}', *signed])} = {self.rhs}"
-
-
-def _indices(group: tuple[F.Template, ...], g: int):
-    """The member indices of a group of templates at genus g, (None,) for one member."""
-    return (None,) if group[0].indices is None else group[0].indices(g)
-
-
 def family_vectors(g: int, target: str) -> list[F.DegreeVector]:
     """Every cataloged degree vector entering the (g, target) system, in assembly order."""
     n = F.marked_points(target)
     B.check_ambient(g, n)
-    groups = F.CATALOG[n]
-    return [F.evaluate(t, g, i) for group in groups for i in _indices(group, g) for t in group]
+    return F.vectors(g, n)
 
 
 def identification_relations(g: int, target: str) -> list[Relation]:
@@ -109,55 +68,11 @@ def identification_relations(g: int, target: str) -> list[Relation]:
     return out
 
 
-def _resolve(template: F.Template, g: int, n: int, indices):
-    """The function i -> relation of the template's member at index i, at genus g.
-
-    Label indices are i plus a constant and markings are fixed, so
-    ``_check_label`` at both ends of ``indices`` covers every member; +, - and *
-    keep an int an int, so one evaluated member settles every degree's type.
-    The first member fixes the unknown names, solver order and merged entries.
-    """
-    first, entries = indices[0], template.entries
-    for i in (first, indices[-1]):
-        for label, _ in entries:
-            F._check_label(F._label_at(label, i), g, n)
-    dv = F.evaluate(template, g, first)
-    spots: dict[tuple, list] = {}  # (head, offset, tail) of an unknown -> its degree formulas
-    for _, name, k in sorted(F._entry(F._label_at(e[0], first), k) for k, e in enumerate(entries)):
-        label, degree = entries[k]
-        if type(label) is F.Shifted:  # x_index_slot, spelled per member as x_, i + offset, _slot
-            head, _, slot = name.split("_")
-            spots.setdefault((f"{head}_", label.offset, f"_{slot}"), []).append(degree)
-        else:
-            spots.setdefault((name, None, ""), []).append(degree)
-    merged = lambda ds: ds[0] if len(ds) == 1 else lambda g, i, j: sum(d(g, i, j) for d in ds)
-    pattern = [(head, offset, tail, merged(ds)) for (head, offset, tail), ds in spots.items()]
-    target, moving, family = template.target_degree, template.j, template.family
-    fixed = None if template.indices else dv.provenance()
-
-    def member(i):
-        j = i if moving is None else moving(g, i)
-        coeffs = {
-            (head if offset is None else f"{head}{i + offset}{tail}"): degree(g, i, j)
-            for head, offset, tail, degree in pattern
-        }
-        return Relation(coeffs, target(g, i, j), fixed or f"{family}[i={i}]")
-
-    return member
-
-
 def assemble_system(g: int, target: str) -> list[Relation]:
-    """All relations for (g, target), in deterministic order, each template
-    resolved once (:func:`_resolve`); every form lists its unknowns in solver order."""
+    """All relations for (g, target), in deterministic order, each form in solver order."""
     n = F.marked_points(target)
     B.check_ambient(g, n)
-    relations = []
-    for group in F.CATALOG[n]:
-        indices = _indices(group, g)
-        if indices:
-            members = [_resolve(t, g, n, indices) for t in group]
-            relations += [member(i) for i in indices for member in members]
-    return relations + identification_relations(g, target)
+    return F.relations(g, n) + identification_relations(g, target)
 
 
 def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[str], list[str]]:

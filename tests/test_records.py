@@ -16,7 +16,7 @@ from hypdiv import exactlin
 from hypdiv import families as F
 from hypdiv import solver as S
 from hypdiv.basis import DomainError
-from hypdiv.surfcalc import SurfaceLattice
+from lattice_oracle import SurfaceLattice
 
 SOURCE = Path(hypdiv.__file__).resolve().parents[1]
 

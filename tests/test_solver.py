@@ -420,3 +420,29 @@ def test_elimination_row_operations_stay_within_budget(monkeypatch, target):
         state["calls"] = 0
         report = solve_coefficients(g, target)
         assert state["calls"] <= 1.5 * len(report.relations), (g, target, state["calls"])
+
+
+def _restricted_to_delta_0_2(g, g12):
+    """The g12 coefficients restricted to delta_{0,2}, keyed by the Weierstrass unknowns:
+    psi goes to -delta_{0,2}, a boundary label keeps its index, and its marked side 1
+    becomes the side 2 that carries both marks."""
+    out = {}
+    for name, (label, *_) in F.formal_unknowns(g, 1).items():
+        if label.kind == B.PSI:
+            out[name] = -g12[F.unknown(B.delta_0_2())]
+        elif label.kind == B.ETA_IRR:
+            out[name] = g12[F.unknown(label)]
+        else:
+            marking = "0" if label.marking == "0" else "2"
+            out[name] = g12[F.unknown(label._replace(marking=marking))]
+    return out
+
+
+def test_g12_restricted_to_delta_0_2_is_the_weierstrass_class():
+    # the third way: the two solved classes agree with each other, not only with
+    # their closed forms: d_w = -a_0_2, c_w = c, a_i_0 and b_i_0 map to themselves,
+    # and a_i_1, b_i_1 of w are a_i_2, b_i_2 of g12
+    for g in range(2, 61):
+        w = solve_coefficients(g, WEIERSTRASS).coefficients
+        g12 = solve_coefficients(g, G12).coefficients
+        assert _restricted_to_delta_0_2(g, g12) == w, g

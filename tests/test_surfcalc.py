@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from hypdiv.surfcalc import (
     LatticeError,
-    SurfaceLattice,
     branch_halve,
     branch_section_self_intersection,
     diagonal_self_intersection,
     section_after_blowups,
 )
+from lattice_oracle import SurfaceLattice
 
 
 def test_pairing_normalization():
