@@ -91,19 +91,16 @@ def render_csv(record: dict) -> str:
 _LATEX_TARGET = {WEIERSTRASS: r"\bigl[\mathcal{W}\bigr]", G12: r"\bigl[\mathcal{G}^{1}_{2}\bigr]"}
 
 
-def _latex_class(name: str) -> str:
-    if name == "psi":
-        return r"\psi"
-    if name.startswith("psi"):
-        return rf"\psi_{{{name[3:]}}}"
-    if name == "eta_irr":
+def _latex_class(e: B.BasisElement, n: int) -> str:
+    if e.kind == B.PSI:
+        return r"\psi" if n == 1 else rf"\psi_{{{e.index}}}"
+    if e.kind == B.ETA_IRR:
         return r"\eta_{\mathrm{irr}}"
-    if name == "delta_0_2":
+    if e.kind == B.DELTA_0_2:
         return r"\delta_{0,2}"
-    kind, index, marking = name.split("_")
-    symbol = r"\delta" if kind == "delta" else r"\eta"
-    marking = {"1a": r"\{1\}", "1b": r"\{2\}"}.get(marking, marking)
-    return rf"{symbol}_{{{index},{marking}}}"
+    symbol = r"\delta" if e.kind == B.DELTA else r"\eta"
+    marking = {"1a": r"\{1\}", "1b": r"\{2\}"}.get(e.marking, e.marking)
+    return rf"{symbol}_{{{e.index},{marking}}}"
 
 
 def _latex_coefficient(num: int, den: int) -> tuple[str, str]:
@@ -117,10 +114,12 @@ def _latex_coefficient(num: int, den: int) -> tuple[str, str]:
 
 
 def render_latex(record: dict) -> str:
+    n = F.marked_points(record["divisor"])
+    labels = {e.name(n): e for e in B.formal_elements(record["genus"], n)}
     pieces = []
     for term in record["terms"]:
         sign, magnitude = _latex_coefficient(term["num"], term["den"])
-        pieces.append((sign, magnitude + _latex_class(term["class"])))
+        pieces.append((sign, magnitude + _latex_class(labels[term["class"]], n)))
     if not pieces:
         body = "0"
     else:

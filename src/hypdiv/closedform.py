@@ -38,6 +38,15 @@ def _den(g: int) -> int:
     return (g - 1) * (2 * g + 1)
 
 
+def _indexed(g: int, i: int, m: int, first: int, slots: int) -> int:
+    """``g`` itself; a DomainError unless ``i`` is an ``int`` in first..g//2
+    and ``m`` an ``int`` slot below ``slots``."""
+    g = _genus(g)
+    if type(i) is not int or type(m) is not int or not (first <= i <= g // 2 and 0 <= m < slots):
+        raise B.DomainError(f"no coefficient at index {i!r}, slot {m!r} for genus {g}")
+    return g
+
+
 def w_psi(g: int) -> Fraction:
     g = _genus(g)
     return Fraction(g + 1, g - 1)
@@ -48,17 +57,16 @@ def w_eta_irr(g: int) -> Fraction:
 
 
 def w_delta(g: int, i: int, m: int) -> Fraction:
-    g = _genus(g)
-    if m == 1:  # the far side is the near side seen from genus g - i
-        return w_delta(g, g - i, 0)
-    return Fraction(-2 * i * (2 * i + 1), _den(g))
+    g = _indexed(g, i, m, 1, 2)
+    j = g - i if m else i  # the far side is the near side at index g - i
+    return Fraction(-2 * j * (2 * j + 1), _den(g))
 
 
 def w_eta(g: int, i: int, m: int) -> Fraction:
-    g = _genus(g)
-    if m == 1:  # the far side is the near side seen from genus g - 1 - i
-        return w_eta(g, g - 1 - i, 0)
-    return Fraction(-(i + 1) * (2 * i + 1), _den(g))
+    # from index 0 on: the solver's auxiliaries b_0_m extend the table
+    g = _indexed(g, i, m, 0, 2)
+    j = g - 1 - i if m else i  # the far side is the near side at index g - 1 - i
+    return Fraction(-(j + 1) * (2 * j + 1), _den(g))
 
 
 def g12_psi(g: int) -> Fraction:
@@ -74,14 +82,14 @@ def g12_delta_0_2(g: int) -> Fraction:
 
 
 def g12_delta(g: int, i: int, m: int) -> Fraction:
-    g = _genus(g)
+    g = _indexed(g, i, m, 1, 3)
     if m == 1:
         return Fraction((2 * i - 1) * (2 * (g - i) - 1) - 2, _den(g))
     return w_delta(g, i, m // 2)
 
 
 def g12_eta(g: int, i: int, m: int) -> Fraction:
-    g = _genus(g)
+    g = _indexed(g, i, m, 0, 3)
     if m == 1:
         return Fraction(2 * i * (g - i - 1) - 1, _den(g))
     return w_eta(g, i, m // 2)

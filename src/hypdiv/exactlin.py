@@ -1,8 +1,10 @@
 """Exact linear algebra over Q.
 
-``add_row`` takes ``int`` or ``fractions.Fraction`` entries (never a
-``bool``) and stores each row as a primitive integer vector with an integer
-right-hand side; only answers are ``Fraction``s.  ``solve`` runs
+A row maps variable names (any hashables; ``LinearSystem.variables`` is
+the column order) to nonzero ``int``s, with an ``int`` right-hand side.
+Rows passed to the constructor are stored as given; a row appended later
+takes ``int`` or ``fractions.Fraction`` entries (never a ``bool``) and is
+stored primitive.  Only answers are ``Fraction``s.  ``solve`` runs
 integer-preserving forward elimination on a copy of the rows, with
 deterministic pivots (first nonzero row in column order), then
 back-substitution in integers over one common denominator, so no rounding
@@ -12,9 +14,10 @@ the rows that hold the column, so the cost follows the fill-in.  A pivot
 clears its column from the rows that are not yet pivots only, so a caller
 that puts the columns most rows share last keeps them out of most row
 operations.  The certificate for an inconsistent A·x = b solves the dual
-y·A = 0, y·b = 1 through ``solve`` itself (Fredholm alternative); it
-multiplies ``LinearSystem.rows`` as stored.  Every answer is substituted
-into every stored row, in those integers, before it is returned.
+y·A = 0, y·b = 1 through ``solve`` itself (Fredholm alternative), the row
+indices being its variables; it multiplies ``LinearSystem.rows`` as stored.
+Every answer is substituted into every stored row, in those integers,
+before it is returned.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Mapping, NamedTuple, Union
+from typing import Hashable, Mapping, NamedTuple, Union
 
 
 class StructuralError(ValueError):
@@ -34,41 +37,31 @@ class CheckError(ArithmeticError):
 
 
 class LinearSystem:
-    """Exact linear equations over named variables, as integer rows."""
+    """Exact linear equations over named variables, as integer rows keyed by name."""
 
-    def __init__(self, variables, rows: list[tuple[dict[int, int], int]] | None = None):
-        self.variables: tuple[str, ...] = tuple(variables)
+    def __init__(self, variables, rows: list[tuple[dict[Hashable, int], int]] | None = None):
+        self.variables: tuple[Hashable, ...] = tuple(variables)
         self.rows = [] if rows is None else rows
-        self._index = {v: j for j, v in enumerate(self.variables)}
-        if len(self._index) != len(self.variables):
+        if len(set(self.variables)) != len(self.variables):
             raise StructuralError("duplicate variable names")
 
-    def add_row(self, coeffs: Mapping[str, Rational], rhs: Rational = 0) -> None:
+    def add_row(self, coeffs: Mapping[Hashable, Rational], rhs: Rational = 0) -> None:
         """Append ``sum(coeffs[v] * v) = rhs``, scaled to a primitive integer row."""
-        # an all-int row, the catalog's case, needs neither the ABC check nor scaling
-        integral = type(rhs) is int and all(type(v) is int for v in coeffs.values())
-        # a bool is an int subclass, so it leaves the all-int path and is refused here
-        if not integral and any(
-            type(v) is bool or not isinstance(v, Rational) for v in (rhs, *coeffs.values())
-        ):
+        # a bool is an int subclass, so it is refused by type, not by the ABC
+        if any(type(v) is bool or not isinstance(v, Rational) for v in (rhs, *coeffs.values())):
             raise StructuralError(f"row {dict(coeffs)!r} = {rhs!r}: a bool or non-rational entry")
-        row: dict[int, Rational] = {}
-        for name, value in coeffs.items():
-            if name not in self._index:
+        for name in coeffs:
+            if name not in self.variables:
                 raise StructuralError(f"unknown variable {name!r}")
-            if value:
-                row[self._index[name]] = value
-        if not integral:
-            scale = lcm(rhs.denominator, *(v.denominator for v in row.values()))
-            row = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
-            rhs = rhs.numerator * (scale // rhs.denominator)
-        self.rows.append(_normalize(row, rhs))
+        scale = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
+        row = {name: v.numerator * (scale // v.denominator) for name, v in coeffs.items() if v}
+        self.rows.append(_normalize(row, rhs.numerator * (scale // rhs.denominator)))
 
 
 class Unique(NamedTuple):
     """Every variable is determined; ``assignment`` satisfies all rows."""
 
-    assignment: dict[str, Fraction]
+    assignment: dict[Hashable, Fraction]
     rank: int
     redundant_rows: tuple[int, ...]
 
@@ -76,8 +69,8 @@ class Unique(NamedTuple):
 class Underdetermined(NamedTuple):
     """Consistent but with free variables (set to 0 in ``particular``)."""
 
-    particular: dict[str, Fraction]
-    free: tuple[str, ...]
+    particular: dict[Hashable, Fraction]
+    free: tuple[Hashable, ...]
     rank: int
     redundant_rows: tuple[int, ...]
 
@@ -97,7 +90,7 @@ class Inconsistent(NamedTuple):
 SolveResult = Union[Unique, Underdetermined, Inconsistent]
 
 
-def _normalize(row: dict[int, int], rhs: int) -> tuple[dict[int, int], int]:
+def _normalize(row: dict, rhs: int) -> tuple[dict, int]:
     """Divide an integer row and its right-hand side by their content."""
     content = abs(rhs)
     for v in row.values():
@@ -122,13 +115,13 @@ def _eliminate(sys: LinearSystem):
     only those rows.
     """
     rows = list(sys.rows)
-    holders: list[set[int]] = [set() for _ in sys.variables]
+    holders: dict[Hashable, set[int]] = {v: set() for v in sys.variables}
     for r, (row, _) in enumerate(rows):
         for j in row:
             holders[j].add(r)
-    pivots: dict[int, int] = {}
+    pivots: dict[Hashable, int] = {}
     pivot_rows: set[int] = set()
-    for col, holding in enumerate(holders):
+    for col, holding in holders.items():
         candidates = holding - pivot_rows
         if not candidates:
             continue
@@ -157,16 +150,17 @@ def _eliminate(sys: LinearSystem):
 
 def _certificate(sys: LinearSystem) -> dict[int, Fraction]:
     """Nonzero multipliers y_r on the rows of ``sys`` with y·A = 0, y·b = 1."""
-    rows: list[tuple[dict[int, int], int]] = [({}, 0) for _ in sys.variables]
+    columns: dict[Hashable, dict[int, int]] = {v: {} for v in sys.variables}
     for r, (row, _) in enumerate(sys.rows):
         for j, v in row.items():
-            rows[j][0][r] = v
+            columns[j][r] = v
+    rows = [(column, 0) for column in columns.values()]
     rows.append(({r: rhs for r, (_, rhs) in enumerate(sys.rows) if rhs}, 1))
-    dual = solve(LinearSystem(tuple(str(r) for r in range(len(sys.rows))), rows))
+    dual = solve(LinearSystem(range(len(sys.rows)), rows))
     if isinstance(dual, Inconsistent):
         raise CheckError("the system and its dual are both inconsistent")
     y = dual.assignment if isinstance(dual, Unique) else dual.particular
-    return {int(name): v for name, v in y.items() if v}
+    return {r: v for r, v in y.items() if v}
 
 
 def solve(sys: LinearSystem) -> SolveResult:
@@ -185,25 +179,25 @@ def solve(sys: LinearSystem) -> SolveResult:
         if rhs:
             return Inconsistent(certificate=_certificate(sys), residual=Fraction(1), rank=rank)
         redundant.append(r)
-    nums, den = _back_substitute(pivots, rows, len(sys.variables))
+    nums, den = _back_substitute(pivots, rows, sys.variables)
     # every stored row is checked on the integers at hand; Fractions only for the answer
     failed = [r for r, excess in enumerate(_excess(sys.rows, nums, den)) if excess]
     if failed:
         raise CheckError(f"the computed answer fails rows {failed[:10]}")
-    assignment = {name: Fraction(x, den) for name, x in zip(sys.variables, nums)}
-    free = tuple(sys.variables[j] for j in range(len(sys.variables)) if j not in pivots)
+    assignment = {name: Fraction(x, den) for name, x in nums.items()}
+    free = tuple(name for name in sys.variables if name not in pivots)
     if free:
         return Underdetermined(assignment, free, rank, redundant_rows=tuple(redundant))
     return Unique(assignment=assignment, rank=rank, redundant_rows=tuple(redundant))
 
 
-def _back_substitute(pivots: dict[int, int], rows, width: int) -> tuple[list[int], int]:
-    """(nums, den), value j being nums[j] / den with the free variables at 0.
+def _back_substitute(pivots: dict, rows, variables) -> tuple[dict, int]:
+    """(nums, den), value of variable v being nums[v] / den with the free variables at 0.
 
     In reverse pivot order a pivot row's later columns are all solved; den
     grows only when a pivot does not divide its row's sum.
     """
-    nums = [0] * width
+    nums = dict.fromkeys(variables, 0)
     den = 1
     for col, r in reversed(pivots.items()):
         row, rhs = rows[r]
@@ -214,14 +208,14 @@ def _back_substitute(pivots: dict[int, int], rows, width: int) -> tuple[list[int
         step = abs(p) // gcd(acc, p)
         if step > 1:
             den *= step
-            nums = [x * step for x in nums]
+            nums = {j: x * step for j, x in nums.items()}
             acc *= step
         nums[col] = acc // p
     return nums, den
 
 
-def _excess(rows, nums: list[int], den: int) -> list[int]:
-    """``den * (lhs - rhs)`` per row, for the values nums[j] / den."""
+def _excess(rows, nums: dict, den: int) -> list[int]:
+    """``den * (lhs - rhs)`` per row, for the values nums[v] / den."""
     return [sum([v * nums[j] for j, v in row.items()]) - rhs * den for row, rhs in rows]
 
 
@@ -231,10 +225,10 @@ def rank(sys: LinearSystem) -> int:
     return len(pivots)
 
 
-def residual(sys: LinearSystem, assignment: Mapping[str, Rational]) -> list[Fraction]:
+def residual(sys: LinearSystem, assignment: Mapping[Hashable, Rational]) -> list[Fraction]:
     """Exact ``lhs(assignment) - rhs`` per row, summed in integers over one denominator."""
-    values = [assignment[name] for name in sys.variables]
-    den = lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
+    values = {name: assignment[name] for name in sys.variables}
+    den = lcm(*(v.denominator for v in values.values()))
+    nums = {name: v.numerator * (den // v.denominator) for name, v in values.items()}
     zero = Fraction(0)
     return [Fraction(acc, den) if acc else zero for acc in _excess(sys.rows, nums, den)]

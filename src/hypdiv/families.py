@@ -371,8 +371,8 @@ def pairing_degree(dv: DegreeVector) -> dict[str, int]:
 
 
 class Relation:
-    """One linear equation on the unknown coefficients, with integer entries;
-    zero coefficients are dropped, and a relation left with none is a DomainError."""
+    """One linear equation on the unknown coefficients, with integer entries; zero
+    coefficients are dropped (an ``exactlin`` row holds none); an empty one is a DomainError."""
 
     __slots__ = ("coeffs", "rhs", "provenance")
 

@@ -124,24 +124,15 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
     formal, auxiliaries = unknown_order(g, target, relations)
     dense = [s for s in formal if s in _GLOBAL_UNKNOWNS]
     variables = [s for s in formal if s not in _GLOBAL_UNKNOWNS] + auxiliaries + dense
-    system = exactlin.LinearSystem(tuple(variables))
-    for relation in relations:
-        system.add_row(relation.coeffs, relation.rhs)
-
-    result = exactlin.solve(system)
+    # the relations are stored as they are, so the certificate multiplies them directly
+    rows = [(r.coeffs, r.rhs) for r in relations]
+    result = exactlin.solve(exactlin.LinearSystem(variables, rows))
     if isinstance(result, exactlin.Inconsistent):
-        from fractions import Fraction  # not at the top: ``hypdiv relations`` builds no rational
-
-        # the multipliers act on the stored primitive rows; rescale to the relations
-        certificate = {}
-        for r, y in sorted(result.certificate.items()):
-            j, v = next(iter(system.rows[r][0].items()))
-            certificate[r] = y * Fraction(v, relations[r].coeffs[variables[j]])
-        inconsistent = [relations[r].provenance for r in certificate]
+        inconsistent = [relations[r].provenance for r in result.certificate]
         raise SolverError(
             f"inconsistent system for g={g}, target={target}; "
             f"certificate combines rows {inconsistent} into 0 = {result.residual}",
-            certificate=certificate,
+            certificate=result.certificate,
             inconsistent=inconsistent,
         )
     if isinstance(result, exactlin.Underdetermined):

@@ -76,12 +76,22 @@ def test_g12_denominator_normalization():
 
 
 def test_delta_numerator_reflection_symmetry():
+    # one near-side formula per kind: it gives slot 0 at index i and slot 1
+    # at the reflected index, which lies past the table's range
+    def near_delta(g, j):
+        return Fraction(-2 * j * (2 * j + 1), (g - 1) * (2 * g + 1))
+
+    def near_eta(g, j):
+        return Fraction(-(j + 1) * (2 * j + 1), (g - 1) * (2 * g + 1))
+
     for g in range(2, 101):
         for i in range(1, g // 2 + 1):
-            assert CF.w_delta(g, g - i, 0) == CF.w_delta(g, i, 1)
+            assert CF.w_delta(g, i, 0) == near_delta(g, i)
+            assert CF.w_delta(g, i, 1) == near_delta(g, g - i)
     for g in range(2, 101):
         for i in range(1, (g - 1) // 2 + 1):
-            assert CF.w_eta(g, g - 1 - i, 0) == CF.w_eta(g, i, 1)
+            assert CF.w_eta(g, i, 0) == near_eta(g, i)
+            assert CF.w_eta(g, i, 1) == near_eta(g, g - 1 - i)
 
 
 def test_identified_index_coherence():
@@ -251,3 +261,26 @@ def test_closed_form_functions_reject_a_bad_genus(formula, indices):
         with pytest.raises(B.DomainError) as caught:
             formula(g, *indices)
         assert type(caught.value) is B.DomainError, g
+
+
+@pytest.mark.parametrize(
+    "formula, args",
+    [
+        (CF.w_delta, (4, 7, 0)),  # index past g // 2
+        (CF.w_delta, (4, 0, 0)),  # delta starts at index 1
+        (CF.w_eta, (4, 3, 0)),
+        (CF.w_eta, (4, -1, 1)),
+        (CF.g12_delta, (4, 1, 5)),  # slot past 2
+        (CF.w_delta, (4, 1, 2)),  # a Weierstrass slot is 0 or 1
+        (CF.w_eta, (5, 1, -1)),
+        (CF.g12_eta, (6, 2, True)),  # a bool is not an int slot
+        (CF.g12_delta, (6, True, 0)),
+        (CF.g12_delta, (4, 2, 1.0)),
+        (CF.w_eta, (5, 1.0, 0)),
+    ],
+)
+def test_closed_form_functions_reject_an_index_or_slot_outside_their_domain(formula, args):
+    # exactly DomainError: not a value read off the formula past its table
+    with pytest.raises(B.DomainError) as caught:
+        formula(*args)
+    assert type(caught.value) is B.DomainError

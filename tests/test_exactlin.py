@@ -54,7 +54,7 @@ def test_inconsistent_with_certificate():
     rhs = Fraction(0)
     for r, mult in result.certificate.items():
         coeffs, row_rhs = sys.rows[r]
-        lhs += mult * coeffs.get(0, Fraction(0))
+        lhs += mult * coeffs.get("x", Fraction(0))
         rhs += mult * row_rhs
     assert lhs == 0 and rhs == result.residual
 
@@ -96,7 +96,7 @@ def test_add_row_stores_primitive_integer_rows():
     sys.add_row({"x": Fraction(1, 2), "y": Fraction(3, 4), "z": 0}, Fraction(5, 4))
     sys.add_row({"x": 6, "y": -4}, 10)
     sys.add_row({"x": Fraction(6), "z": 1}, 0)
-    assert sys.rows == [({0: 2, 1: 3}, 5), ({0: 3, 1: -2}, 5), ({0: 6, 2: 1}, 0)]
+    assert sys.rows == [({"x": 2, "y": 3}, 5), ({"x": 3, "y": -2}, 5), ({"x": 6, "z": 1}, 0)]
     assert all(type(v) is int for row, rhs in sys.rows for v in (*row.values(), rhs))
 
 
@@ -125,7 +125,7 @@ def test_add_row_rejects_non_rational_entries(coeffs, rhs):
 )
 @settings(max_examples=100, deadline=None)
 def test_add_row_int_path_matches_rational_path(entries, rhs, data):
-    # the all-int fast path must store exactly what the Fraction path stores
+    # an all-int row must be stored exactly as its Fraction and mixed forms are
     names = tuple(f"x{j}" for j in range(len(entries)))
     mixed = data.draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
     forms = {
@@ -175,9 +175,9 @@ def test_corrupted_back_substitution_raises_check_error(monkeypatch, column):
     # the self-check runs on the integer numerators, not on the Fraction answer
     original = exactlin._back_substitute
 
-    def corrupted(pivots, rows, width):
-        nums, den = original(pivots, rows, width)
-        nums[column] += 1
+    def corrupted(pivots, rows, variables):
+        nums, den = original(pivots, rows, variables)
+        nums[variables[column]] += 1
         return nums, den
 
     monkeypatch.setattr(exactlin, "_back_substitute", corrupted)
@@ -202,7 +202,7 @@ def test_corrupted_elimination_raises_check_error(monkeypatch, corrupt):
         if not seen:
             seen.append(sys)
             zero_rows = [r for r, (row, _) in enumerate(rows) if not row]
-            r = pivots[0] if corrupt == "pivot_row" else zero_rows[0]
+            r = pivots["x"] if corrupt == "pivot_row" else zero_rows[0]
             rows[r] = (rows[r][0], rows[r][1] + 1)
         return pivots, rows
 
@@ -263,8 +263,8 @@ def _full_scan_eliminate(sys: LinearSystem, sweep_pivots: bool = False):
     which is the Gauss-Jordan elimination ``exactlin`` ran before.
     """
     rows = list(sys.rows)
-    pivots: dict[int, int] = {}
-    for col in range(len(sys.variables)):
+    pivots: dict = {}
+    for col in sys.variables:
         pivot = next(
             (r for r, (row, _) in enumerate(rows) if r not in pivots.values() and row.get(col)),
             None,
@@ -297,22 +297,23 @@ def _gauss_jordan_solve(sys: LinearSystem):
         if row:
             continue
         if rhs:
-            dual_rows = [({}, 0) for _ in sys.variables]
+            columns = {name: {} for name in sys.variables}
             for k, (stored, _) in enumerate(sys.rows):
                 for j, v in stored.items():
-                    dual_rows[j][0][k] = v
+                    columns[j][k] = v
+            dual_rows = [(column, 0) for column in columns.values()]
             dual_rows.append(({k: b for k, (_, b) in enumerate(sys.rows) if b}, 1))
-            dual = _gauss_jordan_solve(LinearSystem(tuple(map(str, range(len(sys.rows)))), dual_rows))
+            dual = _gauss_jordan_solve(LinearSystem(range(len(sys.rows)), dual_rows))
             y = dual.assignment if isinstance(dual, Unique) else dual.particular
-            certificate = {int(name): v for name, v in y.items() if v}
+            certificate = {k: v for k, v in y.items() if v}
             return Inconsistent(certificate=certificate, residual=Fraction(1), rank=len(pivots))
         redundant.append(r)
     # a pivot row holds its pivot column plus free columns, pinned to 0
     assignment = dict.fromkeys(sys.variables, Fraction(0))
     for col, r in pivots.items():
         row, rhs = rows[r]
-        assignment[sys.variables[col]] = Fraction(rhs, row[col])
-    free = tuple(v for j, v in enumerate(sys.variables) if j not in pivots)
+        assignment[col] = Fraction(rhs, row[col])
+    free = tuple(v for v in sys.variables if v not in pivots)
     if free:
         return Underdetermined(assignment, free, len(pivots), tuple(redundant))
     return Unique(assignment, len(pivots), tuple(redundant))
@@ -402,14 +403,14 @@ def test_unique_iff_full_rank_agreement(n_vars, n_rows, data):
     else:
         # the certificate combines the original rows into 0 = residual != 0
         assert result.residual != 0 and all(result.certificate.values())
-        lhs = [Fraction(0)] * n_vars
+        lhs = dict.fromkeys(names, Fraction(0))
         rhs = Fraction(0)
         for r, mult in result.certificate.items():
             coeffs, row_rhs = sys.rows[r]
             for j, v in coeffs.items():
                 lhs[j] += mult * v
             rhs += mult * row_rhs
-        assert lhs == [0] * n_vars and rhs == result.residual
+        assert list(lhs.values()) == [0] * n_vars and rhs == result.residual
 
 
 @settings(max_examples=100, deadline=None)

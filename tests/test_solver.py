@@ -133,7 +133,7 @@ def _solve_subset(g, target, skip_provenance):
     return formal, exactlin.solve(system)
 
 
-def test_relations_and_stored_rows_are_integers():
+def test_relations_and_stored_rows_are_integers(monkeypatch):
     # the catalog, the relations and the rows stay in int; only answers are Fractions
     for g in range(2, 31):
         for target in (WEIERSTRASS, G12):
@@ -147,6 +147,16 @@ def test_relations_and_stored_rows_are_integers():
             for row, rhs in system.rows:
                 assert all(type(v) is int for v in row.values()) and type(rhs) is int
                 assert gcd(rhs, *row.values()) == 1
+    # the solver hands exactlin the relations themselves: each stored row is
+    # a relation's own coefficient dict, neither copied nor rescaled
+    solve, seen = exactlin.solve, []
+    monkeypatch.setattr(exactlin, "solve", lambda system: seen.append(system) or solve(system))
+    for target in (WEIERSTRASS, G12):
+        seen.clear()
+        report = solve_coefficients(7, target)
+        [system] = seen
+        assert system.rows == [(r.coeffs, r.rhs) for r in report.relations]
+        assert all(row is r.coeffs for (row, _), r in zip(system.rows, report.relations))
 
 
 def test_redundancy_certificate_is_honest():
@@ -399,7 +409,8 @@ def test_non_int_genus_rejected():
 @pytest.mark.parametrize("target", [WEIERSTRASS, G12])
 def test_elimination_row_operations_stay_within_budget(monkeypatch, target):
     # each row operation of the elimination ends in one _normalize call;
-    # add_row's calls, made outside _eliminate, are not counted
+    # the solver stores the relations without add_row, and only calls made
+    # inside _eliminate are counted
     eliminate, normalize = exactlin._eliminate, exactlin._normalize
     state = {"inside": False, "calls": 0}
 
