@@ -1,18 +1,18 @@
-"""Closed-form coefficient tables for the two target divisor classes.
-
-Both classes have every coefficient given by an explicit rational
-function of the genus; these are evaluated exactly and serve as the
+"""Closed-form coefficient tables for the two target divisor classes: the
 oracle the test-family solver is verified against.
 
-Both classes share the common denominator (g-1)(2g+1); the
-degree-2-series class (two marked points) has an extra delta_{0,2} term.
-The delta_{i,1} coefficient of the two-pointed class is implemented with
-this denominator; the solver confirms this normalization exactly (see
-the g=3 pins in the acceptance suite), which settles the alternative
-(g-1)(2g+2) reading.
+Every coefficient is an explicit rational function of the genus.
+:data:`_NUMERATORS` is their one table, as integer numerators over the one
+denominator 2(g-1)(2g+1): both classes share (g-1)(2g+1), and eta_irr alone
+needs the factor 2, its numerator being -1.  The degree-2-series class (two
+marked points) has an extra delta_{0,2} term; the solver confirms its
+delta_{i,1} normalization exactly (see the g=3 pins in the acceptance suite),
+which settles the alternative (g-1)(2g+2) reading.
 
-A verification is reported as ``NamedTuple`` records: one
-:class:`GenusResult` per genus inside a :class:`VerificationReport`.
+:func:`verify_range` compares the solver's values with
+:func:`closed_form_numerators` by cross-multiplying in integers, and builds
+``Fraction`` s only to report a mismatch.  It reports ``NamedTuple`` records:
+one :class:`GenusResult` per genus inside a :class:`VerificationReport`.
 """
 
 from __future__ import annotations
@@ -27,108 +27,111 @@ from .basis import DivisorExpression
 from .families import G12, WEIERSTRASS
 
 
-def _genus(g: int) -> int:
-    """``g`` itself; a DomainError unless it is an ``int`` >= 2."""
+def _den(g: int) -> int:
+    return 2 * (g - 1) * (2 * g + 1)
+
+
+def _w_delta(g: int, i: int, m: int) -> int:
+    j = g - i if m else i  # the far side is the near side at index g - i
+    return -4 * j * (2 * j + 1)
+
+
+def _w_eta(g: int, i: int, m: int) -> int:
+    j = g - 1 - i if m else i  # the far side is the near side at index g - 1 - i
+    return -2 * (j + 1) * (2 * j + 1)
+
+
+# target -> kind -> numerator over _den(g) of its coefficient at g, or at (g, i, m)
+# for a boundary kind; the g12 slots 0 and 2 are the Weierstrass slots 0 and 1
+_NUMERATORS = {
+    WEIERSTRASS: {
+        B.PSI: lambda g: 2 * (g + 1) * (2 * g + 1),
+        B.ETA_IRR: lambda g: -1,
+        B.DELTA: _w_delta,
+        B.ETA: _w_eta,
+    },
+    G12: {
+        B.PSI: lambda g: 2 * (2 * g + 1),
+        B.ETA_IRR: lambda g: -1,
+        B.DELTA_0_2: lambda g: -2 * (g + 1) * (2 * g + 1),
+        B.DELTA: lambda g, i, m: (
+            2 * (2 * i - 1) * (2 * (g - i) - 1) - 4 if m == 1 else _w_delta(g, i, m // 2)
+        ),
+        B.ETA: lambda g, i, m: 4 * i * (g - i - 1) - 2 if m == 1 else _w_eta(g, i, m // 2),
+    },
+}
+
+
+def _value(target: str, kind: str, g: int, *at: int) -> Fraction:
+    """The coefficient of ``kind`` at genus g, and at index i and slot m for a
+    boundary kind; a DomainError unless g is an ``int`` >= 2 and i, m are ``int`` s
+    in the table: i in 1..g//2 (eta from 0: the auxiliaries b_0_m), m below n + 1."""
     if type(g) is not int or g < 2:
         raise B.DomainError(f"genus must be an int >= 2, got {g!r}")
-    return g
-
-
-def _den(g: int) -> int:
-    return (g - 1) * (2 * g + 1)
-
-
-def _indexed(g: int, i: int, m: int, first: int, slots: int) -> int:
-    """``g`` itself; a DomainError unless ``i`` is an ``int`` in first..g//2
-    and ``m`` an ``int`` slot below ``slots``."""
-    g = _genus(g)
-    if type(i) is not int or type(m) is not int or not (first <= i <= g // 2 and 0 <= m < slots):
-        raise B.DomainError(f"no coefficient at index {i!r}, slot {m!r} for genus {g}")
-    return g
+    if at:
+        (i, m), first, slots = at, (1 if kind == B.DELTA else 0), F.marked_points(target) + 1
+        if not (type(i) is type(m) is int and first <= i <= g // 2 and 0 <= m < slots):
+            raise B.DomainError(f"no coefficient at index {i!r}, slot {m!r} for genus {g}")
+    return Fraction(_NUMERATORS[target][kind](g, *at), _den(g))
 
 
 def w_psi(g: int) -> Fraction:
-    g = _genus(g)
-    return Fraction(g + 1, g - 1)
+    return _value(WEIERSTRASS, B.PSI, g)
 
 
 def w_eta_irr(g: int) -> Fraction:
-    return Fraction(-1, 2 * _den(_genus(g)))
+    return _value(WEIERSTRASS, B.ETA_IRR, g)
 
 
 def w_delta(g: int, i: int, m: int) -> Fraction:
-    g = _indexed(g, i, m, 1, 2)
-    j = g - i if m else i  # the far side is the near side at index g - i
-    return Fraction(-2 * j * (2 * j + 1), _den(g))
+    return _value(WEIERSTRASS, B.DELTA, g, i, m)
 
 
 def w_eta(g: int, i: int, m: int) -> Fraction:
-    # from index 0 on: the solver's auxiliaries b_0_m extend the table
-    g = _indexed(g, i, m, 0, 2)
-    j = g - 1 - i if m else i  # the far side is the near side at index g - 1 - i
-    return Fraction(-(j + 1) * (2 * j + 1), _den(g))
+    return _value(WEIERSTRASS, B.ETA, g, i, m)
 
 
 def g12_psi(g: int) -> Fraction:
-    return Fraction(1, _genus(g) - 1)
+    return _value(G12, B.PSI, g)
 
 
 g12_eta_irr = w_eta_irr
 
 
 def g12_delta_0_2(g: int) -> Fraction:
-    g = _genus(g)
-    return Fraction(-(g + 1), g - 1)
+    return _value(G12, B.DELTA_0_2, g)
 
 
 def g12_delta(g: int, i: int, m: int) -> Fraction:
-    g = _indexed(g, i, m, 1, 3)
-    if m == 1:
-        return Fraction((2 * i - 1) * (2 * (g - i) - 1) - 2, _den(g))
-    return w_delta(g, i, m // 2)
+    return _value(G12, B.DELTA, g, i, m)
 
 
 def g12_eta(g: int, i: int, m: int) -> Fraction:
-    g = _indexed(g, i, m, 0, 3)
-    if m == 1:
-        return Fraction(2 * i * (g - i - 1) - 1, _den(g))
-    return w_eta(g, i, m // 2)
+    return _value(G12, B.ETA, g, i, m)
 
 
-_FORMULAS = {
-    WEIERSTRASS: {B.PSI: w_psi, B.ETA_IRR: w_eta_irr, B.DELTA: w_delta, B.ETA: w_eta},
-    G12: {
-        B.PSI: g12_psi,
-        B.ETA_IRR: g12_eta_irr,
-        B.DELTA_0_2: g12_delta_0_2,
-        B.DELTA: g12_delta,
-        B.ETA: g12_eta,
-    },
-}
+def closed_form_numerators(g: int, target: str) -> dict[str, int]:
+    """Every formal unknown's numerator over 2(g-1)(2g+1), keyed by unknown name
+    in solver order: the global unknowns, then each boundary kind by (index, slot)."""
+    n = F.marked_points(target)
+    B.check_ambient(g, n)
+    table, slots = _NUMERATORS[target], range(n + 1)
+    nums = {F.unknown(e): table[e.kind](g) for e in (B.psi(), B.eta_irr(), B.delta_0_2())[: n + 1]}
+    for kind, indices in ((B.DELTA, B.delta_range(g)), (B.ETA, B.eta_range(g))):
+        f = table[kind]
+        nums.update((F.boundary_unknown(kind, i, m), f(g, i, m)) for i in indices for m in slots)
+    return nums
 
 
 def closed_form_values(g: int, target: str) -> dict[str, Fraction]:
-    """The closed-form value of every formal unknown, keyed by unknown name.
-
-    One pass over the formal labels; the first label of each unknown gives
-    its value, as every label of an unknown shares (kind, index, slot).
-    """
-    formulas = _FORMULAS[target]
-    values = {}
-    for e in B.formal_elements(g, F.marked_points(target)):
-        u = F.unknown(e)
-        if u not in values:
-            indexed = (e.index, F.slot(e.marking)) if e.kind in (B.DELTA, B.ETA) else ()
-            values[u] = formulas[e.kind](g, *indexed)
-    return values
+    """The closed-form value of every formal unknown, keyed by unknown name."""
+    nums, den = closed_form_numerators(g, target), _den(g)  # g checked before _den reads it
+    return {u: Fraction(num, den) for u, num in nums.items()}
 
 
 def closed_form(g: int, target: str) -> DivisorExpression:
-    """The target divisor class, formal view.
-
-    For two marked points the invariant coefficient of delta_{i,1} lands
-    on both delta_{i,1a} and delta_{i,1b} (likewise for eta).
-    """
+    """The target divisor class, formal view: for two marked points the invariant
+    coefficient of delta_{i,1} lands on both delta_{i,1a} and delta_{i,1b} (likewise for eta)."""
     return F.formal_expression(g, F.marked_points(target), closed_form_values(g, target))
 
 
@@ -169,6 +172,17 @@ class VerificationReport(NamedTuple):
         return f"{self.target}: {checked} genera checked, mismatches at g in {failed}"
 
 
+def _mismatches(g: int, n: int, got: dict, want: dict) -> list:
+    """(class, solver value, closed-form value) of each differing formal label in order,
+    then of each unknown only the solver has; a zero or missing value reads None."""
+    out = []
+    for e in B.formal_elements(g, n):
+        u = F.unknown(e)
+        if got.get(u) != want[u]:
+            out.append((e.name(n), got.get(u) or None, want[u] or None))
+    return out + [(u, v or None, None) for u, v in got.items() if u not in want]
+
+
 def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
     """Compare solver output against the closed form, unknown by unknown.
 
@@ -186,38 +200,15 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
     for g in range(g_min, g_max + 1):
         try:
             solved = solver.solve_coefficients(g, target)
-        except solver.SolverError as exc:
-            results.append(
-                GenusResult(
-                    g=g,
-                    ok=False,
-                    mismatches=[],
-                    rank=None,
-                    n_unknowns=None,
-                    n_redundant=None,
-                    auxiliaries={},
-                    error=str(exc),
-                    inconsistent=exc.inconsistent,
-                )
-            )
+        except solver.SolverError as exc:  # no mismatches, solve counts or auxiliaries
+            failure = str(exc), exc.inconsistent
+            results.append(GenusResult(g, False, [], None, None, None, {}, *failure))
             continue
-        got, want = solved.coefficients, closed_form_values(g, target)
-        mismatches = []
-        if got != want:
-            # name each differing formal label in order; a zero value reads None
-            for e in B.formal_elements(g, n):
-                u = F.unknown(e)
-                if got[u] != want[u]:
-                    mismatches.append((e.name(n), got[u] or None, want[u] or None))
-        results.append(
-            GenusResult(
-                g=g,
-                ok=not mismatches,
-                mismatches=mismatches,
-                rank=solved.rank,
-                n_unknowns=solved.n_unknowns,
-                n_redundant=len(solved.redundant),
-                auxiliaries=solved.auxiliaries,
-            )
+        got, nums, den = solved.coefficients, closed_form_numerators(g, target), _den(g)
+        same = got.keys() == nums.keys() and all(
+            v.numerator * den == nums[u] * v.denominator for u, v in got.items()
         )
+        mismatches = [] if same else _mismatches(g, n, got, closed_form_values(g, target))
+        counts = solved.rank, solved.n_unknowns, len(solved.redundant)
+        results.append(GenusResult(g, not mismatches, mismatches, *counts, solved.auxiliaries))
     return VerificationReport(target, g_min, g_max, results)

@@ -9,10 +9,10 @@ table of families, as :class:`Template` s: label constructors in the member
 index i with integer degree formulas in (g, i, j) built from +, - and *
 alone.  The public catalog functions (and the ``families`` command)
 evaluate one member into a :class:`DegreeVector`, checking every label and
-degree; :func:`relations` resolves each template once per genus and
-evaluates its members straight into :class:`Relation` s.  A test checks
-each self-intersection entry against :mod:`hypdiv.surfcalc` for every
-genus the command line accepts.
+degree; :func:`relations` checks each template once per genus, reuses its
+genus-free pattern (:func:`_pattern`) and evaluates its members straight
+into :class:`Relation` s.  A test checks each self-intersection entry
+against :mod:`hypdiv.surfcalc` for every genus the command line accepts.
 
 Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g)
 are registered, never dropped; :func:`is_auxiliary` tells them apart.
@@ -23,6 +23,7 @@ psi_1 + psi_2 are recorded against the :data:`PSI_SUM` key.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Mapping, NamedTuple, Union
 
 from . import basis as B
@@ -307,6 +308,11 @@ def marked_points(target: str) -> int:
 _HEADS = {B.DELTA: "a_", B.ETA: "b_"}  # boundary kind -> head of its unknowns a_i_m, b_i_m
 
 
+def boundary_unknown(kind: str, index: int, slot) -> str:
+    """The unknown ``a_i_m`` (delta) or ``b_i_m`` (eta) at index i and slot m."""
+    return f"{_HEADS[kind]}{index}_{slot}"
+
+
 def _entry(label: Label, value=None) -> tuple:
     """(solver key, unknown name, ``value``) of a label, in one kind dispatch.
 
@@ -322,7 +328,7 @@ def _entry(label: Label, value=None) -> tuple:
     kind, index, marking = label
     if kind == B.DELTA or kind == B.ETA:
         rank = 3 if kind == B.DELTA else 4
-        return (rank, index, marking), f"{_HEADS[kind]}{index}_{marking[0]}", value
+        return (rank, index, marking), boundary_unknown(kind, index, marking[0]), value
     if kind == B.PSI:
         return (0, index, marking), "d", value
     if kind == B.ETA_IRR:
@@ -335,11 +341,6 @@ def _entry(label: Label, value=None) -> tuple:
 def unknown(label: Label) -> str:
     """Name of the rational unknown that multiplies ``label`` (see :func:`_entry`)."""
     return _entry(label)[1]
-
-
-def slot(marking: str) -> int:
-    """The marking slot m of an unknown; 1a and 1b share the invariant slot 1."""
-    return int(marking[0])
 
 
 def formal_unknowns(g: int, n: int) -> dict[str, list[BasisElement]]:
@@ -407,30 +408,38 @@ def vectors(g: int, n: int) -> list[DegreeVector]:
     return [evaluate(t, g, i) for group in CATALOG[n] for i in _indices(group, g) for t in group]
 
 
-def _resolve(template: Template, g: int, n: int, indices):
-    """The function i -> relation of the template's member at index i, at genus g.
-
-    Label indices are i plus a constant and markings are fixed, so
-    ``_check_label`` at both ends of ``indices`` covers every member; +, - and *
-    keep an int an int, so one evaluated member settles every degree's type.
-    The first member fixes the unknown names, solver order and merged entries.
-    """
-    first, entries = indices[0], template.entries
-    for i in (first, indices[-1]):
-        for label, _ in entries:
-            _check_label(_label_at(label, i), g, n)
-    dv = evaluate(template, g, first)
+@cache
+def _pattern(template: Template) -> tuple:
+    """The genus-free part of a template's relations, built once per template:
+    (head, offset, tail, degree) per unknown in solver order.  The member at i
+    names it ``head`` (offset None) or ``f"{head}{i + offset}{tail}"``, as
+    :func:`boundary_unknown` spells it; ``degree`` sums the formulas it merges.
+    Label indices are i plus a constant, so the order at i = 0 holds for every i."""
     spots: dict[tuple, list] = {}  # (head, offset, tail) of an unknown -> its degree formulas
-    for _, name, k in sorted(_entry(_label_at(e[0], first), k) for k, e in enumerate(entries)):
+    entries = template.entries
+    for _, name, k in sorted(_entry(_label_at(e[0], 0), k) for k, e in enumerate(entries)):
         label, degree = entries[k]
-        if type(label) is Shifted:  # spelled per member as _entry does: head, i + offset, tail
+        if type(label) is Shifted:
             spot = (_HEADS[label.kind], label.offset, f"_{label.marking[0]}")
         else:
             spot = (name, None, "")
         spots.setdefault(spot, []).append(degree)
     merged = lambda ds: ds[0] if len(ds) == 1 else lambda g, i, j: sum(d(g, i, j) for d in ds)
-    pattern = [(head, offset, tail, merged(ds)) for (head, offset, tail), ds in spots.items()]
-    target, moving, family = template.target_degree, template.j, template.family
+    return tuple((*spot, merged(ds)) for spot, ds in spots.items())
+
+
+def _resolve(template: Template, g: int, n: int, indices):
+    """The function i -> relation of the template's member at index i, at genus g.
+
+    Per genus only checks are made, on top of :func:`_pattern`: ``_check_label``
+    at both ends of ``indices`` covers every member, as label indices are i plus
+    a constant and markings are fixed; +, - and * keep an int an int, so one
+    evaluated member settles every degree's type (and names a one-member family)."""
+    for i in (indices[0], indices[-1]):
+        for label, _ in template.entries:
+            _check_label(_label_at(label, i), g, n)
+    dv = evaluate(template, g, indices[0])
+    pattern, target, moving = _pattern(template), template.target_degree, template.j
     fixed = None if template.indices else dv.provenance()
 
     def member(i):
@@ -439,7 +448,7 @@ def _resolve(template: Template, g: int, n: int, indices):
             (head if offset is None else f"{head}{i + offset}{tail}"): degree(g, i, j)
             for head, offset, tail, degree in pattern
         }
-        return Relation(coeffs, target(g, i, j), fixed or f"{family}[i={i}]")
+        return Relation(coeffs, target(g, i, j), fixed or f"{template.family}[i={i}]")
 
     return member
 

@@ -6,6 +6,7 @@ import pytest
 
 from hypdiv import basis as B
 from hypdiv import closedform as CF
+from hypdiv import families as F
 from hypdiv.basis import delta, eta, eta_irr, psi
 from hypdiv.families import G12, WEIERSTRASS
 
@@ -163,14 +164,25 @@ def test_closed_forms_satisfy_every_assembled_relation():
                 assert lhs == relation.rhs, (g, relation.render())
 
 
+# target -> kind -> its public closed-form function
+FORMULAS = {
+    WEIERSTRASS: {B.PSI: CF.w_psi, B.ETA_IRR: CF.w_eta_irr, B.DELTA: CF.w_delta, B.ETA: CF.w_eta},
+    G12: {
+        B.PSI: CF.g12_psi,
+        B.ETA_IRR: CF.g12_eta_irr,
+        B.DELTA_0_2: CF.g12_delta_0_2,
+        B.DELTA: CF.g12_delta,
+        B.ETA: CF.g12_eta,
+    },
+}
+
+
 def _table_closed_form_values(g, target):
     # reference: the first label of each unknown in the sorted formal_unknowns table
-    from hypdiv import families as F
-
-    formulas = CF._FORMULAS[target]
+    formulas = FORMULAS[target]
     values = {}
     for u, (e, *_) in F.formal_unknowns(g, F.marked_points(target)).items():
-        indexed = (e.index, F.slot(e.marking)) if e.kind in (B.DELTA, B.ETA) else ()
+        indexed = (e.index, int(e.marking[0])) if e.kind in (B.DELTA, B.ETA) else ()
         values[u] = formulas[e.kind](g, *indexed)
     return values
 
@@ -182,6 +194,19 @@ def test_closed_form_values_match_the_table_reference():
                 g,
                 target,
             )
+
+
+def test_numerators_are_over_one_denominator_in_solver_order():
+    for target in (WEIERSTRASS, G12):
+        n = F.marked_points(target)
+        for g in range(2, 41):
+            den = 2 * (g - 1) * (2 * g + 1)
+            nums = CF.closed_form_numerators(g, target)
+            assert list(nums) == list(F.formal_unknowns(g, n)), (g, target)
+            assert all(type(v) is int for v in nums.values())
+            values = CF.closed_form_values(g, target)
+            assert {u: Fraction(v, den) for u, v in nums.items()} == values
+            assert nums["c"] == -1  # eta_irr's numerator: the reason for the factor 2
 
 
 def test_verify_single_genus():
@@ -196,7 +221,8 @@ def test_verify_small_sweep_both_targets():
     assert CF.verify_range(2, 10, G12).ok
 
 
-def test_verify_reports_mismatch_without_raising(monkeypatch):
+def _perturbed_verify(monkeypatch, target, change):
+    # verify g = 2..4 with ``change`` applied to the solver's coefficients at g = 3
     import hypdiv.solver as S
 
     original = S.solve_coefficients
@@ -204,17 +230,59 @@ def test_verify_reports_mismatch_without_raising(monkeypatch):
     def perturbed(g, target):
         report = original(g, target)
         if g == 3:
-            report.coefficients["d"] += 1  # the psi coefficient
+            change(report.coefficients)
         return report
 
     monkeypatch.setattr(S, "solve_coefficients", perturbed)
-    report = CF.verify_range(2, 4, WEIERSTRASS)
+    report = CF.verify_range(2, 4, target)
     assert not report.ok
-    failed = [r for r in report.results if not r.ok]
-    assert [r.g for r in failed] == [3]
-    name, got, want = failed[0].mismatches[0]
-    assert name == "psi" and got == want + 1
+    assert [r.g for r in report.results if not r.ok] == [3]
     assert "mismatches at g in [3]" in report.summary()
+    return report.results[1]
+
+
+def test_verify_reports_mismatch_without_raising(monkeypatch):
+    result = _perturbed_verify(monkeypatch, WEIERSTRASS, lambda c: c.update(d=c["d"] + 1))
+    name, got, want = result.mismatches[0]
+    assert name == "psi" and got == want + 1
+
+
+def test_verify_reports_a_changed_denominator(monkeypatch):
+    # the numerator stays: only the cross-multiplied comparison tells them apart
+    def change(coefficients):
+        d = coefficients["d"]
+        coefficients["d"] = Fraction(d.numerator, d.denominator + 1)
+
+    result = _perturbed_verify(monkeypatch, G12, change)
+    want = CF.g12_psi(3)
+    got = Fraction(want.numerator, want.denominator + 1)
+    assert result.mismatches == [("psi1", got, want), ("psi2", got, want)]
+    from hypdiv import cli
+
+    lines = list(cli._verify_lines([CF.VerificationReport(G12, 3, 3, [result])]))
+    assert lines[0].startswith("g12 g=3: MISMATCH (rank ")
+    assert lines[1:3] == [f"  psi{k}: solver={got} closed={want}" for k in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "change, mismatch",
+    [
+        (lambda c: c.pop("a_1_1"), ("delta_1_1", None, Fraction(-10, 7))),
+        (lambda c: c.update(a_9_0=Fraction(1, 3)), ("a_9_0", Fraction(1, 3), None)),
+    ],
+    ids=["dropped", "extra"],
+)
+def test_verify_reports_a_dropped_or_an_extra_unknown(monkeypatch, change, mismatch):
+    assert _perturbed_verify(monkeypatch, WEIERSTRASS, change).mismatches == [mismatch]
+
+
+def test_passing_verify_builds_no_fraction(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("closedform built a Fraction")
+
+    monkeypatch.setattr(CF, "Fraction", forbidden)
+    for target in (WEIERSTRASS, G12):
+        assert CF.verify_range(2, 30, target).ok
 
 
 def test_invalid_range_rejected():
@@ -229,6 +297,8 @@ def test_non_int_genus_rejected():
         CF.closed_form(4.0, G12)
     with pytest.raises(B.DomainError, match="must be int"):
         CF.closed_form_values(4.0, WEIERSTRASS)
+    with pytest.raises(B.DomainError, match="must be int"):
+        CF.closed_form_numerators(4.0, G12)
     for lo, hi in ((2, 3.5), (2.0, 3)):
         with pytest.raises(B.DomainError, match="must be int"):
             CF.verify_range(lo, hi, G12)

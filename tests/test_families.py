@@ -319,7 +319,7 @@ def _reference_is_valid(e, g, n):
 
 
 def _reference_unknown(label):
-    """``unknown`` as it was, through ``slot`` and repeated ``.kind`` reads."""
+    """``unknown`` as it was, through the slot int(marking[0]) and repeated ``.kind`` reads."""
     if isinstance(label, F.PsiSum) or label.kind == B.PSI:
         return "d"
     if label.kind == B.ETA_IRR:
@@ -327,7 +327,7 @@ def _reference_unknown(label):
     if label.kind == B.DELTA_0_2:
         return "a_0_2"
     prefix = "a" if label.kind == B.DELTA else "b"
-    return f"{prefix}_{label.index}_{F.slot(label.marking)}"
+    return f"{prefix}_{label.index}_{int(label.marking[0])}"
 
 
 def _outcome(function, *args):

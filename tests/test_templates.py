@@ -1,8 +1,11 @@
 """The family-template table: assembly from resolved templates against the
 per-member degree-vector path, and the checks made once per template."""
 
+import functools
+
 import pytest
 
+from hypdiv import closedform
 from hypdiv import families as F
 from hypdiv import solver as S
 from hypdiv.basis import DomainError
@@ -41,6 +44,21 @@ def test_label_checks_do_not_grow_with_the_genus(monkeypatch):
     calls.clear()
     S.assemble_system(2000, G12)
     assert len(calls) == at_200 > 0
+
+
+def test_genus_free_pattern_is_built_once_per_template(monkeypatch):
+    built = []
+    build = F._pattern.__wrapped__
+
+    def counted(template, *args):
+        built.append(template)
+        return build(template, *args)
+
+    monkeypatch.setattr(F, "_pattern", functools.cache(counted))
+    for target in (WEIERSTRASS, G12):
+        assert closedform.verify_range(2, 50, target).ok
+    assert len(built) == len(set(built)) == len(F.TEMPLATES)
+    assert set(built) == set(F.TEMPLATES.values())
 
 
 def _replace_template(monkeypatch, family, n, **changes):
