@@ -15,13 +15,10 @@ the psi-classes of the marked points together with the boundary divisors:
 
 Markings: for n = 1, m is "0" (point on the genus g-i side) or "1"; for
 n = 2, m is "0", "1a" (first point on the genus-i side), "1b", or "2".
-At the top index some labels name the same irreducible divisor and only
-the canonical representative is a generator:
-
-* g even:  delta_{g/2,1} = delta_{g/2,0} (n=1);
-  delta_{g/2,2} = delta_{g/2,0} and delta_{g/2,1b} = delta_{g/2,1a} (n=2);
-* g odd:   eta_{(g-1)/2,1} = eta_{(g-1)/2,0} (n=1);
-  eta_{(g-1)/2,2} = eta_{(g-1)/2,0} and the 1a/1b pair merge (n=2).
+At the top index g // 2, on delta for even g and on eta for odd g, some
+labels name the same irreducible divisor and only the canonical
+representative is a generator: marking 1 merges into 0 (n=1); 2 into 0 and
+1b into 1a (n=2).
 
 A label is a :class:`BasisElement`: an immutable ``NamedTuple``, equal
 to (and hashing as) the plain tuple ``(kind, index, marking)``, so it is
@@ -69,11 +66,7 @@ class BasisElement(NamedTuple):
         return f"{self.kind}_{self.index}_{self.marking}"
 
     def __repr__(self):
-        if self.kind == PSI:
-            return f"psi({self.index})"
-        if self.kind in (ETA_IRR, DELTA_0_2):
-            return self.kind
-        return f"{self.kind}_{self.index}_{self.marking}"
+        return f"psi({self.index})" if self.kind == PSI else self.name(2)
 
 
 def psi(k: int = 1) -> BasisElement:
@@ -156,22 +149,12 @@ def canonicalize(e: BasisElement, g: int, n: int) -> BasisElement:
 
 
 def identified_pairs(g: int, n: int) -> list[tuple[BasisElement, BasisElement]]:
-    """The (non-canonical, canonical) label pairs merged by canonicalize."""
+    """The (non-canonical, canonical) label pairs merged by canonicalize, all at
+    index g // 2: on delta for even g, on eta for odd g."""
     check_ambient(g, n)
-    pairs = []
-    if n == 1:
-        if g % 2 == 0:
-            pairs.append((delta(g // 2, "1"), delta(g // 2, "0")))
-        else:
-            pairs.append((eta((g - 1) // 2, "1"), eta((g - 1) // 2, "0")))
-    else:
-        if g % 2 == 0:
-            pairs.append((delta(g // 2, "2"), delta(g // 2, "0")))
-            pairs.append((delta(g // 2, "1b"), delta(g // 2, "1a")))
-        else:
-            pairs.append((eta((g - 1) // 2, "2"), eta((g - 1) // 2, "0")))
-            pairs.append((eta((g - 1) // 2, "1b"), eta((g - 1) // 2, "1a")))
-    return pairs
+    label = delta if g % 2 == 0 else eta
+    pairs = (("1", "0"),) if n == 1 else (("2", "0"), ("1b", "1a"))
+    return [(label(g // 2, twin), label(g // 2, m)) for twin, m in pairs]
 
 
 def formal_elements(g: int, n: int) -> list[BasisElement]:
@@ -219,7 +202,7 @@ class DivisorExpression(NamedTuple):
     ) -> "DivisorExpression":
         """Build an expression; coefficients of a repeated label are summed.
 
-        A coefficient that is not rational (a float, a string) is a TypeError.
+        A coefficient that is not rational (a float, a string, a bool) is a TypeError.
         """
         from fractions import Fraction  # here: ``hypdiv relations`` builds no rational
         from numbers import Rational
@@ -227,7 +210,7 @@ class DivisorExpression(NamedTuple):
         check_ambient(g, n)
         terms: dict[BasisElement, Fraction] = {}
         for e, coeff in items:
-            if not isinstance(coeff, Rational):
+            if type(coeff) is bool or not isinstance(coeff, Rational):
                 raise TypeError(f"coefficient of {e!r} must be rational, got {coeff!r}")
             coeff = Fraction(coeff)
             if not coeff:

@@ -31,7 +31,7 @@ EXIT_USAGE = 2
 MAX_GENUS = 2000
 
 
-def _fraction_pair(value: Fraction) -> dict:
+def _fraction_pair(value: int | Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
@@ -44,9 +44,7 @@ def output_record(g: int, target: str, view: str, expr: B.DivisorExpression) -> 
     else:
         order = B.formal_elements(g, n)
     terms = [
-        {"class": e.name(n), "num": expr.terms[e].numerator, "den": expr.terms[e].denominator}
-        for e in order
-        if e in expr.terms
+        {"class": e.name(n), **_fraction_pair(expr.terms[e])} for e in order if e in expr.terms
     ]
     identified = [
         f"{twin.name(n)} = {canonical.name(n)}" for twin, canonical in B.identified_pairs(g, n)
@@ -136,25 +134,15 @@ RENDERERS = {"json": render_json, "csv": render_csv, "latex": render_latex}
 
 
 def degree_vector_record(dv: F.DegreeVector) -> dict:
-    degrees = []
-    for label, value in dv.degrees.items():
-        degrees.append(
-            {
-                "class": label.name(dv.n),
-                "num": value.numerator,
-                "den": value.denominator,
-                "auxiliary": F.is_auxiliary(label, dv.g),
-            }
-        )
+    degrees = [
+        {"class": label.name(dv.n), **_fraction_pair(d), "auxiliary": F.is_auxiliary(label, dv.g)}
+        for label, d in dv.degrees.items()
+    ]
     return {
         "family": dv.family,
         "params": dv.params,
         "ambient": {"g": dv.g, "n": dv.n},
-        "target": {
-            "divisor": dv.target,
-            "num": dv.target_degree.numerator,
-            "den": dv.target_degree.denominator,
-        },
+        "target": {"divisor": dv.target, **_fraction_pair(dv.target_degree)},
         "degrees": degrees,
     }
 

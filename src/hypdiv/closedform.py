@@ -9,10 +9,12 @@ marked points) has an extra delta_{0,2} term; the solver confirms its
 delta_{i,1} normalization exactly (see the g=3 pins in the acceptance suite),
 which settles the alternative (g-1)(2g+2) reading.
 
-:func:`verify_range` compares the solver's values with
-:func:`closed_form_numerators` by cross-multiplying in integers, and builds
-``Fraction`` s only to report a mismatch.  It reports ``NamedTuple`` records:
-one :class:`GenusResult` per genus inside a :class:`VerificationReport`.
+:func:`verify_range` decides each genus with one predicate: an unknown
+mismatches when it is on one side only or when the solver's value and the
+numerator over the shared denominator fail a cross-multiplied comparison in
+integers.  Only a mismatch builds ``Fraction`` s, to report it.  The report
+is ``NamedTuple`` records: one :class:`GenusResult` per genus inside a
+:class:`VerificationReport`.
 """
 
 from __future__ import annotations
@@ -64,13 +66,13 @@ _NUMERATORS = {
 
 def _value(target: str, kind: str, g: int, *at: int) -> Fraction:
     """The coefficient of ``kind`` at genus g, and at index i and slot m for a
-    boundary kind; a DomainError unless g is an ``int`` >= 2 and i, m are ``int`` s
-    in the table: i in 1..g//2 (eta from 0: the auxiliaries b_0_m), m below n + 1."""
-    if type(g) is not int or g < 2:
-        raise B.DomainError(f"genus must be an int >= 2, got {g!r}")
+    boundary kind; a DomainError unless (g, n) passes ``check_ambient`` and i, m are
+    ``int`` s in the table: i in 1..g//2 (eta from 0: the auxiliaries b_0_m), m in 0..n."""
+    n = F.marked_points(target)
+    B.check_ambient(g, n)
     if at:
-        (i, m), first, slots = at, (1 if kind == B.DELTA else 0), F.marked_points(target) + 1
-        if not (type(i) is type(m) is int and first <= i <= g // 2 and 0 <= m < slots):
+        (i, m), first = at, (1 if kind == B.DELTA else 0)
+        if not (type(i) is type(m) is int and first <= i <= g // 2 and 0 <= m <= n):
             raise B.DomainError(f"no coefficient at index {i!r}, slot {m!r} for genus {g}")
     return Fraction(_NUMERATORS[target][kind](g, *at), _den(g))
 
@@ -172,15 +174,21 @@ class VerificationReport(NamedTuple):
         return f"{self.target}: {checked} genera checked, mismatches at g in {failed}"
 
 
-def _mismatches(g: int, n: int, got: dict, want: dict) -> list:
-    """(class, solver value, closed-form value) of each differing formal label in order,
-    then of each unknown only the solver has; a zero or missing value reads None."""
+def _mismatches(g: int, n: int, got: dict, nums: dict) -> list:
+    """(class, solver value, closed-form value) of each formal label whose unknown
+    differs, in order, then of each unknown only the solver has; a zero or missing
+    value reads None.  Only a mismatch walks the labels and builds ``Fraction`` s."""
+    den = _den(g)
+    bad = {u for u, v in got.items() if u in nums and v.numerator * den != nums[u] * v.denominator}
+    bad |= got.keys() ^ nums.keys()  # an unknown on one side only
+    if not bad:
+        return []
     out = []
     for e in B.formal_elements(g, n):
         u = F.unknown(e)
-        if got.get(u) != want[u]:
-            out.append((e.name(n), got.get(u) or None, want[u] or None))
-    return out + [(u, v or None, None) for u, v in got.items() if u not in want]
+        if u in bad:
+            out.append((e.name(n), got.get(u) or None, Fraction(nums[u], den) or None))
+    return out + [(u, v or None, None) for u, v in got.items() if u not in nums]
 
 
 def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
@@ -204,11 +212,7 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
             failure = str(exc), exc.inconsistent
             results.append(GenusResult(g, False, [], None, None, None, {}, *failure))
             continue
-        got, nums, den = solved.coefficients, closed_form_numerators(g, target), _den(g)
-        same = got.keys() == nums.keys() and all(
-            v.numerator * den == nums[u] * v.denominator for u, v in got.items()
-        )
-        mismatches = [] if same else _mismatches(g, n, got, closed_form_values(g, target))
+        mismatches = _mismatches(g, n, solved.coefficients, closed_form_numerators(g, target))
         counts = solved.rank, solved.n_unknowns, len(solved.redundant)
         results.append(GenusResult(g, not mismatches, mismatches, *counts, solved.auxiliaries))
     return VerificationReport(target, g_min, g_max, results)

@@ -223,12 +223,3 @@ def rank(sys: LinearSystem) -> int:
     """Rank of the coefficient matrix (right-hand sides ignored)."""
     pivots, _ = _eliminate(sys)
     return len(pivots)
-
-
-def residual(sys: LinearSystem, assignment: Mapping[Hashable, Rational]) -> list[Fraction]:
-    """Exact ``lhs(assignment) - rhs`` per row, summed in integers over one denominator."""
-    values = {name: assignment[name] for name in sys.variables}
-    den = lcm(*(v.denominator for v in values.values()))
-    nums = {name: v.numerator * (den // v.denominator) for name, v in values.items()}
-    zero = Fraction(0)
-    return [Fraction(acc, den) if acc else zero for acc in _excess(sys.rows, nums, den)]

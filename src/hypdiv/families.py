@@ -411,18 +411,18 @@ def vectors(g: int, n: int) -> list[DegreeVector]:
 @cache
 def _pattern(template: Template) -> tuple:
     """The genus-free part of a template's relations, built once per template:
-    (head, offset, tail, degree) per unknown in solver order.  The member at i
-    names it ``head`` (offset None) or ``f"{head}{i + offset}{tail}"``, as
-    :func:`boundary_unknown` spells it; ``degree`` sums the formulas it merges.
+    (kind, offset, slot, degree) per unknown in solver order.  The member at i
+    names it ``boundary_unknown(kind, i + offset, slot)``, or ``kind`` itself, the
+    unknown's name, when offset is None; ``degree`` sums the formulas it merges.
     Label indices are i plus a constant, so the order at i = 0 holds for every i."""
-    spots: dict[tuple, list] = {}  # (head, offset, tail) of an unknown -> its degree formulas
+    spots: dict[tuple, list] = {}  # (kind, offset, slot) of an unknown -> its degree formulas
     entries = template.entries
     for _, name, k in sorted(_entry(_label_at(e[0], 0), k) for k, e in enumerate(entries)):
         label, degree = entries[k]
         if type(label) is Shifted:
-            spot = (_HEADS[label.kind], label.offset, f"_{label.marking[0]}")
+            spot = (label.kind, label.offset, label.marking[0])
         else:
-            spot = (name, None, "")
+            spot = (name, None, None)
         spots.setdefault(spot, []).append(degree)
     merged = lambda ds: ds[0] if len(ds) == 1 else lambda g, i, j: sum(d(g, i, j) for d in ds)
     return tuple((*spot, merged(ds)) for spot, ds in spots.items())
@@ -445,8 +445,8 @@ def _resolve(template: Template, g: int, n: int, indices):
     def member(i):
         j = i if moving is None else moving(g, i)
         coeffs = {
-            (head if offset is None else f"{head}{i + offset}{tail}"): degree(g, i, j)
-            for head, offset, tail, degree in pattern
+            (kind if offset is None else boundary_unknown(kind, i + offset, slot)): degree(g, i, j)
+            for kind, offset, slot, degree in pattern
         }
         return Relation(coeffs, target(g, i, j), fixed or f"{template.family}[i={i}]")
 

@@ -101,6 +101,29 @@ def test_canonicalize_examples():
     assert canonicalize(eta(1, "2"), 3, 2) == eta(1, "0")
 
 
+def _reference_identified_pairs(g, n):
+    # the four cases as the top-index identifications are stated one by one
+    if n == 1 and g % 2 == 0:
+        return [(delta(g // 2, "1"), delta(g // 2, "0"))]
+    if n == 1:
+        return [(eta((g - 1) // 2, "1"), eta((g - 1) // 2, "0"))]
+    if g % 2 == 0:
+        return [
+            (delta(g // 2, "2"), delta(g // 2, "0")),
+            (delta(g // 2, "1b"), delta(g // 2, "1a")),
+        ]
+    return [
+        (eta((g - 1) // 2, "2"), eta((g - 1) // 2, "0")),
+        (eta((g - 1) // 2, "1b"), eta((g - 1) // 2, "1a")),
+    ]
+
+
+def test_identified_pairs_match_the_four_case_reference():
+    for g in range(2, 102):
+        for n in (1, 2):
+            assert B.identified_pairs(g, n) == _reference_identified_pairs(g, n), (g, n)
+
+
 def test_canonicalize_out_of_range_rejected():
     with pytest.raises(DomainError):
         canonicalize(delta(2, "0"), 2, 1)
@@ -172,7 +195,8 @@ def test_cancellation_drops_terms():
 
 
 def test_non_rational_coefficient_rejected():
-    for bad in (0.1, 0.5, "1/3"):
+    # a bool is an int subclass but no coefficient, as for labels and LinearSystem.add_row
+    for bad in (0.1, 0.5, "1/3", True, False):
         with pytest.raises(TypeError) as excinfo:
             _expr(3, 1, [(delta(1, "0"), bad)])
         assert "delta_1_0" in str(excinfo.value) and repr(bad) in str(excinfo.value)

@@ -276,6 +276,25 @@ def test_verify_reports_a_dropped_or_an_extra_unknown(monkeypatch, change, misma
     assert _perturbed_verify(monkeypatch, WEIERSTRASS, change).mismatches == [mismatch]
 
 
+def test_mismatching_genus_reports_without_closed_form_values(monkeypatch):
+    # one predicate decides the genus and names the rows; no second comparison
+    # over closed_form_values runs to report them
+    def forbidden(*args):
+        raise AssertionError("verify called closed_form_values")
+
+    def change(coefficients):
+        coefficients.update(d=coefficients["d"] + 1, a_9_0=Fraction(1, 3))
+        coefficients.pop("a_1_1")
+
+    monkeypatch.setattr(CF, "closed_form_values", forbidden)
+    result = _perturbed_verify(monkeypatch, WEIERSTRASS, change)
+    assert result.mismatches == [
+        ("psi", CF.w_psi(3) + 1, CF.w_psi(3)),
+        ("delta_1_1", None, CF.w_delta(3, 1, 1)),
+        ("a_9_0", Fraction(1, 3), None),
+    ]
+
+
 def test_passing_verify_builds_no_fraction(monkeypatch):
     def forbidden(*args):
         raise AssertionError("closedform built a Fraction")
