@@ -200,9 +200,12 @@ class DivisorExpression(NamedTuple):
     def from_terms(
         cls, g: int, n: int, items: Iterable[tuple[BasisElement, Fraction]]
     ) -> "DivisorExpression":
-        """Build an expression; coefficients of a repeated label are summed.
+        """Build an expression in one pass; coefficients of a repeated label are summed.
 
-        A coefficient that is not rational (a float, a string, a bool) is a TypeError.
+        A coefficient that is not rational (a float, a string, a bool) is a TypeError,
+        and an invalid label a DomainError, even when its coefficient is 0.  Each
+        label keeps its first position; zeros go and values become ``Fraction`` s
+        at the end.
         """
         from fractions import Fraction  # here: ``hypdiv relations`` builds no rational
         from numbers import Rational
@@ -212,17 +215,11 @@ class DivisorExpression(NamedTuple):
         for e, coeff in items:
             if type(coeff) is bool or not isinstance(coeff, Rational):
                 raise TypeError(f"coefficient of {e!r} must be rational, got {coeff!r}")
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
             if not _in_range(e, g, n):
                 validate(e, g, n)  # raises, naming e and the ambient
-            acc = terms.get(e, Fraction(0)) + coeff
-            if acc:
-                terms[e] = acc
-            else:
-                del terms[e]
-        return cls(g, n, terms)
+            terms[e] = terms[e] + coeff if e in terms else coeff
+        nonzero = ((e, v) for e, v in terms.items() if v)
+        return cls(g, n, {e: v if type(v) is Fraction else Fraction(v) for e, v in nonzero})
 
     def canonical(self) -> "DivisorExpression":
         """Merge identified labels; the canonical coefficient is the sum."""

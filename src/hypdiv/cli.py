@@ -43,9 +43,8 @@ def output_record(g: int, target: str, view: str, expr: B.DivisorExpression) -> 
         order = B.enumerate_basis(g, n)
     else:
         order = B.formal_elements(g, n)
-    terms = [
-        {"class": e.name(n), **_fraction_pair(expr.terms[e])} for e in order if e in expr.terms
-    ]
+    names, values = [e.name(n) for e in order], expr.terms
+    terms = [{"class": s, **_fraction_pair(values[e])} for e, s in zip(order, names) if e in values]
     identified = [
         f"{twin.name(n)} = {canonical.name(n)}" for twin, canonical in B.identified_pairs(g, n)
     ]
@@ -56,7 +55,7 @@ def output_record(g: int, target: str, view: str, expr: B.DivisorExpression) -> 
         "terms": terms,
         "metadata": {
             "tool_version": __version__,
-            "basis_order": [e.name(n) for e in order],
+            "basis_order": names,
             "identified": identified,
         },
     }

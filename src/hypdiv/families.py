@@ -344,10 +344,14 @@ def unknown(label: Label) -> str:
 
 
 def formal_unknowns(g: int, n: int) -> dict[str, list[BasisElement]]:
-    """The formal unknowns in solver order, each with the labels it carries."""
+    """The formal unknowns in solver order, each with the labels it carries.  Solver
+    order is ``formal_elements`` with delta_{0,2} moved after eta_irr: one pass, no sort."""
+    elements = B.formal_elements(g, n)
+    if n == 2:
+        elements.insert(n + 1, elements.pop())
     groups: dict[str, list[BasisElement]] = {}
-    for _, name, e in sorted([_entry(e, e) for e in B.formal_elements(g, n)]):
-        groups.setdefault(name, []).append(e)
+    for e in elements:
+        groups.setdefault(unknown(e), []).append(e)
     return groups
 
 

@@ -77,15 +77,9 @@ def assemble_system(g: int, target: str) -> list[Relation]:
 
 def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[str], list[str]]:
     """(formal unknowns, auxiliary unknowns of ``relations``), both in solver order."""
-    formal = list(F.formal_unknowns(g, F.marked_points(target)))
-    known = set(formal)
-    auxiliaries = []
-    for relation in relations:
-        for symbol in relation.coeffs:
-            if symbol not in known:
-                known.add(symbol)
-                auxiliaries.append(symbol)
-    return formal, auxiliaries
+    formal = F.formal_unknowns(g, F.marked_points(target))
+    symbols = dict.fromkeys(symbol for relation in relations for symbol in relation.coeffs)
+    return list(formal), [symbol for symbol in symbols if symbol not in formal]
 
 
 class CoefficientReport(NamedTuple):

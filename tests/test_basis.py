@@ -141,13 +141,15 @@ def test_malformed_label_is_domain_error():
 
 
 @pytest.mark.parametrize(
-    "bad", [("delta", 1), ("delta", 1, "0", "x"), "delta", 5, ("delta", "1", "0")]
+    "bad", [("delta", 1), ("delta", 1, "0", "x"), "delta", 5, ("delta", "1", "0"), delta(7, "0")]
 )
 def test_from_terms_rejects_malformed_label_with_domain_error(bad):
-    # the shape is checked before the range, so no unpacking or comparison error leaks
-    with pytest.raises(DomainError) as caught:
-        DivisorExpression.from_terms(4, 1, [(bad, 1)])
-    assert type(caught.value) is DomainError
+    # the shape is checked before the range, so no unpacking or comparison error leaks;
+    # a zero coefficient does not excuse the label
+    for coeff in (1, 0, Fraction(0)):
+        with pytest.raises(DomainError) as caught:
+            DivisorExpression.from_terms(4, 1, [(bad, coeff)])
+        assert type(caught.value) is DomainError
 
 
 @pytest.mark.parametrize("bad", [delta(1.0, "0"), delta(True, "0"), eta(1.0, "0")])
@@ -157,6 +159,7 @@ def test_non_int_index_is_domain_error(bad):
         assert B.is_valid(bad, g, n) is False
         for call in (
             lambda: DivisorExpression.from_terms(g, n, [(bad, 1), (delta(1, "0"), 1)]),
+            lambda: DivisorExpression.from_terms(g, n, [(bad, 0), (delta(1, "0"), 1)]),
             lambda: canonicalize(bad, g, n),
             lambda: B.validate(bad, g, n),
         ):
@@ -206,6 +209,69 @@ def test_non_rational_coefficient_rejected():
     e = _expr(3, 1, [(psi(1), 2), (eta_irr(), Fraction(1, 3))])
     assert e.terms == {psi(1): 2, eta_irr(): Fraction(1, 3)}
     assert all(type(v) is Fraction for v in e.terms.values())
+
+
+def _reference_from_terms(g, n, items):
+    # the former two-pass construction: each coefficient made a Fraction, a zero
+    # dropped before its label is checked, a repeat added to Fraction(0)
+    from numbers import Rational
+
+    B.check_ambient(g, n)
+    terms = {}
+    for e, coeff in items:
+        if type(coeff) is bool or not isinstance(coeff, Rational):
+            raise TypeError(f"coefficient of {e!r} must be rational, got {coeff!r}")
+        coeff = Fraction(coeff)
+        if not coeff:
+            continue
+        B.validate(e, g, n)
+        acc = terms.get(e, Fraction(0)) + coeff
+        if acc:
+            terms[e] = acc
+        else:
+            del terms[e]
+    return terms
+
+
+_coefficients = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+_bad_labels = st.sampled_from(
+    [delta(99, "0"), eta(0, "0"), psi(3), ("delta", 1), delta(1.0, "0"), delta(True, "0")]
+)
+_bad_coefficients = st.sampled_from([0.5, 0.0, "1", True, False, None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(ambient, st.data())
+def test_from_terms_matches_the_two_pass_reference(gn, data):
+    g, n = gn
+    pool = data.draw(st.lists(st.sampled_from(B.formal_elements(g, n)), min_size=1, max_size=4))
+    items = data.draw(st.lists(st.tuples(st.sampled_from(pool), _coefficients), max_size=12))
+    for e, coeff in data.draw(st.lists(st.sampled_from(items), max_size=3)) if items else ():
+        items.append((e, -coeff))  # a cancellation
+    if data.draw(st.booleans()):
+        # a bad label carries a nonzero coefficient: the reference skipped a zero unchecked
+        bad = data.draw(
+            st.one_of(
+                st.tuples(_bad_labels, _coefficients.filter(bool)),
+                st.tuples(st.sampled_from(pool), _bad_coefficients),
+            )
+        )
+        items.insert(data.draw(st.integers(min_value=0, max_value=len(items))), bad)
+    try:
+        want = _reference_from_terms(g, n, items)
+    except (TypeError, DomainError) as exc:
+        with pytest.raises(type(exc)) as caught:
+            DivisorExpression.from_terms(g, n, items)
+        assert type(caught.value) is type(exc)
+        return
+    got = DivisorExpression.from_terms(g, n, items)
+    assert (got.g, got.n) == (g, n) and got.terms == want
+    assert all(type(v) is Fraction for v in got.terms.values())
+    # each label keeps the position of its first occurrence
+    assert list(got.terms) == [e for e in dict.fromkeys(e for e, _ in items) if e in got.terms]
 
 
 def test_canonical_view_sums_identified_coefficients():

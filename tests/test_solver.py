@@ -329,6 +329,44 @@ def test_one_formal_table_per_solve(monkeypatch):
         assert expr == F.formal_expression(5, F.marked_points(target), report.coefficients)
 
 
+def test_packaging_does_each_step_once(monkeypatch):
+    # the answer is packaged with no Fraction addition, no sort of the formal table,
+    # and one name per label of the record's order
+    from collections import Counter
+
+    from hypdiv import cli
+
+    def forbidden(*args):
+        raise AssertionError("packaging repeated a step")
+
+    g = 200
+    for target in (WEIERSTRASS, G12):
+        n = F.marked_points(target)
+        report = solve_coefficients(g, target)
+        with monkeypatch.context() as patched:
+            patched.setattr(Fraction, "__add__", forbidden)
+            patched.setattr(Fraction, "__radd__", forbidden)
+            expressions = closedform.closed_form(g, target), report.solution
+        assert expressions[0] == expressions[1]
+        with monkeypatch.context() as patched:
+            patched.setattr(F, "sorted", forbidden, raising=False)
+            assert unknown_order(g, target, report.relations)[0] == list(F.formal_unknowns(g, n))
+        named = Counter()
+        name = B.BasisElement.name
+
+        def counted(self, n):
+            named[self] += 1
+            return name(self, n)
+
+        for view, order in (("formal", B.formal_elements), ("canonical", B.enumerate_basis)):
+            named.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(B.BasisElement, "name", counted)
+                cli.output_record(g, target, view, expressions[0])
+            identified = Counter(e for pair in B.identified_pairs(g, n) for e in pair)
+            assert named == Counter(order(g, n)) + identified, (target, view)
+
+
 def test_assembly_builds_no_formal_table(monkeypatch):
     def forbidden(g, n):
         raise AssertionError("assemble_system built a formal table")
