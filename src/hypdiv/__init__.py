@@ -33,7 +33,6 @@ _EXPORTS = {
     "G12": "families",
     "WEIERSTRASS": "families",
     "DegreeVector": "families",
-    "pairing_degree": "families",
     "Relation": "families",
     "CoefficientReport": "solver",
     "assemble_system": "solver",

@@ -2,9 +2,10 @@
 
 A row maps variable names (any hashables; ``LinearSystem.variables`` is
 the column order) to nonzero ``int``s, with an ``int`` right-hand side.
-Rows passed to the constructor are stored as given; a row appended later
-takes ``int`` or ``fractions.Fraction`` entries (never a ``bool``) and is
-stored primitive.  Only answers are ``Fraction``s.  ``solve`` runs
+Rows passed to the constructor are stored as given, and ``solve`` and
+``rank`` refuse a malformed one; a row appended later takes ``int`` or
+``fractions.Fraction`` entries (never a ``bool``) and is stored primitive.
+Only answers are ``Fraction``s.  ``solve`` runs
 integer-preserving forward elimination on a copy of the rows, with
 deterministic pivots (first nonzero row in column order), then
 back-substitution in integers over one common denominator, so no rounding
@@ -29,7 +30,7 @@ from typing import Hashable, Mapping, NamedTuple, Union
 
 
 class StructuralError(ValueError):
-    """A row does not match the system's variable list, or holds a non-rational entry."""
+    """A row does not match the system's variable list, or holds an entry of the wrong type."""
 
 
 class CheckError(ArithmeticError):
@@ -112,13 +113,20 @@ def _eliminate(sys: LinearSystem):
     once chosen; every other row ends empty (0 = rhs).  ``holders[j]`` is
     the set of rows with a nonzero entry in column j, kept exact under
     every row operation, so the pivot search and the elimination visit
-    only those rows.
+    only those rows.  The pass that builds it raises StructuralError on a
+    malformed stored row.
     """
     rows = list(sys.rows)
     holders: dict[Hashable, set[int]] = {v: set() for v in sys.variables}
-    for r, (row, _) in enumerate(rows):
-        for j in row:
+    for r, (row, rhs) in enumerate(rows):
+        for j, v in row.items():
+            if type(v) is not int or not v or j not in holders:
+                raise StructuralError(
+                    f"stored row {r}: {j!r}: {v!r} is not a nonzero int on a variable"
+                )
             holders[j].add(r)
+        if type(rhs) is not int:
+            raise StructuralError(f"stored row {r}: right-hand side {rhs!r} is not an int")
     pivots: dict[Hashable, int] = {}
     pivot_rows: set[int] = set()
     for col, holding in holders.items():

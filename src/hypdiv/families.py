@@ -11,8 +11,9 @@ alone.  The public catalog functions (and the ``families`` command)
 evaluate one member into a :class:`DegreeVector`, checking every label and
 degree; :func:`relations` checks each template once per genus, reuses its
 genus-free pattern (:func:`_pattern`) and evaluates its members straight
-into :class:`Relation` s.  A test checks each self-intersection entry
-against :mod:`hypdiv.surfcalc` for every genus the command line accepts.
+into :class:`Relation` s, the one form in which the catalog reaches the
+solver.  A test checks each self-intersection entry against
+:mod:`hypdiv.surfcalc` for every genus the command line accepts.
 
 Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g)
 are registered, never dropped; :func:`is_auxiliary` tells them apart.
@@ -313,28 +314,28 @@ def boundary_unknown(kind: str, index: int, slot) -> str:
     return f"{_HEADS[kind]}{index}_{slot}"
 
 
-def _entry(label: Label, value=None) -> tuple:
-    """(solver key, unknown name, ``value``) of a label, in one kind dispatch.
+def _entry(label: Label) -> tuple[tuple, str]:
+    """(solver key, unknown name) of a label, in one kind dispatch.
 
     Solver order: psi (and PSI_SUM), eta_irr, delta_{0,2}, deltas, etas, each
     kind by (index, marking), so a relation's form ends with its auxiliary
-    eta; distinct labels have distinct keys, so a sort never compares values.
+    eta; distinct labels have distinct keys, so a sort never compares past them.
     The unknown is ``d`` for psi classes, ``c`` for eta_irr, ``a_0_2`` for
     delta_{0,2}, ``a_i_m`` / ``b_i_m`` for delta / eta boundary labels; the class
     is symmetric in the marks, so 1a, 1b and the invariant "1" share ``a_i_1``.
     """
     if type(label) is PsiSum:
-        return (0,), "d", value
+        return (0,), "d"
     kind, index, marking = label
     if kind == B.DELTA or kind == B.ETA:
         rank = 3 if kind == B.DELTA else 4
-        return (rank, index, marking), boundary_unknown(kind, index, marking[0]), value
+        return (rank, index, marking), boundary_unknown(kind, index, marking[0])
     if kind == B.PSI:
-        return (0, index, marking), "d", value
+        return (0, index, marking), "d"
     if kind == B.ETA_IRR:
-        return (1, index, marking), "c", value
+        return (1, index, marking), "c"
     if kind == B.DELTA_0_2:
-        return (2, index, marking), "a_0_2", value
+        return (2, index, marking), "a_0_2"
     raise DomainError(f"{label!r} names no unknown")
 
 
@@ -360,19 +361,6 @@ def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.Divi
     return B.DivisorExpression.from_terms(
         g, n, [(e, values[unknown(e)]) for e in B.formal_elements(g, n)]
     )
-
-
-def pairing_degree(dv: DegreeVector) -> dict[str, int]:
-    """The integer linear form (unknown -> coefficient, in solver order) that
-    pairs the unknown coefficients with ``dv``; it equals ``dv.target_degree``."""
-    form: dict[str, int] = {}
-    for _, name, value in sorted([_entry(label, value) for label, value in dv.degrees.items()]):
-        acc = form.get(name, 0) + value
-        if acc:
-            form[name] = acc
-        else:
-            form.pop(name, None)
-    return form
 
 
 class Relation:
@@ -421,7 +409,7 @@ def _pattern(template: Template) -> tuple:
     Label indices are i plus a constant, so the order at i = 0 holds for every i."""
     spots: dict[tuple, list] = {}  # (kind, offset, slot) of an unknown -> its degree formulas
     entries = template.entries
-    for _, name, k in sorted(_entry(_label_at(e[0], 0), k) for k, e in enumerate(entries)):
+    for _, name, k in sorted((*_entry(_label_at(e[0], 0)), k) for k, e in enumerate(entries)):
         label, degree = entries[k]
         if type(label) is Shifted:
             spot = (label.kind, label.offset, label.marking[0])

@@ -5,7 +5,9 @@ one linear relation (:func:`hypdiv.families.relations`): pairing the
 unknown coefficients (named by :func:`hypdiv.families.unknown`) with the
 member's degree vector and equating to the target degree.  The assembly is
 deliberately overdetermined; redundant relations are reported, never
-pruned, since they cross-check the catalog.
+pruned, since they cross-check the catalog.  The independent a_i_1
+determinations re-solve pairs of those same relations, found by their
+provenance.
 
 Beyond the families, identification relations enter: at the top boundary
 index two formal labels name the same irreducible divisor, and the printed
@@ -151,31 +153,30 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
 def independent_a1_determinations(g: int) -> dict[int, dict[str, Fraction]]:
     """Determinations of each invariant delta coefficient a_i_1 (target g12).
 
-    For every i, the ruling relation on each side determines a_i_1 once
-    the eta unknown it touches is pinned by an f2ip1 relation (a disjoint
-    family).  Returns i -> {side: value} for the sides whose eta unknown
-    has an f2ip1 source; every i has at least one.
+    For every i, ``exactlin`` solves the relation ``ruling_{side}[i=i]`` of the
+    full solve with c and d fixed at their solved values and the eta unknown
+    it touches pinned by ``f2ip1[i=k]`` (a disjoint family).  Returns
+    i -> {side: value} for the sides with an f2ip1 member; every i has one.
     """
-    from fractions import Fraction
+    from . import exactlin  # here, not at the top: ``hypdiv relations`` never solves
 
     report = solve_coefficients(g, G12)
-    pinned = {"c": report.coefficients["c"], "d": report.coefficients["d"]}
-
-    def solve_for(dv: F.DegreeVector, name: str, values: dict[str, Fraction]) -> Fraction:
-        # the one unknown of dv's relation that ``values`` leaves open
-        form = F.pairing_degree(dv)
-        rest = sum((coeff * values[s] for s, coeff in form.items() if s != name), Fraction(0))
-        return (dv.target_degree - rest) / form[name]
-
+    relation = {r.provenance: r for r in report.relations}.get
+    fixed = [({s: 1}, report.coefficients[s]) for s in ("c", "d")]
     out: dict[int, dict[str, Fraction]] = {}
     for i in B.delta_range(g):
-        determinations: dict[str, Fraction] = {}
+        a, out[i] = F.unknown(B.delta(i, "1")), {}
         for side, eta_index in ((F.LOW, i - 1), (F.HIGH, i)):
-            if not 0 <= eta_index <= (g - 1) // 2:
-                continue  # no f2ip1 member pins this eta unknown
-            b = F.unknown(B.eta(eta_index, "1"))
-            values = {**pinned, b: solve_for(F.f2ip1_family(g, eta_index), b, pinned)}
-            ruling = F.g12_ruling_family(g, i, side)
-            determinations[side] = solve_for(ruling, F.unknown(B.delta(i, "1")), values)
-        out[i] = determinations
+            pin, ruling = relation(f"f2ip1[i={eta_index}]"), relation(f"ruling_{side}[i={i}]")
+            if pin is None:
+                continue  # no f2ip1 member pins this side's eta unknown
+            system = exactlin.LinearSystem(dict.fromkeys([a, *pin.coeffs, *ruling.coeffs]))
+            for coeffs, rhs in [(pin.coeffs, pin.rhs), (ruling.coeffs, ruling.rhs), *fixed]:
+                system.add_row(coeffs, rhs)
+            result = exactlin.solve(system)
+            if not isinstance(result, exactlin.Unique):
+                raise SolverError(
+                    f"{pin.provenance} and {ruling.provenance} do not determine {a} at g={g}"
+                )
+            out[i][side] = result.assignment[a]
     return out

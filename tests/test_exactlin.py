@@ -170,6 +170,30 @@ def test_add_row_rejects_bool_entries(coeffs, rhs):
     assert sys.rows == []
 
 
+@pytest.mark.parametrize("operation", [solve, rank])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [({"y": 1}, 0)],  # a name outside the variables
+        [({"x": 0}, 0)],
+        [({"x": Fraction(1)}, 0)],
+        [({"x": 1.0}, 0)],
+        [({"x": True}, 1)],  # a bool is an int subclass
+        [({"x": 1}, Fraction(1))],
+        [({"x": 1}, 1.0)],
+        [({"x": 1}, True)],
+        [({"x": 2}, 1), ({"x": 1, "y": 1}, 0)],  # a later row
+    ],
+)
+def test_malformed_stored_rows_are_structural_errors(operation, rows):
+    # rows passed to the constructor are stored unchecked, so solve and rank check them
+    sys = LinearSystem(("x",), rows)
+    with pytest.raises(StructuralError) as caught:
+        operation(sys)
+    assert type(caught.value) is StructuralError
+    assert sys.rows is rows
+
+
 @pytest.mark.parametrize("column", [0, 1])
 def test_corrupted_back_substitution_raises_check_error(monkeypatch, column):
     # the self-check runs on the integer numerators, not on the Fraction answer

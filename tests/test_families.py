@@ -15,10 +15,11 @@ from hypdiv.families import (
     g12_ruling_family,
     glued_weierstrass_family,
     is_auxiliary,
-    pairing_degree,
     quadric_pencil_family,
     two_point_blowup_family,
 )
+from pairing_oracle import pairing_degree as _reference_pairing_degree
+from pairing_oracle import unknown as _reference_unknown
 
 
 def aux_eta(i, m):
@@ -186,18 +187,21 @@ def test_self_intersection_entries_match_lattice_recomputation():
             )
 
 
+def _relation(g, n, provenance):
+    """The relation of ``F.relations(g, n)`` with this provenance."""
+    return {r.provenance: r for r in F.relations(g, n)}[provenance]
+
+
 def test_pairing_with_weierstrass_ansatz():
     g = 5
-    assert pairing_degree(diagonal_family(g)) == {"d": 2 * g - 2}
-    assert diagonal_family(g).target_degree == 2 * g + 2
-
-    form = pairing_degree(quadric_pencil_family(g, 1))
-    assert form == {"d": 1, "c": 4 * (2 * g + 1)}
+    assert _relation(g, 1, "diagonal") == F.Relation({"d": 2 * g - 2}, 2 * g + 2, "diagonal")
+    want = F.Relation({"d": 1, "c": 4 * (2 * g + 1)}, 1, "quadric_pencil")
+    assert _relation(g, 1, "quadric_pencil") == want
 
 
 def test_pairing_maps_invariant_labels_to_shared_symbol():
-    form = pairing_degree(g12_ruling_family(3, 1, F.HIGH))
-    assert form == {"a_1_1": -2, "b_1_1": 4, "c": 32, "d": 2}
+    form = _relation(3, 2, "ruling_high[i=1]").coeffs
+    assert list(form.items()) == [("d", 2), ("c", 32), ("a_1_1", -2), ("b_1_1", 4)]
 
 
 def test_formal_unknowns_order_and_label_groups():
@@ -318,18 +322,6 @@ def _reference_is_valid(e, g, n):
     return False
 
 
-def _reference_unknown(label):
-    """``unknown`` as it was, through the slot int(marking[0]) and repeated ``.kind`` reads."""
-    if isinstance(label, F.PsiSum) or label.kind == B.PSI:
-        return "d"
-    if label.kind == B.ETA_IRR:
-        return "c"
-    if label.kind == B.DELTA_0_2:
-        return "a_0_2"
-    prefix = "a" if label.kind == B.DELTA else "b"
-    return f"{prefix}_{label.index}_{int(label.marking[0])}"
-
-
 def _outcome(function, *args):
     try:
         return function(*args)
@@ -351,27 +343,6 @@ def test_is_valid_and_unknown_match_reference():
     assert F.unknown(PSI_SUM) == _reference_unknown(PSI_SUM) == "d"
 
 
-def _reference_solver_key(label):
-    """``_solver_key`` as it was, the kind's position found by ``tuple.index``."""
-    if type(label) is F.PsiSum:
-        return (0,)
-    kind, index, marking = label
-    return ((B.PSI, B.ETA_IRR, B.DELTA_0_2, B.DELTA, B.ETA).index(kind), index, marking)
-
-
-def _reference_pairing_degree(dv):
-    """``pairing_degree`` as it was: a key sort, then one ``unknown`` per label."""
-    form = {}
-    for label in sorted(dv.degrees, key=_reference_solver_key):
-        name = _reference_unknown(label)
-        acc = form.get(name, 0) + dv.degrees[label]
-        if acc:
-            form[name] = acc
-        else:
-            form.pop(name, None)
-    return form
-
-
 def _reference_provenance(dv):
     """``DegreeVector.provenance`` as it was, sorting the params of every member."""
     if dv.params:
@@ -380,11 +351,9 @@ def _reference_provenance(dv):
     return dv.family
 
 
-def test_pairing_and_provenance_match_reference_on_every_member():
+def test_provenance_matches_reference_on_every_member():
     for g in range(2, 61):
         for dv in _all_vectors(g):
-            want = _reference_pairing_degree(dv)
-            assert list(pairing_degree(dv).items()) == list(want.items()), (g, dv)
             assert dv.provenance() == _reference_provenance(dv), (g, dv)
 
 
@@ -398,10 +367,14 @@ def test_pairing_and_provenance_match_reference_on_every_member():
         {eta(2, "1b"): -2, eta(2, "1a"): 2, delta(1, "2"): 5, eta(0, "0"): 1},
     ],
 )
-def test_pairing_merges_and_cancels_like_reference(degrees):
-    dv = F._vector(6, 2, F.G12, 0, degrees, "hand", {"i": 2, "a": 1})
-    assert list(pairing_degree(dv).items()) == list(_reference_pairing_degree(dv).items())
-    assert dv.provenance() == _reference_provenance(dv) == "hand[a=1,i=2]"
+def test_pairing_merges_and_cancels_like_reference(degrees, monkeypatch):
+    entries = tuple((label, lambda g, i, j, v=v: v) for label, v in degrees.items())
+    hand = F.Template("hand", 2, lambda g, i, j: 0, entries, params=(("i", 2), ("a", 1)))
+    monkeypatch.setitem(F.CATALOG, 2, ((hand,),))
+    (relation,) = F.relations(6, 2)
+    dv = F.evaluate(hand, 6)
+    assert list(relation.coeffs.items()) == list(_reference_pairing_degree(dv).items())
+    assert relation.provenance == dv.provenance() == _reference_provenance(dv) == "hand[a=1,i=2]"
 
 
 def test_vectors_keep_their_own_params():
@@ -447,8 +420,9 @@ def test_evaluate_pairing_reproduces_target_degree():
     # the closed form really has the cataloged degree on each family
     g = 6
     values = _closed_form_values(g, F.WEIERSTRASS, 1)
-    assert _substitute(pairing_degree(diagonal_family(g)), values) == 2 * g + 2
-    assert _substitute(pairing_degree(quadric_pencil_family(g, 1)), values) == 1
+    for provenance, degree in (("diagonal", 2 * g + 2), ("quadric_pencil", 1)):
+        relation = _relation(g, 1, provenance)
+        assert _substitute(relation.coeffs, values) == relation.rhs == degree
 
 
 def test_evaluate_pairing_with_auxiliary_values():
@@ -457,13 +431,12 @@ def test_evaluate_pairing_with_auxiliary_values():
     from hypdiv.closedform import g12_eta_irr
 
     g = 2
-    dv = g12_ruling_family(g, 1, F.LOW)
-    form = pairing_degree(dv)
+    relation = _relation(g, 2, "ruling_low[i=1]")
     values = _closed_form_values(g, F.G12, 2)
-    assert "b_0_1" in form and "b_0_1" not in values
+    assert "b_0_1" in relation.coeffs and "b_0_1" not in values
     assert is_auxiliary(eta(0, "1"), g)
     values["b_0_1"] = 2 * g12_eta_irr(g)
-    assert _substitute(form, values) == dv.target_degree == 0
+    assert _substitute(relation.coeffs, values) == relation.rhs == 0
 
 
 def test_cataloged_degrees_are_integers():

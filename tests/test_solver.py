@@ -9,6 +9,7 @@ import pytest
 from hypdiv import basis as B
 from hypdiv import closedform, exactlin
 from hypdiv import families as F
+from hypdiv import solver as S
 from hypdiv.families import G12, WEIERSTRASS
 from hypdiv.solver import (
     Relation,
@@ -20,6 +21,7 @@ from hypdiv.solver import (
     solve_coefficients,
     unknown_order,
 )
+from pairing_oracle import pairing_degree
 
 
 def frac(n, d=1):
@@ -196,6 +198,76 @@ def test_two_determinations_of_invariant_delta_coefficient_coincide():
             if len(values) == 2:
                 low, high = values["low"], values["high"]
                 assert low == high
+
+
+def _reference_determinations(g):
+    """``independent_a1_determinations`` as it was: each member rebuilt as a degree
+    vector, turned into a form, and solved by hand in Fractions."""
+    report = solve_coefficients(g, G12)
+    pinned = {"c": report.coefficients["c"], "d": report.coefficients["d"]}
+
+    def solve_for(dv, name, values):
+        form = pairing_degree(dv)
+        rest = sum((coeff * values[s] for s, coeff in form.items() if s != name), Fraction(0))
+        return (dv.target_degree - rest) / form[name]
+
+    out = {}
+    for i in B.delta_range(g):
+        determinations = {}
+        for side, eta_index in ((F.LOW, i - 1), (F.HIGH, i)):
+            if not 0 <= eta_index <= (g - 1) // 2:
+                continue
+            b = F.unknown(B.eta(eta_index, "1"))
+            values = {**pinned, b: solve_for(F.f2ip1_family(g, eta_index), b, pinned)}
+            ruling = F.g12_ruling_family(g, i, side)
+            determinations[side] = solve_for(ruling, F.unknown(B.delta(i, "1")), values)
+        out[i] = determinations
+    return out
+
+
+def test_determinations_match_the_reference():
+    for g in range(2, 61):
+        got, want = independent_a1_determinations(g), _reference_determinations(g)
+        assert got == want, g
+        assert [(i, list(v.items())) for i, v in got.items()] == [
+            (i, list(v.items())) for i, v in want.items()
+        ], g
+
+
+def test_determinations_read_the_relations_of_the_full_solve(monkeypatch):
+    # the determinations build no degree vector: they solve relations of the full solve
+    reports = {g: solve_coefficients(g, G12) for g in range(2, 21)}
+    monkeypatch.setattr(S, "solve_coefficients", lambda g, target: reports[g])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a degree vector was built")
+
+    monkeypatch.setattr(F, "evaluate", refused)
+    monkeypatch.setattr(F, "_vector", refused)
+    for g, report in reports.items():
+        determinations = independent_a1_determinations(g)
+        assert all(
+            value == report.coefficients[f"a_{i}_1"]
+            for i, values in determinations.items()
+            for value in values.values()
+        ), g
+
+
+@pytest.mark.parametrize("defect", ["f2ip1 repeats the ruling", "ruling without a_1_1"])
+def test_a_determination_that_is_not_unique_is_solver_error(monkeypatch, defect):
+    report = solve_coefficients(4, G12)
+    by_provenance = {r.provenance: r for r in report.relations}
+    ruling = by_provenance["ruling_low[i=1]"]
+    if defect == "f2ip1 repeats the ruling":  # underdetermined
+        by_provenance["f2ip1[i=0]"] = Relation(ruling.coeffs, ruling.rhs, "f2ip1[i=0]")
+    else:  # inconsistent: the rest of the ruling relation has a nonzero sum
+        rest = {s: v for s, v in ruling.coeffs.items() if s != "a_1_1"}
+        by_provenance["ruling_low[i=1]"] = Relation(rest, ruling.rhs, "ruling_low[i=1]")
+    broken = report._replace(relations=list(by_provenance.values()))
+    monkeypatch.setattr(S, "solve_coefficients", lambda g, target: broken)
+    with pytest.raises(SolverError, match=r"f2ip1\[i=0\] and ruling_low\[i=1\]") as caught:
+        independent_a1_determinations(4)
+    assert type(caught.value) is SolverError
 
 
 def test_auxiliaries_extend_the_closed_form_tables():
