@@ -31,8 +31,8 @@ EXIT_USAGE = 2
 MAX_GENUS = 2000
 
 
-def _fraction_pair(value: int | Fraction) -> dict:
-    return {"num": value.numerator, "den": value.denominator}
+def _fraction_pair(value: int | Fraction | None) -> dict | None:
+    return None if value is None else {"num": value.numerator, "den": value.denominator}
 
 
 def output_record(g: int, target: str, view: str, expr: B.DivisorExpression) -> dict:
@@ -78,10 +78,8 @@ def render_csv(record: dict) -> str:
     import io
 
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["class", "numerator", "denominator"])
-    for term in record["terms"]:
-        writer.writerow([term["class"], term["num"], term["den"]])
+    rows = [(term["class"], term["num"], term["den"]) for term in record["terms"]]
+    csv.writer(buffer).writerows([("class", "numerator", "denominator"), *rows])
     return buffer.getvalue()
 
 
@@ -100,30 +98,20 @@ def _latex_class(e: B.BasisElement, n: int) -> str:
     return rf"{symbol}_{{{e.index},{marking}}}"
 
 
-def _latex_coefficient(num: int, den: int) -> tuple[str, str]:
-    sign = "-" if num < 0 else "+"
-    num = abs(num)
-    if den == 1:
-        magnitude = "" if num == 1 else str(num)
-    else:
-        magnitude = rf"\tfrac{{{num}}}{{{den}}}"
-    return sign, magnitude
+def _latex_term(num: int, den: int, symbol: str) -> str:
+    """One summand with its sign in front, " + 3\\psi"; a coefficient 1 is left unwritten."""
+    magnitude = rf"\tfrac{{{abs(num)}}}{{{den}}}" if den > 1 else "" if abs(num) == 1 else abs(num)
+    return f" {'-' if num < 0 else '+'} {magnitude}{symbol}"
 
 
 def render_latex(record: dict) -> str:
     n = F.marked_points(record["divisor"])
     labels = {e.name(n): e for e in B.formal_elements(record["genus"], n)}
-    pieces = []
-    for term in record["terms"]:
-        sign, magnitude = _latex_coefficient(term["num"], term["den"])
-        pieces.append((sign, magnitude + _latex_class(labels[term["class"]], n)))
-    if not pieces:
-        body = "0"
-    else:
-        first_sign, first = pieces[0]
-        body = ("-" if first_sign == "-" else "") + first
-        for sign, text in pieces[1:]:
-            body += f" {sign} {text}"
+    terms = "".join(
+        _latex_term(t["num"], t["den"], _latex_class(labels[t["class"]], n))
+        for t in record["terms"]
+    )
+    body = ("" if terms[1] == "+" else "-") + terms[3:] if terms else "0"  # no leading " + "
     lhs = _LATEX_TARGET[record["divisor"]]
     comment = f"% genus {record['genus']}, view {record['view']}"
     return f"{comment}\n\\[\n{lhs} = {body}\n\\]"
@@ -160,11 +148,7 @@ def verification_record(report) -> dict:
                 "n_redundant": r.n_redundant,
                 "auxiliaries": {k: _fraction_pair(v) for k, v in r.auxiliaries.items()},
                 "mismatches": [
-                    {
-                        "class": name,
-                        "solver": _fraction_pair(got) if got is not None else None,
-                        "closed": _fraction_pair(want) if want is not None else None,
-                    }
+                    {"class": name, "solver": _fraction_pair(got), "closed": _fraction_pair(want)}
                     for name, got, want in r.mismatches
                 ],
                 **failure,
@@ -274,13 +258,11 @@ FAMILIES = {
 def cmd_families(parser, args) -> int:
     g = _genus(parser, args.genus)
     build, options = FAMILIES[args.family]
-    values = []
     for name in options:
         if getattr(args, name) is None:
             parser.error(f"--{name} is required for family {args.family!r}")
-        values.append(getattr(args, name))
     try:
-        dv = build(g, *values)
+        dv = build(g, *(getattr(args, name) for name in options))
     except B.DomainError as exc:
         parser.error(str(exc))
     _write_lines([render_json(degree_vector_record(dv))])

@@ -4,8 +4,8 @@ A row maps variable names (any hashables; ``LinearSystem.variables`` is
 the column order) to nonzero ``int``s, with an ``int`` right-hand side.
 Rows passed to the constructor are stored as given, and ``solve`` and
 ``rank`` refuse a malformed one; a row appended later takes ``int`` or
-``fractions.Fraction`` entries (never a ``bool``) and is stored primitive.
-Only answers are ``Fraction``s.  ``solve`` runs
+``fractions.Fraction`` entries (never a ``bool``) and is stored primitive,
+never in the caller's list.  Only answers are ``Fraction``s.  ``solve`` runs
 integer-preserving forward elimination on a copy of the rows, with
 deterministic pivots (first nonzero row in column order), then
 back-substitution in integers over one common denominator, so no rounding
@@ -42,7 +42,7 @@ class LinearSystem:
 
     def __init__(self, variables, rows: list[tuple[dict[Hashable, int], int]] | None = None):
         self.variables: tuple[Hashable, ...] = tuple(variables)
-        self.rows = [] if rows is None else rows
+        self.rows = self._given = [] if rows is None else rows  # add_row appends to a copy
         if len(set(self.variables)) != len(self.variables):
             raise StructuralError("duplicate variable names")
 
@@ -56,6 +56,8 @@ class LinearSystem:
                 raise StructuralError(f"unknown variable {name!r}")
         scale = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
         row = {name: v.numerator * (scale // v.denominator) for name, v in coeffs.items() if v}
+        if self.rows is self._given:
+            self.rows = list(self.rows)
         self.rows.append(_normalize(row, rhs.numerator * (scale // rhs.denominator)))
 
 

@@ -9,11 +9,12 @@ table of families, as :class:`Template` s: label constructors in the member
 index i with integer degree formulas in (g, i, j) built from +, - and *
 alone.  The public catalog functions (and the ``families`` command)
 evaluate one member into a :class:`DegreeVector`, checking every label and
-degree; :func:`relations` checks each template once per genus, reuses its
-genus-free pattern (:func:`_pattern`) and evaluates its members straight
-into :class:`Relation` s, the one form in which the catalog reaches the
-solver.  A test checks each self-intersection entry against
-:mod:`hypdiv.surfcalc` for every genus the command line accepts.
+degree; :func:`relations` checks each template's labels once per genus,
+reuses its genus-free pattern (:func:`_pattern`) and builds each member
+straight into a :class:`Relation`, the one form in which the catalog reaches
+the solver, checking the type of each degree as it goes.  A test checks each
+self-intersection entry against :mod:`hypdiv.surfcalc` for every genus the
+command line accepts.
 
 Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g)
 are registered, never dropped; :func:`is_auxiliary` tells them apart.
@@ -50,8 +51,7 @@ class PsiSum:
     def name(self, n: int = 2) -> str:
         return "psi_sum"
 
-    def __repr__(self):
-        return "psi_sum"
+    __repr__ = name
 
 
 PSI_SUM = PsiSum()
@@ -106,8 +106,13 @@ class DegreeVector(NamedTuple):
         return self.degrees.get(label, 0)
 
     def provenance(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.family}[{inner}]" if self.params else self.family
+        return _provenance(self.family, self.params.items())
+
+
+def _provenance(family: str, params) -> str:
+    """``family[k=v,...]`` over the sorted (name, value) pairs ``params``, or ``family``."""
+    inner = ",".join(f"{k}={v}" for k, v in sorted(params))
+    return f"{family}[{inner}]" if params else family
 
 
 def _vector(g, n, target, target_degree, degrees, family, params=None) -> DegreeVector:
@@ -309,6 +314,7 @@ def marked_points(target: str) -> int:
 _HEADS = {B.DELTA: "a_", B.ETA: "b_"}  # boundary kind -> head of its unknowns a_i_m, b_i_m
 
 
+@cache  # each name is spelled once per process
 def boundary_unknown(kind: str, index: int, slot) -> str:
     """The unknown ``a_i_m`` (delta) or ``b_i_m`` (eta) at index i and slot m."""
     return f"{_HEADS[kind]}{index}_{slot}"
@@ -339,6 +345,7 @@ def _entry(label: Label) -> tuple[tuple, str]:
     raise DomainError(f"{label!r} names no unknown")
 
 
+@cache  # as boundary_unknown: each label's unknown is named once per process
 def unknown(label: Label) -> str:
     """Name of the rational unknown that multiplies ``label`` (see :func:`_entry`)."""
     return _entry(label)[1]
@@ -370,11 +377,14 @@ class Relation:
     __slots__ = ("coeffs", "rhs", "provenance")
 
     def __init__(self, coeffs: dict[str, int], rhs: int, provenance: str):
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
-        if not self.coeffs:
+        self._hold({k: v for k, v in coeffs.items() if v}, rhs, provenance)
+
+    def _hold(self, coeffs: dict[str, int], rhs: int, provenance: str) -> Relation:
+        """Keep ``coeffs`` as it is: a dict of the relation's own, holding no zero."""
+        if not coeffs:
             raise DomainError(f"relation {provenance!r} has no nonzero coefficient")
-        self.rhs = rhs
-        self.provenance = provenance
+        self.coeffs, self.rhs, self.provenance = coeffs, rhs, provenance
+        return self
 
     def __eq__(self, other):
         if type(other) is not Relation:
@@ -411,10 +421,8 @@ def _pattern(template: Template) -> tuple:
     entries = template.entries
     for _, name, k in sorted((*_entry(_label_at(e[0], 0)), k) for k, e in enumerate(entries)):
         label, degree = entries[k]
-        if type(label) is Shifted:
-            spot = (label.kind, label.offset, label.marking[0])
-        else:
-            spot = (name, None, None)
+        shifted = type(label) is Shifted
+        spot = (label.kind, label.offset, label.marking[0]) if shifted else (name, None, None)
         spots.setdefault(spot, []).append(degree)
     merged = lambda ds: ds[0] if len(ds) == 1 else lambda g, i, j: sum(d(g, i, j) for d in ds)
     return tuple((*spot, merged(ds)) for spot, ds in spots.items())
@@ -423,24 +431,31 @@ def _pattern(template: Template) -> tuple:
 def _resolve(template: Template, g: int, n: int, indices):
     """The function i -> relation of the template's member at index i, at genus g.
 
-    Per genus only checks are made, on top of :func:`_pattern`: ``_check_label``
-    at both ends of ``indices`` covers every member, as label indices are i plus
-    a constant and markings are fixed; +, - and * keep an int an int, so one
-    evaluated member settles every degree's type (and names a one-member family)."""
+    On top of :func:`_pattern`, per genus only the labels are checked: ``_check_label``
+    at both ends of ``indices`` covers every member, as label indices are i plus a
+    constant and markings are fixed.  Each member type-checks every degree it computes,
+    the target's too, as it builds its one dict; a non-``int`` is a CatalogError."""
     for i in (indices[0], indices[-1]):
         for label, _ in template.entries:
             _check_label(_label_at(label, i), g, n)
-    dv = evaluate(template, g, indices[0])
     pattern, target, moving = _pattern(template), template.target_degree, template.j
-    fixed = None if template.indices else dv.provenance()
+    fixed = None if template.indices else _provenance(template.family, template.params)
 
     def member(i):
         j = i if moving is None else moving(g, i)
-        coeffs = {
-            (kind if offset is None else boundary_unknown(kind, i + offset, slot)): degree(g, i, j)
-            for kind, offset, slot, degree in pattern
-        }
-        return Relation(coeffs, target(g, i, j), fixed or f"{template.family}[i={i}]")
+        coeffs, rhs = {}, target(g, i, j)
+        for kind, offset, slot, degree in pattern:
+            v = degree(g, i, j)
+            if type(v) is not int:
+                break
+            if v:
+                coeffs[kind if offset is None else boundary_unknown(kind, i + offset, slot)] = v
+        else:
+            if type(rhs) is int:
+                provenance = fixed or f"{template.family}[i={i}]"
+                return Relation.__new__(Relation)._hold(coeffs, rhs, provenance)
+        evaluate(template, g, i)  # raises for a nonzero non-int degree, naming its label
+        raise CatalogError(f"{template.family}: non-integer degree at i={i}, g={g}")
 
     return member
 

@@ -28,6 +28,7 @@ the relations and ``unknown_order`` keep the solver order.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from . import families as F
@@ -80,7 +81,7 @@ def assemble_system(g: int, target: str) -> list[Relation]:
 def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[str], list[str]]:
     """(formal unknowns, auxiliary unknowns of ``relations``), both in solver order."""
     formal = F.formal_unknowns(g, F.marked_points(target))
-    symbols = dict.fromkeys(symbol for relation in relations for symbol in relation.coeffs)
+    symbols = dict.fromkeys(chain.from_iterable(relation.coeffs for relation in relations))
     return list(formal), [symbol for symbol in symbols if symbol not in formal]
 
 

@@ -86,6 +86,15 @@ def test_records_built_without_defaults_share_no_mutable_object():
     assert exactlin.LinearSystem(("x",)).rows is not exactlin.LinearSystem(("x",)).rows
 
 
+def test_linear_system_appends_to_its_own_row_list():
+    rows = [({"x": 1}, 1)]
+    system = exactlin.LinearSystem(["x"], rows)
+    system.add_row({"x": 2}, 3)
+    assert rows == [({"x": 1}, 1)] and system.rows == [({"x": 1}, 1), ({"x": 2}, 3)]
+    system.add_row({"x": 1}, 1)  # later rows go to the system's copy as well
+    assert len(rows) == 1 and len(system.rows) == 3
+
+
 def test_relation_drops_zero_coefficients():
     coeffs = {"d": 0, "c": 2, "a_1_0": 0, "b_1_0": -1}
     relation = S.Relation(coeffs, 3, "p")

@@ -94,6 +94,66 @@ def test_non_integer_degree_formula_is_catalog_error(monkeypatch):
         S.assemble_system(5, G12)
 
 
+def test_non_integer_degree_at_a_later_member_is_catalog_error(monkeypatch):
+    # members i = 0 and 1 are integer; the first non-int degree is at i = 2 of g = 7
+    template = F.TEMPLATES["f2ip1", 2]
+    (label, degree), psi = template.entries[-1], template.entries[:-1]
+    late = lambda g, i, j: 4.5 if i >= 2 else degree(g, i, j)
+    _replace_template(monkeypatch, "f2ip1", 2, entries=(*psi, (label, late)))
+    with pytest.raises(F.CatalogError, match="f2ip1: non-integer degree 4.5 on eta_irr"):
+        S.assemble_system(7, G12)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # a float zero on psi_2 merges with psi_1's int into a float on d;
+        # ``evaluate`` skips the zero, so the member words the error itself
+        ("entries", "f2ip1: non-integer degree at i=1, g=7"),
+        ("target_degree", "f2ip1: non-integer degree 0.0 on the target"),
+    ],
+)
+def test_non_integer_merged_or_target_degree_is_catalog_error(monkeypatch, change, message):
+    template = F.TEMPLATES["f2ip1", 2]
+    if change == "entries":
+        psi_1, (psi_2, two), *rest = template.entries
+        zero_at_1 = lambda g, i, j: 0.0 if i == 1 else two(g, i, j)
+        _replace_template(monkeypatch, "f2ip1", 2, entries=(psi_1, (psi_2, zero_at_1), *rest))
+    else:
+        _replace_template(monkeypatch, "f2ip1", 2, target_degree=lambda g, i, j: 0.0)
+    with pytest.raises(F.CatalogError, match=rf"^{message}$"):
+        S.assemble_system(7, G12)
+
+
+def test_a_member_with_no_nonzero_degree_is_domain_error(monkeypatch):
+    template = F.TEMPLATES["ruling_low", 2]
+    zeros = tuple((label, lambda g, i, j: 0) for label, _ in template.entries)
+    _replace_template(monkeypatch, "ruling_low", 2, entries=zeros)
+    with pytest.raises(DomainError, match=r"'ruling_low\[i=1\]' has no nonzero coefficient"):
+        S.assemble_system(6, G12)
+
+
+def test_assembly_builds_no_degree_vector(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a degree vector was built")
+
+    want = {(g, t): S.assemble_system(g, t) for t in (WEIERSTRASS, G12) for g in range(2, 61)}
+    monkeypatch.setattr(F, "evaluate", refused)
+    monkeypatch.setattr(F, "_vector", refused)
+    for (g, target), relations in want.items():
+        assert S.assemble_system(g, target) == relations, (g, target)
+
+
+def test_each_boundary_unknown_is_spelled_once():
+    # the assembly, the solver's formal table and the closed forms share each name
+    for target, n in ((WEIERSTRASS, 1), (G12, 2)):
+        formal = {u: u for u in F.formal_unknowns(13, n)}
+        for relation in S.assemble_system(13, target):
+            assert all(formal.get(u, u) is u for u in relation.coeffs), relation
+        assert all(formal[u] is u for u in closedform.closed_form_numerators(13, target))
+    assert F.boundary_unknown("delta", 4, "1") is F.boundary_unknown("delta", 4, "1")
+
+
 def test_templates_of_a_group_share_their_index_range():
     for n, groups in F.CATALOG.items():
         for group in groups:
