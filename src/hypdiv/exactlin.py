@@ -2,10 +2,10 @@
 
 A row maps variable names (any hashables; ``LinearSystem.variables`` is
 the column order) to nonzero ``int``s, with an ``int`` right-hand side.
-Rows passed to the constructor are stored as given, and ``solve`` and
-``rank`` refuse a malformed one; a row appended later takes ``int`` or
-``fractions.Fraction`` entries (never a ``bool``) and is stored primitive,
-never in the caller's list.  Only answers are ``Fraction``s.  ``solve`` runs
+The constructor copies its list of rows, never the rows: they are shared
+and checked by ``solve`` and ``rank``, which refuse a malformed one.  A row
+appended later takes ``int`` or ``fractions.Fraction`` entries (never a
+``bool``) and is stored primitive.  Only answers are ``Fraction``s.  ``solve`` runs
 integer-preserving forward elimination on a copy of the rows, with
 deterministic pivots (first nonzero row in column order), then
 back-substitution in integers over one common denominator, so no rounding
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Hashable, Mapping, NamedTuple, Union
+from typing import Hashable, Iterable, Mapping, NamedTuple, Union
 
 
 class StructuralError(ValueError):
@@ -40,14 +40,16 @@ class CheckError(ArithmeticError):
 class LinearSystem:
     """Exact linear equations over named variables, as integer rows keyed by name."""
 
-    def __init__(self, variables, rows: list[tuple[dict[Hashable, int], int]] | None = None):
+    def __init__(self, variables, rows: Iterable[tuple[dict[Hashable, int], int]] = ()):
         self.variables: tuple[Hashable, ...] = tuple(variables)
-        self.rows = self._given = [] if rows is None else rows  # add_row appends to a copy
+        self.rows = list(rows)
         if len(set(self.variables)) != len(self.variables):
             raise StructuralError("duplicate variable names")
 
     def add_row(self, coeffs: Mapping[Hashable, Rational], rhs: Rational = 0) -> None:
         """Append ``sum(coeffs[v] * v) = rhs``, scaled to a primitive integer row."""
+        if not isinstance(coeffs, Mapping):
+            raise TypeError(f"row coefficients {coeffs!r} are not a mapping")
         # a bool is an int subclass, so it is refused by type, not by the ABC
         if any(type(v) is bool or not isinstance(v, Rational) for v in (rhs, *coeffs.values())):
             raise StructuralError(f"row {dict(coeffs)!r} = {rhs!r}: a bool or non-rational entry")
@@ -56,8 +58,6 @@ class LinearSystem:
                 raise StructuralError(f"unknown variable {name!r}")
         scale = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
         row = {name: v.numerator * (scale // v.denominator) for name, v in coeffs.items() if v}
-        if self.rows is self._given:
-            self.rows = list(self.rows)
         self.rows.append(_normalize(row, rhs.numerator * (scale // rhs.denominator)))
 
 
@@ -116,8 +116,10 @@ def _eliminate(sys: LinearSystem):
     the set of rows with a nonzero entry in column j, kept exact under
     every row operation, so the pivot search and the elimination visit
     only those rows.  The pass that builds it raises StructuralError on a
-    malformed stored row.
+    malformed stored row, and TypeError on anything but a LinearSystem.
     """
+    if not isinstance(sys, LinearSystem):
+        raise TypeError(f"{sys!r} is not a LinearSystem")
     rows = list(sys.rows)
     holders: dict[Hashable, set[int]] = {v: set() for v in sys.variables}
     for r, (row, rhs) in enumerate(rows):
@@ -231,5 +233,4 @@ def _excess(rows, nums: dict, den: int) -> list[int]:
 
 def rank(sys: LinearSystem) -> int:
     """Rank of the coefficient matrix (right-hand sides ignored)."""
-    pivots, _ = _eliminate(sys)
-    return len(pivots)
+    return len(_eliminate(sys)[0])

@@ -351,16 +351,13 @@ def unknown(label: Label) -> str:
     return _entry(label)[1]
 
 
-def formal_unknowns(g: int, n: int) -> dict[str, list[BasisElement]]:
-    """The formal unknowns in solver order, each with the labels it carries.  Solver
-    order is ``formal_elements`` with delta_{0,2} moved after eta_irr: one pass, no sort."""
+def formal_unknowns(g: int, n: int) -> list[str]:
+    """The formal unknowns in solver order, each once: the names of ``formal_elements``
+    with delta_{0,2} moved after eta_irr, so the first n + 1 are d, c (and a_0_2)."""
     elements = B.formal_elements(g, n)
     if n == 2:
         elements.insert(n + 1, elements.pop())
-    groups: dict[str, list[BasisElement]] = {}
-    for e in elements:
-        groups.setdefault(unknown(e), []).append(e)
-    return groups
+    return list(dict.fromkeys(map(unknown, elements)))
 
 
 def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.DivisorExpression":
@@ -371,20 +368,17 @@ def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.Divi
 
 
 class Relation:
-    """One linear equation on the unknown coefficients, with integer entries; zero
-    coefficients are dropped (an ``exactlin`` row holds none); an empty one is a DomainError."""
+    """One linear equation on the unknowns, with integer entries.  ``coeffs`` is kept as
+    given, or copied without its zeros (an exactlin row holds none); empty, a DomainError."""
 
     __slots__ = ("coeffs", "rhs", "provenance")
 
     def __init__(self, coeffs: dict[str, int], rhs: int, provenance: str):
-        self._hold({k: v for k, v in coeffs.items() if v}, rhs, provenance)
-
-    def _hold(self, coeffs: dict[str, int], rhs: int, provenance: str) -> Relation:
-        """Keep ``coeffs`` as it is: a dict of the relation's own, holding no zero."""
+        if not all(coeffs.values()):
+            coeffs = {k: v for k, v in coeffs.items() if v}
         if not coeffs:
             raise DomainError(f"relation {provenance!r} has no nonzero coefficient")
         self.coeffs, self.rhs, self.provenance = coeffs, rhs, provenance
-        return self
 
     def __eq__(self, other):
         if type(other) is not Relation:
@@ -452,8 +446,7 @@ def _resolve(template: Template, g: int, n: int, indices):
                 coeffs[kind if offset is None else boundary_unknown(kind, i + offset, slot)] = v
         else:
             if type(rhs) is int:
-                provenance = fixed or f"{template.family}[i={i}]"
-                return Relation.__new__(Relation)._hold(coeffs, rhs, provenance)
+                return Relation(coeffs, rhs, fixed or f"{template.family}[i={i}]")
         evaluate(template, g, i)  # raises for a nonzero non-int degree, naming its label
         raise CatalogError(f"{template.family}: non-integer degree at i={i}, g={g}")
 

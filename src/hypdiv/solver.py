@@ -18,12 +18,11 @@ Unknowns on out-of-range labels (``b_0_0``, ``b_0_1``, and for even g
 ``b_{g/2}_1`` / ``b_{g/2}_2``) are auxiliaries: solved and reported, but
 excluded from the resulting divisor expression.
 
-The linear system takes its columns as the boundary unknowns, then the
-auxiliaries, then the global unknowns d, c and a_0_2: almost every family
-meets the global classes but only one or two boundary classes, and forward
-elimination clears a pivot's column only from rows that are not yet pivots,
-so with the dense columns last they enter few row operations.  The report,
-the relations and ``unknown_order`` keep the solver order.
+The linear system takes its columns as the boundary formal unknowns, then
+the auxiliaries, then the first n + 1 formal unknowns, d, c (and a_0_2):
+almost every family meets these global classes, and elimination clears a
+pivot's column only from rows not yet pivots, so put last they enter few
+row operations.  The report, relations and ``unknown_order`` keep solver order.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ from . import families as F
 from . import basis as B
 from .basis import DivisorExpression
 from .families import G12, Relation
-
-
-# the unknowns of psi, eta_irr and delta_{0,2}, which almost every family meets
-_GLOBAL_UNKNOWNS = frozenset(("d", "c", "a_0_2"))
 
 
 class SolverError(RuntimeError):
@@ -81,8 +76,8 @@ def assemble_system(g: int, target: str) -> list[Relation]:
 def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[str], list[str]]:
     """(formal unknowns, auxiliary unknowns of ``relations``), both in solver order."""
     formal = F.formal_unknowns(g, F.marked_points(target))
-    symbols = dict.fromkeys(chain.from_iterable(relation.coeffs for relation in relations))
-    return list(formal), [symbol for symbol in symbols if symbol not in formal]
+    symbols = dict.fromkeys(chain(formal, *(relation.coeffs for relation in relations)))
+    return formal, list(symbols)[len(formal):]  # the auxiliaries follow the formal names
 
 
 class CoefficientReport(NamedTuple):
@@ -119,8 +114,8 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
 
     relations = assemble_system(g, target)
     formal, auxiliaries = unknown_order(g, target, relations)
-    dense = [s for s in formal if s in _GLOBAL_UNKNOWNS]
-    variables = [s for s in formal if s not in _GLOBAL_UNKNOWNS] + auxiliaries + dense
+    dense = F.marked_points(target) + 1  # d, c (and a_0_2) lead the formal order
+    variables = formal[dense:] + auxiliaries + formal[:dense]
     # the relations are stored as they are, so the certificate multiplies them directly
     rows = [(r.coeffs, r.rhs) for r in relations]
     result = exactlin.solve(exactlin.LinearSystem(variables, rows))
@@ -138,12 +133,11 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
             f"free unknowns {list(result.free)}"
         )
 
-    assignment = result.assignment
     return CoefficientReport(
         g=g,
         target=target,
-        coefficients={s: assignment[s] for s in formal},
-        auxiliaries={s: assignment[s] for s in auxiliaries},
+        coefficients={s: result.assignment[s] for s in formal},
+        auxiliaries={s: result.assignment[s] for s in auxiliaries},
         rank=result.rank,
         n_unknowns=len(variables),
         redundant=[relations[r].provenance for r in result.redundant_rows],

@@ -178,12 +178,13 @@ FORMULAS = {
 
 
 def _table_closed_form_values(g, target):
-    # reference: the first label of each unknown in the sorted formal_unknowns table
+    # reference: each unknown's formula at its first formal label
     formulas = FORMULAS[target]
     values = {}
-    for u, (e, *_) in F.formal_unknowns(g, F.marked_points(target)).items():
-        indexed = (e.index, int(e.marking[0])) if e.kind in (B.DELTA, B.ETA) else ()
-        values[u] = formulas[e.kind](g, *indexed)
+    for e in B.formal_elements(g, F.marked_points(target)):
+        if F.unknown(e) not in values:
+            indexed = (e.index, int(e.marking[0])) if e.kind in (B.DELTA, B.ETA) else ()
+            values[F.unknown(e)] = formulas[e.kind](g, *indexed)
     return values
 
 

@@ -170,6 +170,14 @@ def test_add_row_rejects_bool_entries(coeffs, rhs):
     assert sys.rows == []
 
 
+@pytest.mark.parametrize("coeffs", [0, "x", [("x", 1)], None])
+def test_add_row_refuses_coefficients_that_are_not_a_mapping(coeffs):
+    sys = LinearSystem(("x",))
+    with pytest.raises(TypeError, match="not a mapping"):
+        sys.add_row(coeffs)
+    assert sys.rows == []
+
+
 @pytest.mark.parametrize("operation", [solve, rank])
 @pytest.mark.parametrize(
     "rows",
@@ -191,7 +199,7 @@ def test_malformed_stored_rows_are_structural_errors(operation, rows):
     with pytest.raises(StructuralError) as caught:
         operation(sys)
     assert type(caught.value) is StructuralError
-    assert sys.rows is rows
+    assert sys.rows == rows
 
 
 @pytest.mark.parametrize("column", [0, 1])

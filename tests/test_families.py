@@ -204,20 +204,13 @@ def test_pairing_maps_invariant_labels_to_shared_symbol():
     assert list(form.items()) == [("d", 2), ("c", 32), ("a_1_1", -2), ("b_1_1", 4)]
 
 
-def test_formal_unknowns_order_and_label_groups():
-    assert formal_unknowns(3, 1) == {
-        "d": [psi(1)],
-        "c": [eta_irr()],
-        "a_1_0": [delta(1, "0")],
-        "a_1_1": [delta(1, "1")],
-        "b_1_0": [eta(1, "0")],
-        "b_1_1": [eta(1, "1")],
-    }
-    unknowns = formal_unknowns(2, 2)
-    assert list(unknowns) == ["d", "c", "a_0_2", "a_1_0", "a_1_1", "a_1_2"]
-    assert unknowns["d"] == [psi(1), psi(2)]
-    assert unknowns["a_0_2"] == [B.delta_0_2()]
-    assert unknowns["a_1_1"] == [delta(1, "1a"), delta(1, "1b")]
+def test_formal_unknowns_order():
+    labels = [psi(1), eta_irr(), delta(1, "0"), delta(1, "1"), eta(1, "0"), eta(1, "1")]
+    assert formal_unknowns(3, 1) == [F.unknown(e) for e in labels]
+    assert formal_unknowns(3, 1) == ["d", "c", "a_1_0", "a_1_1", "b_1_0", "b_1_1"]
+    assert formal_unknowns(2, 2) == ["d", "c", "a_0_2", "a_1_0", "a_1_1", "a_1_2"]
+    assert F.unknown(psi(2)) == "d" and F.unknown(B.delta_0_2()) == "a_0_2"
+    assert F.unknown(delta(1, "1a")) == F.unknown(delta(1, "1b")) == "a_1_1"
 
 
 def test_auxiliary_label_must_be_out_of_range():
@@ -389,27 +382,27 @@ def _reference_formal_unknowns(g, n):
     elements = B.formal_elements(g, n)
     if n == 2:
         elements.insert(3, elements.pop())
-    groups = {}
+    names = []
     for e in elements:
-        groups.setdefault(_reference_unknown(e), []).append(e)
-    return groups
+        if _reference_unknown(e) not in names:
+            names.append(_reference_unknown(e))
+    return names
 
 
 def test_formal_unknowns_match_reference():
     for g in range(2, 61):
         for n in (1, 2):
-            want = _reference_formal_unknowns(g, n)
-            assert list(formal_unknowns(g, n).items()) == list(want.items()), (g, n)
+            assert formal_unknowns(g, n) == _reference_formal_unknowns(g, n), (g, n)
 
 
 def _closed_form_values(g, target, n):
+    # each unknown's closed-form value, read at its first formal label
     from hypdiv.closedform import closed_form
 
-    terms = closed_form(g, target).terms
-    return {
-        name: terms.get(labels[0], Fraction(0))
-        for name, labels in formal_unknowns(g, n).items()
-    }
+    terms, values = closed_form(g, target).terms, {}
+    for e in B.formal_elements(g, n):
+        values.setdefault(F.unknown(e), terms.get(e, Fraction(0)))
+    return values
 
 
 def _substitute(form, values):

@@ -543,12 +543,36 @@ def test_elimination_row_operations_stay_within_budget(monkeypatch, target):
         assert state["calls"] <= 1.5 * len(report.relations), (g, target, state["calls"])
 
 
+@pytest.mark.parametrize("target", [WEIERSTRASS, G12])
+def test_solver_columns_put_the_global_unknowns_last(monkeypatch, target):
+    # the boundary formal unknowns, then the auxiliaries, then d, c (and a_0_2):
+    # the order that keeps the dense columns out of most row operations
+    solve, columns = exactlin.solve, []
+
+    def captured(sys):
+        columns.append(list(sys.variables))
+        return solve(sys)
+
+    monkeypatch.setattr(exactlin, "solve", captured)
+    dense = ["d", "c"] if target == WEIERSTRASS else ["d", "c", "a_0_2"]
+    for g in range(2, 31):
+        columns.clear()
+        report = solve_coefficients(g, target)
+        formal, auxiliaries = unknown_order(g, target, report.relations)
+        boundary = [u for u in formal if u not in dense]
+        assert set(formal) - set(boundary) == set(dense), (g, target)
+        assert all(u.startswith(("a_", "b_")) for u in boundary), (g, target)
+        assert all(u.startswith(("b_0_", f"b_{g // 2}_")) for u in auxiliaries), (g, target)
+        assert columns == [boundary + auxiliaries + dense], (g, target)
+
+
 def _restricted_to_delta_0_2(g, g12):
     """The g12 coefficients restricted to delta_{0,2}, keyed by the Weierstrass unknowns:
     psi goes to -delta_{0,2}, a boundary label keeps its index, and its marked side 1
     becomes the side 2 that carries both marks."""
     out = {}
-    for name, (label, *_) in F.formal_unknowns(g, 1).items():
+    for label in B.formal_elements(g, 1):  # one label per unknown for n = 1
+        name = F.unknown(label)
         if label.kind == B.PSI:
             out[name] = -g12[F.unknown(B.delta_0_2())]
         elif label.kind == B.ETA_IRR:
