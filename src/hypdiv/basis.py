@@ -13,17 +13,17 @@ the psi-classes of the marked points together with the boundary divisors:
   splitting off genus i;
 * ``delta_{0,2}`` (n = 2 only) - a rational tail carrying both points.
 
-Markings: for n = 1, m is "0" (point on the genus g-i side) or "1"; for
-n = 2, m is "0", "1a" (first point on the genus-i side), "1b", or "2".
-At the top index g // 2, on delta for even g and on eta for odd g, some
-labels name the same irreducible divisor and only the canonical
-representative is a generator: marking 1 merges into 0 (n=1); 2 into 0 and
-1b into 1a (n=2).
+Two tables decide which labels exist, so :func:`is_valid` is exact: :data:`MARKINGS`
+and :data:`GLOBALS`, the labels that are not delta_{i,m} or eta_{i,m}, in solver order.
+Markings: for n = 1, m is "0" (point on the genus g-i side) or "1"; for n = 2, "0", "1a"
+(first point on the genus-i side), "1b", or "2".  At the top index g // 2, on delta for
+even g and on eta for odd g, some labels name the same irreducible divisor and only the
+canonical representative is a generator: marking 1 merges into 0 (n=1); 2 into 0 and 1b
+into 1a (n=2).
 
-A label is a :class:`BasisElement`: an immutable ``NamedTuple``, equal
-to (and hashing as) the plain tuple ``(kind, index, marking)``, so it is
-hashed and compared in C.  The constructors below build it through
-``tuple.__new__``, skipping the Python-level ``NamedTuple.__new__``.
+A label is a :class:`BasisElement`: an immutable ``NamedTuple`` equal to (and hashing
+as) the tuple ``(kind, index, marking)``, so hashed and compared in C; the constructors
+below build it through ``tuple.__new__``, skipping the Python-level ``NamedTuple.__new__``.
 
 A :class:`DivisorExpression` is a ``NamedTuple`` too, ``(g, n, terms)``.
 Expressions keep the *formal* labels (both members of an identified
@@ -59,13 +59,13 @@ class BasisElement(NamedTuple):
     def name(self, n: int) -> str:
         if self.kind == PSI:
             return "psi" if n == 1 else f"psi{self.index}"
-        if self.kind == ETA_IRR:
-            return "eta_irr"
-        if self.kind == DELTA_0_2:
-            return "delta_0_2"
-        return f"{self.kind}_{self.index}_{self.marking}"
+        if self.kind == DELTA or self.kind == ETA:
+            return f"{self.kind}_{self.index}_{self.marking}"
+        return self.kind  # eta_irr, delta_0_2
 
     def __repr__(self):
+        if self.kind != DELTA and self.kind != ETA and self not in GLOBALS[2]:  # a stray label
+            return f"BasisElement{tuple.__repr__(self)}"
         return f"psi({self.index})" if self.kind == PSI else self.name(2)
 
 
@@ -87,6 +87,12 @@ def eta(i: int, marking: str) -> BasisElement:
 
 def delta_0_2() -> BasisElement:
     return tuple.__new__(BasisElement, (DELTA_0_2, 0, ""))
+
+
+# n -> the labels that are not boundary divisors, in solver order
+GLOBALS = {1: (psi(1), eta_irr()), 2: (psi(1), psi(2), eta_irr(), delta_0_2())}
+# n -> the markings of a boundary label
+MARKINGS = {1: MARKINGS_1, 2: MARKINGS_2}
 
 
 def check_ambient(g: int, n: int) -> None:
@@ -120,17 +126,9 @@ def _in_range(e: BasisElement, g: int, n: int) -> bool:
     if not (isinstance(e, tuple) and len(e) == 3 and type(e[1]) is int):
         return False
     kind, index, marking = e
-    if kind == DELTA:
-        return 1 <= index <= g // 2 and marking in (MARKINGS_1 if n == 1 else MARKINGS_2)
-    if kind == ETA:
-        return 1 <= index <= (g - 1) // 2 and marking in (MARKINGS_1 if n == 1 else MARKINGS_2)
-    if kind == PSI:
-        return 1 <= index <= n
-    if kind == ETA_IRR:
-        return True
-    if kind == DELTA_0_2:
-        return n == 2
-    return False
+    if kind == DELTA or kind == ETA:
+        return 1 <= index <= (g if kind == DELTA else g - 1) // 2 and marking in MARKINGS[n]
+    return e in GLOBALS[n]
 
 
 def validate(e: BasisElement, g: int, n: int) -> None:
@@ -160,16 +158,12 @@ def identified_pairs(g: int, n: int) -> list[tuple[BasisElement, BasisElement]]:
 def formal_elements(g: int, n: int) -> list[BasisElement]:
     """Every formal label in deterministic order (identified twins kept)."""
     check_ambient(g, n)
-    markings = MARKINGS_1 if n == 1 else MARKINGS_2
-    out = [psi(k) for k in range(1, n + 1)]
-    out.append(eta_irr())
+    out = list(GLOBALS[n][: n + 1])  # the psi's and eta_irr
     for i in delta_range(g):
-        out.extend(delta(i, m) for m in markings)
+        out.extend(delta(i, m) for m in MARKINGS[n])
     for i in eta_range(g):
-        out.extend(eta(i, m) for m in markings)
-    if n == 2:
-        out.append(delta_0_2())
-    return out
+        out.extend(eta(i, m) for m in MARKINGS[n])
+    return out + list(GLOBALS[n][n + 1 :])  # and delta_{0,2} for n = 2
 
 
 def enumerate_basis(g: int, n: int) -> list[BasisElement]:
@@ -212,7 +206,10 @@ class DivisorExpression(NamedTuple):
 
         check_ambient(g, n)
         terms: dict[BasisElement, Fraction] = {}
-        for e, coeff in items:
+        for item in items:
+            if not (isinstance(item, tuple) and len(item) == 2):
+                raise TypeError(f"{item!r} is not a (label, coefficient) pair")
+            e, coeff = item
             if type(coeff) is bool or not isinstance(coeff, Rational):
                 raise TypeError(f"coefficient of {e!r} must be rational, got {coeff!r}")
             if not _in_range(e, g, n):

@@ -175,20 +175,18 @@ class VerificationReport(NamedTuple):
 
 
 def _mismatches(g: int, n: int, got: dict, nums: dict) -> list:
-    """(class, solver value, closed-form value) of each formal label whose unknown
-    differs, in order, then of each unknown only the solver has; a zero or missing
-    value reads None.  Only a mismatch walks the labels and builds ``Fraction`` s."""
+    """(class, solver value, closed-form value) of each formal label whose unknown differs,
+    in order, then (unknown, ...) of each other differing unknown, by name; a zero or
+    missing value reads None.  Only a mismatch walks the labels and builds ``Fraction`` s."""
     den = _den(g)
     bad = {u for u, v in got.items() if u in nums and v.numerator * den != nums[u] * v.denominator}
     bad |= got.keys() ^ nums.keys()  # an unknown on one side only
     if not bad:
         return []
-    out = []
-    for e in B.formal_elements(g, n):
-        u = F.unknown(e)
-        if u in bad:
-            out.append((e.name(n), got.get(u) or None, Fraction(nums[u], den) or None))
-    return out + [(u, v or None, None) for u, v in got.items() if u not in nums]
+    rows = [(e.name(n), F.unknown(e)) for e in B.formal_elements(g, n)]
+    rows += [(u, u) for u in sorted(bad.difference(u for _, u in rows))]  # named by no label
+    closed = lambda u: Fraction(nums[u], den) if nums.get(u) else None
+    return [(s, got.get(u) or None, closed(u)) for s, u in rows if u in bad]
 
 
 def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:

@@ -122,7 +122,10 @@ def _eliminate(sys: LinearSystem):
         raise TypeError(f"{sys!r} is not a LinearSystem")
     rows = list(sys.rows)
     holders: dict[Hashable, set[int]] = {v: set() for v in sys.variables}
-    for r, (row, rhs) in enumerate(rows):
+    for r, stored in enumerate(rows):
+        if not (isinstance(stored, tuple) and len(stored) == 2 and isinstance(stored[0], dict)):
+            raise StructuralError(f"stored row {r}: {stored!r} is not a (dict, int) pair")
+        row, rhs = stored
         for j, v in row.items():
             if type(v) is not int or not v or j not in holders:
                 raise StructuralError(

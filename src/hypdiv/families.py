@@ -66,21 +66,19 @@ def is_auxiliary(label: Label, g: int) -> bool:
 
 
 # n -> the markings of a boundary label in a degree vector; "1" is the invariant 1a/1b
-_MARKINGS = {1: B.MARKINGS_1, 2: B.MARKINGS_2 + ("1",)}
+_MARKINGS = {1: B.MARKINGS[1], 2: B.MARKINGS[2] + ("1",)}
 
 
 def _check_label(label: Label, g: int, n: int) -> None:
-    # the caller has checked the ambient; one kind dispatch accepts a legal label
+    """Accept a label a degree vector on (g, n) may carry, else a DomainError: a boundary
+    label by its bounds (an eta below or above eta_range(g), up to g // 2, is an auxiliary),
+    PSI_SUM, or a label in ``basis.GLOBALS[n]``.  The caller has checked the ambient."""
     if type(label) is BasisElement and type(label[1]) is int:
         kind, index, marking = label
         if kind == B.DELTA or kind == B.ETA:
-            # an eta below eta_range(g) or above it, up to g // 2, is an auxiliary
             if (0 if kind == B.ETA else 1) <= index <= g // 2 and marking in _MARKINGS[n]:
                 return
-        elif kind == B.PSI:
-            if 1 <= index <= n:
-                return
-        elif kind == B.ETA_IRR or kind == B.DELTA_0_2 and n == 2:
+        elif label in B.GLOBALS[n]:
             return
     elif type(label) is PsiSum:
         return
@@ -133,8 +131,7 @@ class CatalogError(RuntimeError):
     """A catalog formula produced a non-integer degree: a catalog bug, not bad input."""
 
 
-# the labels of index 0 or a fixed index, built once: a label is an immutable tuple
-_PSI_1, _PSI_2, _ETA_IRR, _DELTA_0_2 = B.psi(1), B.psi(2), B.eta_irr(), B.delta_0_2()
+_PSI_1, _PSI_2, _ETA_IRR, _DELTA_0_2 = B.GLOBALS[2]  # built once: a label is immutable
 
 
 class Shifted(NamedTuple):
@@ -251,57 +248,52 @@ def evaluate(template: Template, g: int, i: int | None = None) -> DegreeVector:
     return _vector(g, n, target, template.target_degree(g, i, j), degrees, template.family, params)
 
 
+def _member(g: int, n: int, family: str, i: int | None = None) -> DegreeVector:
+    """The member at index ``i`` of the template ``TEMPLATES[family, n]``, after
+    ``check_ambient``; a (family, n) that the table lacks is a DomainError naming it."""
+    B.check_ambient(g, n)
+    if (family, n) not in TEMPLATES:
+        raise DomainError(f"{family} is not a catalog family for n={n}")
+    return evaluate(TEMPLATES[family, n], g, i)
+
+
 def diagonal_family(g: int) -> DegreeVector:
     """Fixed curve C, diagonal section of C x C (n = 1): it meets each of the
     2g+2 Weierstrass points once, and deg(psi) = -(diagonal)^2 = 2g - 2."""
-    B.check_ambient(g, 1)
-    return evaluate(TEMPLATES["diagonal", 1], g)
+    return _member(g, 1, "diagonal")
 
 
 def quadric_pencil_family(g: int, marks: int) -> DegreeVector:
     """General bidegree-(2, g+1) pencil on P^1 x P^1, marked at base points: each
     psi degree is 1, and two base points never share a ruling (target degree 0)."""
-    B.check_ambient(g, marks)
-    return evaluate(TEMPLATES["quadric_pencil", marks], g)
+    return _member(g, marks, "quadric_pencil")
 
 
 def glued_weierstrass_family(g: int, i: int, section: str, side: str, n: int) -> DegreeVector:
     """Moving genus-i cover with a Weierstrass section (``horizontal`` or ``diagonal``)
     glued to a fixed curve of genus g-i; ``side = high`` puts the constant
     marks on the moving component (delta_{i,1} or delta_{i,2}), ``low`` not."""
-    B.check_ambient(g, n)
-    if section not in (HORIZONTAL, DIAGONAL):
-        raise DomainError(f"unknown section kind {section!r}")
-    if side not in (LOW, HIGH):
-        raise DomainError(f"unknown side {side!r}")
-    return evaluate(TEMPLATES[f"glued_{section}_{side}", n], g, i)
+    return _member(g, n, f"glued_{section}_{side}", i)
 
 
 def two_point_blowup_family(g: int, kind: str) -> DegreeVector:
     """Blowup of C x C at one non-Weierstrass diagonal point (``single``) or at the
     2g+2 Weierstrass ones (``weierstrass_involution``), with two sections (n = 2)."""
-    B.check_ambient(g, 2)
-    if kind not in (SINGLE, WEIERSTRASS_INVOLUTION):
-        raise DomainError(f"unknown two-point family kind {kind!r}")
-    family = "two_point_single" if kind == SINGLE else "two_point_weierstrass"
-    return evaluate(TEMPLATES[family, 2], g)
+    family = {SINGLE: "two_point_single", WEIERSTRASS_INVOLUTION: "two_point_weierstrass"}
+    return _member(g, 2, family.get(kind, f"kind {kind!r}"))
 
 
 def g12_ruling_family(g: int, i: int, side: str) -> DegreeVector:
     """Glued family with a marked ruling, after a degree-2 base change (n = 2); it
     lies in delta_{i,1}, misses the target, and pins only psi_1 + psi_2."""
-    B.check_ambient(g, 2)
-    if side not in (LOW, HIGH):
-        raise DomainError(f"unknown side {side!r}")
-    return evaluate(TEMPLATES[f"ruling_{side}", 2], g, i)
+    return _member(g, 2, f"ruling_{side}", i)
 
 
 def f2ip1_family(g: int, i: int) -> DegreeVector:
     """Pencil branched along 2i+2 concurrent (1,1)-curves and 2g-2i rulings (n = 2);
     its member i = 0 puts its eta-degree on the auxiliary eta_{0,1}, which
     closes the coefficient system at g = 2."""
-    B.check_ambient(g, 2)
-    return evaluate(TEMPLATES["f2ip1", 2], g, i)
+    return _member(g, 2, "f2ip1", i)
 
 
 def marked_points(target: str) -> int:
@@ -320,29 +312,29 @@ def boundary_unknown(kind: str, index: int, slot) -> str:
     return f"{_HEADS[kind]}{index}_{slot}"
 
 
-def _entry(label: Label) -> tuple[tuple, str]:
-    """(solver key, unknown name) of a label, in one kind dispatch.
+# kind -> (solver rank, unknown) of its labels; a boundary kind names its unknowns by index
+_ENTRIES = {B.PSI: (0, "d"), B.ETA_IRR: (1, "c"), B.DELTA_0_2: (2, "a_0_2"),
+            B.DELTA: (3, None), B.ETA: (4, None)}
 
-    Solver order: psi (and PSI_SUM), eta_irr, delta_{0,2}, deltas, etas, each
-    kind by (index, marking), so a relation's form ends with its auxiliary
-    eta; distinct labels have distinct keys, so a sort never compares past them.
-    The unknown is ``d`` for psi classes, ``c`` for eta_irr, ``a_0_2`` for
-    delta_{0,2}, ``a_i_m`` / ``b_i_m`` for delta / eta boundary labels; the class
-    is symmetric in the marks, so 1a, 1b and the invariant "1" share ``a_i_1``.
+
+def _entry(label: Label) -> tuple[tuple, str]:
+    """(solver key, unknown name) of a label, read off ``_ENTRIES``.
+
+    Solver order: psi (and PSI_SUM), eta_irr, delta_{0,2}, deltas, etas, as in
+    ``basis.GLOBALS`` then the boundary kinds, each kind by (index, marking), so a
+    relation's form ends with its auxiliary eta; distinct labels have distinct keys,
+    so a sort never compares past them.  The unknown is ``d`` for psi classes, ``c``
+    for eta_irr, ``a_0_2`` for delta_{0,2}, ``a_i_m`` / ``b_i_m`` for delta / eta
+    boundary labels; the class is symmetric in the marks, so 1a, 1b and the invariant
+    "1" share ``a_i_1``.  A kind outside the table is a DomainError.
     """
     if type(label) is PsiSum:
         return (0,), "d"
     kind, index, marking = label
-    if kind == B.DELTA or kind == B.ETA:
-        rank = 3 if kind == B.DELTA else 4
-        return (rank, index, marking), boundary_unknown(kind, index, marking[0])
-    if kind == B.PSI:
-        return (0, index, marking), "d"
-    if kind == B.ETA_IRR:
-        return (1, index, marking), "c"
-    if kind == B.DELTA_0_2:
-        return (2, index, marking), "a_0_2"
-    raise DomainError(f"{label!r} names no unknown")
+    if kind not in _ENTRIES:
+        raise DomainError(f"{label!r} names no unknown")
+    rank, name = _ENTRIES[kind]
+    return (rank, index, marking), name or boundary_unknown(kind, index, marking[0])
 
 
 @cache  # as boundary_unknown: each label's unknown is named once per process
@@ -352,12 +344,10 @@ def unknown(label: Label) -> str:
 
 
 def formal_unknowns(g: int, n: int) -> list[str]:
-    """The formal unknowns in solver order, each once: the names of ``formal_elements``
-    with delta_{0,2} moved after eta_irr, so the first n + 1 are d, c (and a_0_2)."""
-    elements = B.formal_elements(g, n)
-    if n == 2:
-        elements.insert(n + 1, elements.pop())
-    return list(dict.fromkeys(map(unknown, elements)))
+    """The formal unknowns in solver order, each once: the names of ``basis.GLOBALS[n]``
+    and then of ``formal_elements``, so the first n + 1 are d, c (and a_0_2)."""
+    elements = B.formal_elements(g, n)  # checks the ambient before GLOBALS[n] is read
+    return list(dict.fromkeys(map(unknown, (*B.GLOBALS[n], *elements))))
 
 
 def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.DivisorExpression":
@@ -374,6 +364,8 @@ class Relation:
     __slots__ = ("coeffs", "rhs", "provenance")
 
     def __init__(self, coeffs: dict[str, int], rhs: int, provenance: str):
+        if not isinstance(coeffs, dict):
+            raise TypeError(f"relation {provenance!r}: coefficients {coeffs!r} are not a dict")
         if not all(coeffs.values()):
             coeffs = {k: v for k, v in coeffs.items() if v}
         if not coeffs:

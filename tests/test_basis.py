@@ -322,3 +322,48 @@ def test_labels_are_immutable_tuples_with_their_names():
     ):
         assert type(built) is BasisElement and built == plain == BasisElement(*plain)
         assert hash(built) == hash(plain)
+
+
+# non-boundary labels with an index or marking that no class has
+STRAY = [("eta_irr", 7, "q"), ("psi", 1, "zz"), ("delta_0_2", 3, "1a")]
+
+
+def test_is_valid_is_exactly_membership_in_the_formal_labels():
+    kinds = (B.PSI, B.ETA_IRR, B.DELTA_0_2, B.DELTA, B.ETA, "zeta")
+    markings = ("", "0", "1", "1a", "1b", "2", "3", "q", "zz")
+    for g in range(2, 13):
+        for n in (1, 2):
+            formal = set(B.formal_elements(g, n))
+            grid = [BasisElement(k, i, m) for k in kinds for i in range(-1, 9) for m in markings]
+            assert {BasisElement(*e) for e in STRAY} <= set(grid)
+            for e in grid:
+                assert B.is_valid(e, g, n) == (e in formal), (e, g, n)
+
+
+@pytest.mark.parametrize("stray", STRAY)
+def test_a_stray_global_label_is_refused_and_named(stray):
+    from hypdiv import families as F
+
+    e = BasisElement(*stray)
+    assert repr(e) == f"BasisElement{stray!r}"  # not the name of the class it imitates
+    for g in range(2, 13):
+        for n in (1, 2):
+            for call in (
+                lambda: DivisorExpression.from_terms(g, n, [(e, 5), (eta_irr(), 1)]),
+                lambda: canonicalize(e, g, n),
+                lambda: F._check_label(e, g, n),
+            ):
+                with pytest.raises(DomainError) as caught:
+                    call()
+                assert type(caught.value) is DomainError and repr(e) in str(caught.value)
+
+
+def test_globals_and_markings_are_the_tables_the_labels_follow():
+    assert B.GLOBALS == {1: (psi(1), eta_irr()), 2: (psi(1), psi(2), eta_irr(), B.delta_0_2())}
+    assert B.MARKINGS == {1: B.MARKINGS_1, 2: B.MARKINGS_2}
+    for n, globals_ in B.GLOBALS.items():
+        for g in (4, 5):
+            formal = B.formal_elements(g, n)
+            assert [e for e in formal if e.kind not in (B.DELTA, B.ETA)] == list(globals_)
+    assert [e.name(1) for e in B.GLOBALS[1]] == ["psi", "eta_irr"]
+    assert [e.name(2) for e in B.GLOBALS[2]] == ["psi1", "psi2", "eta_irr", "delta_0_2"]

@@ -296,6 +296,65 @@ def test_mismatching_genus_reports_without_closed_form_values(monkeypatch):
     ]
 
 
+def _verify_against_changed_numerators(monkeypatch, target, change):
+    # verify g = 2..4 with ``change`` applied to the closed-form numerators at g = 3
+    original = CF.closed_form_numerators
+
+    def changed(g, target):
+        nums = original(g, target)
+        if g == 3:
+            change(nums)
+        return nums
+
+    monkeypatch.setattr(CF, "closed_form_numerators", changed)
+    report = CF.verify_range(2, 4, target)
+    assert [r.g for r in report.results if not r.ok] == [3]
+    return report.results[1]
+
+
+@pytest.mark.parametrize(
+    "change, mismatches",
+    [
+        # a formal unknown the closed forms lack: the solver's value against None
+        (lambda nums: nums.pop("a_1_1"), [("delta_1_1", Fraction(-10, 7), None)]),
+        # an unknown only the closed forms have, over the denominator 2(g-1)(2g+1) = 28
+        (lambda nums: nums.update(b_9_0=7), [("b_9_0", None, Fraction(1, 4))]),
+        (
+            lambda nums: nums.update(d=nums["d"] + 28, z=-28, b_9_0=7),
+            [("psi", CF.w_psi(3), CF.w_psi(3) + 1), ("b_9_0", None, Fraction(1, 4)),
+             ("z", None, Fraction(-1))],
+        ),
+    ],
+    ids=["formal_only_in_the_solver", "only_in_the_closed_forms", "after_the_formal_labels"],
+)
+def test_verify_reports_an_unknown_on_either_side_only(monkeypatch, change, mismatches):
+    result = _verify_against_changed_numerators(monkeypatch, WEIERSTRASS, change)
+    assert not result.ok and result.mismatches == mismatches
+
+
+def test_verify_orders_the_unknowns_no_label_names_by_name(monkeypatch):
+    # one on each side: after the formal labels, sorted, whichever side has them
+    import hypdiv.solver as S
+
+    original = S.solve_coefficients
+
+    def extra(g, target):
+        report = original(g, target)
+        if g == 3:
+            report.coefficients["a_9_0"] = Fraction(1, 3)
+        return report
+
+    monkeypatch.setattr(S, "solve_coefficients", extra)
+    result = _verify_against_changed_numerators(
+        monkeypatch, G12, lambda nums: nums.update(a_10_0=-1, a_1_2=0)
+    )
+    assert result.mismatches == [
+        ("delta_1_2", CF.g12_delta(3, 1, 2), None),
+        ("a_10_0", None, Fraction(-1, 28)),
+        ("a_9_0", Fraction(1, 3), None),
+    ]
+
+
 def test_passing_verify_builds_no_fraction(monkeypatch):
     def forbidden(*args):
         raise AssertionError("closedform built a Fraction")

@@ -80,6 +80,30 @@ def test_glued_range_errors():
         glued_weierstrass_family(4, 0, F.HORIZONTAL, F.LOW, 1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: glued_weierstrass_family(4, 1, "vertical", F.LOW, 1),
+        lambda: glued_weierstrass_family(4, 1, F.HORIZONTAL, "middle", 2),
+        lambda: glued_weierstrass_family(4, 1, F.LOW, F.HORIZONTAL, 1),  # swapped
+        lambda: glued_weierstrass_family(4, 1, None, F.LOW, 1),
+        lambda: glued_weierstrass_family(4, 1, "horizontal_low", "", 1),
+        lambda: g12_ruling_family(4, 1, "middle"),
+        lambda: g12_ruling_family(4, 1, 0),
+        lambda: two_point_blowup_family(4, "double"),
+        lambda: two_point_blowup_family(4, None),
+        lambda: two_point_blowup_family(4, "weierstrass"),
+        # a template name is no kind
+        lambda: two_point_blowup_family(4, "two_point_single"),
+        lambda: two_point_blowup_family(4, "two_point_weierstrass"),
+    ],
+)
+def test_catalog_functions_refuse_a_bad_section_side_or_kind(call):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert type(caught.value) is DomainError
+
+
 def test_two_point_blowup_degrees():
     dv = two_point_blowup_family(2, F.SINGLE)
     assert dv.degrees == {psi(1): 1, psi(2): 3, B.delta_0_2(): 1}

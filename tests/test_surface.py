@@ -63,3 +63,46 @@ def test_public_functions_return_or_fail_typed(function, data):
         function(*args)
     except Exception as exc:  # exactly one of the typed errors, not a subclass of one
         assert type(exc) in allowed, f"{function.__name__}{args!r}: {type(exc).__name__}: {exc}"
+
+
+# stored rows of the wrong shape; all but the first and the last are no pair at all
+NOT_PAIRS = [("ab", 0), 5, None, "x1", ({"x": 1},), ({"x": 1}, 1, 0), ([("x", 1)], 1)]
+
+
+@pytest.mark.parametrize("operation", [hypdiv.solve, hypdiv.rank])
+@pytest.mark.parametrize("row", NOT_PAIRS)
+def test_a_stored_row_that_is_not_a_pair_is_a_structural_error(operation, row):
+    system = hypdiv.LinearSystem(("x",), [({"x": 1}, 1), row])
+    with pytest.raises(StructuralError, match="stored row 1") as caught:
+        operation(system)
+    assert type(caught.value) is StructuralError
+
+
+@pytest.mark.parametrize("coeffs", [5, None, "x", [("x", 1)], (("x", 1),)])
+def test_relation_coefficients_that_are_not_a_dict_are_a_type_error(coeffs):
+    with pytest.raises(TypeError, match="not a dict") as caught:
+        hypdiv.Relation(coeffs, 0, "p")
+    assert type(caught.value) is TypeError
+
+
+@pytest.mark.parametrize("item", [*NOT_PAIRS[1:6], hypdiv.basis.psi(1), (hypdiv.basis.psi(1), 1, 2)])
+def test_a_from_terms_item_that_is_not_a_pair_is_a_type_error(item):
+    with pytest.raises(TypeError, match="not a \\(label, coefficient\\) pair") as caught:
+        hypdiv.DivisorExpression.from_terms(3, 1, [(hypdiv.basis.eta_irr(), 1), item])
+    assert type(caught.value) is TypeError
+
+
+@settings(max_examples=120, deadline=None)
+@given(row=ARGUMENTS, coeffs=ARGUMENTS, rhs=SCALARS, items=st.lists(ARGUMENTS, max_size=3))
+def test_the_public_classes_fail_typed(row, coeffs, rhs, items):
+    calls = {
+        "solve": lambda: hypdiv.solve(hypdiv.LinearSystem(("x",), [row])),
+        "rank": lambda: hypdiv.rank(hypdiv.LinearSystem(("x",), [row])),
+        "Relation": lambda: hypdiv.Relation(coeffs, rhs, "p"),
+        "from_terms": lambda: hypdiv.DivisorExpression.from_terms(3, 1, items),
+    }
+    for name, call in calls.items():
+        try:
+            call()
+        except Exception as exc:  # exactly one of the typed errors, not a subclass of one
+            assert type(exc) in TYPED, f"{name}: {type(exc).__name__}: {exc}"
