@@ -4,7 +4,11 @@ oracle the test-family solver is verified against.
 Every coefficient is an explicit rational function of the genus.
 :data:`_NUMERATORS` is their one table, as integer numerators over the one
 denominator 2(g-1)(2g+1): both classes share (g-1)(2g+1), and eta_irr alone
-needs the factor 2, its numerator being -1.  The degree-2-series class (two
+needs the factor 2, its numerator being -1.  It is read two ways:
+:func:`closed_form_numerators` (and so :func:`closed_form_values`) reads every
+formal unknown, globals included, and :func:`w_delta`, :func:`w_eta`,
+:func:`g12_delta` and :func:`g12_eta` each read one boundary coefficient at
+(g, i, m), the auxiliary eta indices included.  The degree-2-series class (two
 marked points) has an extra delta_{0,2} term; the solver confirms its
 delta_{i,1} normalization exactly (see the g=3 pins in the acceptance suite),
 which settles the alternative (g-1)(2g+2) reading.
@@ -64,25 +68,15 @@ _NUMERATORS = {
 }
 
 
-def _value(target: str, kind: str, g: int, *at: int) -> Fraction:
-    """The coefficient of ``kind`` at genus g, and at index i and slot m for a
-    boundary kind; a DomainError unless (g, n) passes ``check_ambient`` and i, m are
-    ``int`` s in the table: i in 1..g//2 (eta from 0: the auxiliaries b_0_m), m in 0..n."""
+def _value(target: str, kind: str, g: int, i: int, m: int) -> Fraction:
+    """The coefficient of the boundary ``kind`` at genus g, index i and slot m; a DomainError
+    unless (g, n) passes ``check_ambient`` and i, m are ``int`` s in the table: i in 1..g//2
+    (eta from 0: the auxiliaries b_0_m), m in 0..n.  :func:`closed_form_values` gives the rest."""
     n = F.marked_points(target)
     B.check_ambient(g, n)
-    if at:
-        (i, m), first = at, (1 if kind == B.DELTA else 0)
-        if not (type(i) is type(m) is int and first <= i <= g // 2 and 0 <= m <= n):
-            raise B.DomainError(f"no coefficient at index {i!r}, slot {m!r} for genus {g}")
-    return Fraction(_NUMERATORS[target][kind](g, *at), _den(g))
-
-
-def w_psi(g: int) -> Fraction:
-    return _value(WEIERSTRASS, B.PSI, g)
-
-
-def w_eta_irr(g: int) -> Fraction:
-    return _value(WEIERSTRASS, B.ETA_IRR, g)
+    if not (type(i) is type(m) is int and (kind == B.DELTA) <= i <= g // 2 and 0 <= m <= n):
+        raise B.DomainError(f"no coefficient at index {i!r}, slot {m!r} for genus {g}")
+    return Fraction(_NUMERATORS[target][kind](g, i, m), _den(g))
 
 
 def w_delta(g: int, i: int, m: int) -> Fraction:
@@ -91,17 +85,6 @@ def w_delta(g: int, i: int, m: int) -> Fraction:
 
 def w_eta(g: int, i: int, m: int) -> Fraction:
     return _value(WEIERSTRASS, B.ETA, g, i, m)
-
-
-def g12_psi(g: int) -> Fraction:
-    return _value(G12, B.PSI, g)
-
-
-g12_eta_irr = w_eta_irr
-
-
-def g12_delta_0_2(g: int) -> Fraction:
-    return _value(G12, B.DELTA_0_2, g)
 
 
 def g12_delta(g: int, i: int, m: int) -> Fraction:

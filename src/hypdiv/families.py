@@ -308,7 +308,9 @@ _HEADS = {B.DELTA: "a_", B.ETA: "b_"}  # boundary kind -> head of its unknowns a
 
 @cache  # each name is spelled once per process
 def boundary_unknown(kind: str, index: int, slot) -> str:
-    """The unknown ``a_i_m`` (delta) or ``b_i_m`` (eta) at index i and slot m."""
+    """The unknown ``a_i_m`` (delta) or ``b_i_m`` (eta) at index i, slot m; else a DomainError."""
+    if kind not in _HEADS:
+        raise DomainError(f"{kind!r} is not a boundary kind")
     return f"{_HEADS[kind]}{index}_{slot}"
 
 
@@ -326,15 +328,18 @@ def _entry(label: Label) -> tuple[tuple, str]:
     so a sort never compares past them.  The unknown is ``d`` for psi classes, ``c``
     for eta_irr, ``a_0_2`` for delta_{0,2}, ``a_i_m`` / ``b_i_m`` for delta / eta
     boundary labels; the class is symmetric in the marks, so 1a, 1b and the invariant
-    "1" share ``a_i_1``.  A kind outside the table is a DomainError.
+    "1" share ``a_i_1``.  Any other label is a DomainError: one that is not a 3-tuple,
+    a boundary label whose marking is not a non-empty ``str``, or another label that
+    is not in ``basis.GLOBALS[2]``.
     """
     if type(label) is PsiSum:
         return (0,), "d"
-    kind, index, marking = label
-    if kind not in _ENTRIES:
-        raise DomainError(f"{label!r} names no unknown")
-    rank, name = _ENTRIES[kind]
-    return (rank, index, marking), name or boundary_unknown(kind, index, marking[0])
+    if isinstance(label, tuple) and len(label) == 3:
+        kind, index, marking = label
+        if kind in _HEADS and type(marking) is str and marking or label in B.GLOBALS[2]:
+            rank, name = _ENTRIES[kind]
+            return (rank, index, marking), name or boundary_unknown(kind, index, marking[0])
+    raise DomainError(f"{label!r} names no unknown")
 
 
 @cache  # as boundary_unknown: each label's unknown is named once per process

@@ -15,6 +15,9 @@ def frac(n, d=1):
     return Fraction(n, d)
 
 
+W3 = CF.closed_form_values(3, WEIERSTRASS)  # read before any test patches closedform
+
+
 def test_weierstrass_class_g2():
     expr = CF.closed_form(2, WEIERSTRASS)
     assert expr.terms == {
@@ -38,7 +41,7 @@ def test_weierstrass_class_g3():
 
 
 def test_weierstrass_psi_coefficient():
-    assert CF.w_psi(11) == frac(6, 5)
+    assert CF.closed_form_values(11, WEIERSTRASS)["d"] == frac(6, 5)
     for g in range(2, 60):
         assert CF.closed_form(g, WEIERSTRASS).terms[psi(1)] == frac(g + 1, g - 1)
 
@@ -61,7 +64,8 @@ def test_g12_g3_invariant_coefficients():
     assert CF.g12_delta(3, 1, 1) == frac(1, 14)
     assert CF.g12_eta(3, 1, 1) == frac(1, 14)
     # independent confirmation through the ruling relation
-    c, d = CF.g12_eta_irr(3), CF.g12_psi(3)
+    values = CF.closed_form_values(3, G12)
+    c, d = values["c"], values["d"]
     a, b = CF.g12_delta(3, 1, 1), CF.g12_eta(3, 1, 1)
     assert -2 * a + 4 * b + 32 * c + 2 * d == 0
 
@@ -141,21 +145,16 @@ def test_closed_forms_satisfy_every_assembled_relation():
     from hypdiv.solver import assemble_system
 
     tables = {
-        WEIERSTRASS: {"d": CF.w_psi, "c": CF.w_eta_irr, "a": CF.w_delta, "b": CF.w_eta},
-        G12: {
-            "d": CF.g12_psi,
-            "c": CF.g12_eta_irr,
-            "a_0_2": CF.g12_delta_0_2,
-            "a": CF.g12_delta,
-            "b": CF.g12_eta,
-        },
+        WEIERSTRASS: {"a": CF.w_delta, "b": CF.w_eta},
+        G12: {"a": CF.g12_delta, "b": CF.g12_eta},
     }
     for target, table in tables.items():
         for g in range(2, 41):
+            values = CF.closed_form_values(g, target)
 
             def value(name):
-                if name in table:
-                    return table[name](g)
+                if name in ("d", "c", "a_0_2"):
+                    return values[name]
                 kind, i, m = name.split("_")
                 return table[kind](g, int(i), int(m))
 
@@ -164,27 +163,25 @@ def test_closed_forms_satisfy_every_assembled_relation():
                 assert lhs == relation.rhs, (g, relation.render())
 
 
-# target -> kind -> its public closed-form function
+# target -> boundary kind -> its public closed-form function
 FORMULAS = {
-    WEIERSTRASS: {B.PSI: CF.w_psi, B.ETA_IRR: CF.w_eta_irr, B.DELTA: CF.w_delta, B.ETA: CF.w_eta},
-    G12: {
-        B.PSI: CF.g12_psi,
-        B.ETA_IRR: CF.g12_eta_irr,
-        B.DELTA_0_2: CF.g12_delta_0_2,
-        B.DELTA: CF.g12_delta,
-        B.ETA: CF.g12_eta,
-    },
+    WEIERSTRASS: {B.DELTA: CF.w_delta, B.ETA: CF.w_eta},
+    G12: {B.DELTA: CF.g12_delta, B.ETA: CF.g12_eta},
 }
 
 
 def _table_closed_form_values(g, target):
-    # reference: each unknown's formula at its first formal label
+    # reference: each unknown's formula at its first formal label, a global one
+    # read off the numerator table, a boundary one through its public function
     formulas = FORMULAS[target]
     values = {}
     for e in B.formal_elements(g, F.marked_points(target)):
         if F.unknown(e) not in values:
-            indexed = (e.index, int(e.marking[0])) if e.kind in (B.DELTA, B.ETA) else ()
-            values[F.unknown(e)] = formulas[e.kind](g, *indexed)
+            if e.kind in (B.DELTA, B.ETA):
+                value = formulas[e.kind](g, e.index, int(e.marking[0]))
+            else:
+                value = Fraction(CF._NUMERATORS[target][e.kind](g), 2 * (g - 1) * (2 * g + 1))
+            values[F.unknown(e)] = value
     return values
 
 
@@ -255,7 +252,7 @@ def test_verify_reports_a_changed_denominator(monkeypatch):
         coefficients["d"] = Fraction(d.numerator, d.denominator + 1)
 
     result = _perturbed_verify(monkeypatch, G12, change)
-    want = CF.g12_psi(3)
+    want = CF.closed_form_values(3, G12)["d"]
     got = Fraction(want.numerator, want.denominator + 1)
     assert result.mismatches == [("psi1", got, want), ("psi2", got, want)]
     from hypdiv import cli
@@ -290,7 +287,7 @@ def test_mismatching_genus_reports_without_closed_form_values(monkeypatch):
     monkeypatch.setattr(CF, "closed_form_values", forbidden)
     result = _perturbed_verify(monkeypatch, WEIERSTRASS, change)
     assert result.mismatches == [
-        ("psi", CF.w_psi(3) + 1, CF.w_psi(3)),
+        ("psi", W3["d"] + 1, W3["d"]),
         ("delta_1_1", None, CF.w_delta(3, 1, 1)),
         ("a_9_0", Fraction(1, 3), None),
     ]
@@ -321,7 +318,7 @@ def _verify_against_changed_numerators(monkeypatch, target, change):
         (lambda nums: nums.update(b_9_0=7), [("b_9_0", None, Fraction(1, 4))]),
         (
             lambda nums: nums.update(d=nums["d"] + 28, z=-28, b_9_0=7),
-            [("psi", CF.w_psi(3), CF.w_psi(3) + 1), ("b_9_0", None, Fraction(1, 4)),
+            [("psi", W3["d"], W3["d"] + 1), ("b_9_0", None, Fraction(1, 4)),
              ("z", None, Fraction(-1))],
         ),
     ],
@@ -386,16 +383,17 @@ def test_non_int_genus_rejected():
         CF.verify_range(5, 2, WEIERSTRASS)
 
 
+# per target, the readers of the global coefficients, then the boundary functions
 CLOSED_FORMS = [
-    (CF.w_psi, ()),
-    (CF.w_eta_irr, ()),
+    (CF.closed_form_values, (WEIERSTRASS,)),
+    (CF.closed_form_numerators, (WEIERSTRASS,)),
     (CF.w_delta, (1, 0)),
     (CF.w_delta, (1, 1)),
     (CF.w_eta, (1, 0)),
     (CF.w_eta, (1, 1)),
-    (CF.g12_psi, ()),
-    (CF.g12_eta_irr, ()),
-    (CF.g12_delta_0_2, ()),
+    (CF.closed_form_values, (G12,)),
+    (CF.closed_form_numerators, (G12,)),
+    (CF.closed_form, (G12,)),
     (CF.g12_delta, (1, 0)),
     (CF.g12_delta, (1, 1)),
     (CF.g12_eta, (1, 0)),

@@ -356,8 +356,32 @@ def test_is_valid_and_unknown_match_reference():
             for n in (1, 2):
                 want = _reference_is_valid(label, g, n)
                 assert B.is_valid(label, g, n) is want, (label, g, n)
-            assert _outcome(F.unknown, label) == _outcome(_reference_unknown, label), label
+            # where the reference named a psi that is no class (psi_0, psi_3) or failed
+            # untyped on an empty marking, unknown refuses the label
+            boundary = label.kind in (B.DELTA, B.ETA)
+            refused = label.marking == "" if boundary else label in (psi(0), psi(3))
+            want = DomainError if refused else _outcome(_reference_unknown, label)
+            assert _outcome(F.unknown, label) == want, label
     assert F.unknown(PSI_SUM) == _reference_unknown(PSI_SUM) == "d"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("unknown", (delta(1, ""),)),  # a boundary marking must be a non-empty str
+        ("unknown", (("delta", 1),)),  # not a 3-tuple
+        ("unknown", (("eta", 2, 3),)),  # an int marking
+        ("boundary_unknown", ("psi", 1, "0")),  # psi is not a boundary kind
+        ("unknown", (("psi", 1, "zz"),)),  # not a label of basis.GLOBALS[2]
+    ],
+    ids=["empty_marking", "pair", "int_marking", "global_kind", "stray_global"],
+)
+def test_the_label_to_unknown_map_refuses_what_it_cannot_name(name, args):
+    # exactly DomainError: not the IndexError, ValueError, TypeError or KeyError of
+    # reading the label, nor a name made up for a label no class has
+    with pytest.raises(DomainError) as caught:
+        getattr(F, name)(*args)
+    assert type(caught.value) is DomainError
 
 
 def _reference_provenance(dv):
@@ -445,14 +469,14 @@ def test_evaluate_pairing_reproduces_target_degree():
 def test_evaluate_pairing_with_auxiliary_values():
     # the two-pointed closed form pairs to zero on the ruling family once
     # the eta_0 auxiliary is given its solved value 2c
-    from hypdiv.closedform import g12_eta_irr
+    from hypdiv.closedform import closed_form_values
 
     g = 2
     relation = _relation(g, 2, "ruling_low[i=1]")
     values = _closed_form_values(g, F.G12, 2)
     assert "b_0_1" in relation.coeffs and "b_0_1" not in values
     assert is_auxiliary(eta(0, "1"), g)
-    values["b_0_1"] = 2 * g12_eta_irr(g)
+    values["b_0_1"] = 2 * closed_form_values(g, F.G12)["c"]
     assert _substitute(relation.coeffs, values) == relation.rhs == 0
 
 
