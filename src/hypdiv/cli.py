@@ -6,9 +6,10 @@ pairs; nothing is ever rendered as a decimal.  Exit status contract:
 0 success, 1 verification mismatch, 2 usage error (including a genus
 above ``MAX_GENUS``).
 
-The module level imports only what ``build_parser`` and ``--version``
-need; each command imports the modules it runs, and writes its output to
-standard output in one call.
+The module level imports argparse and nothing of the catalog; the parser spells
+its choices as literals, which a test pins to :mod:`hypdiv.families`.  Each command
+checks its arguments, then imports the modules it runs, so ``--version``, ``--help``
+and a usage error load no other hypdiv module, and writes its output in one call.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ import argparse
 import sys
 
 from . import __version__
-from . import basis as B
-from . import families as F
-from .families import G12, WEIERSTRASS
 
-DIVISOR_NAMES = {"w": WEIERSTRASS, "g12": G12}
+DIVISOR_NAMES = {"w": "weierstrass", "g12": "g12"}  # --divisor -> families.WEIERSTRASS, G12
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -35,8 +33,10 @@ def _fraction_pair(value: int | Fraction | None) -> dict | None:
     return None if value is None else {"num": value.numerator, "den": value.denominator}
 
 
-def output_record(g: int, target: str, view: str, expr: B.DivisorExpression) -> dict:
+def output_record(g: int, target: str, view: str, expr: DivisorExpression) -> dict:
     """JSON-serializable coefficient table for one divisor class."""
+    from . import basis as B
+
     n = expr.n
     if view == "canonical":
         expr = expr.canonical()
@@ -45,9 +45,7 @@ def output_record(g: int, target: str, view: str, expr: B.DivisorExpression) -> 
         order = B.formal_elements(g, n)
     names, values = [e.name(n) for e in order], expr.terms
     terms = [{"class": s, **_fraction_pair(values[e])} for e, s in zip(order, names) if e in values]
-    identified = [
-        f"{twin.name(n)} = {canonical.name(n)}" for twin, canonical in B.identified_pairs(g, n)
-    ]
+    identified = [f"{t.name(n)} = {c.name(n)}" for t, c in B.identified_pairs(g, n)]
     return {
         "genus": g,
         "divisor": target,
@@ -83,16 +81,16 @@ def render_csv(record: dict) -> str:
     return buffer.getvalue()
 
 
-_LATEX_TARGET = {WEIERSTRASS: r"\bigl[\mathcal{W}\bigr]", G12: r"\bigl[\mathcal{G}^{1}_{2}\bigr]"}
+_LATEX_TARGET = dict(weierstrass=r"\bigl[\mathcal{W}\bigr]", g12=r"\bigl[\mathcal{G}^{1}_{2}\bigr]")
 
 
-def _latex_class(e: B.BasisElement, n: int) -> str:
+def _latex_class(e: BasisElement, n: int) -> str:
+    from . import basis as B
+
     if e.kind == B.PSI:
         return r"\psi" if n == 1 else rf"\psi_{{{e.index}}}"
-    if e.kind == B.ETA_IRR:
-        return r"\eta_{\mathrm{irr}}"
-    if e.kind == B.DELTA_0_2:
-        return r"\delta_{0,2}"
+    if e.kind != B.DELTA and e.kind != B.ETA:
+        return {B.ETA_IRR: r"\eta_{\mathrm{irr}}", B.DELTA_0_2: r"\delta_{0,2}"}[e.kind]
     symbol = r"\delta" if e.kind == B.DELTA else r"\eta"
     marking = {"1a": r"\{1\}", "1b": r"\{2\}"}.get(e.marking, e.marking)
     return rf"{symbol}_{{{e.index},{marking}}}"
@@ -105,8 +103,11 @@ def _latex_term(num: int, den: int, symbol: str) -> str:
 
 
 def render_latex(record: dict) -> str:
-    n = F.marked_points(record["divisor"])
-    labels = {e.name(n): e for e in B.formal_elements(record["genus"], n)}
+    from .basis import formal_elements
+    from .families import marked_points
+
+    n = marked_points(record["divisor"])
+    labels = {e.name(n): e for e in formal_elements(record["genus"], n)}
     terms = "".join(
         _latex_term(t["num"], t["den"], _latex_class(labels[t["class"]], n))
         for t in record["terms"]
@@ -120,9 +121,11 @@ def render_latex(record: dict) -> str:
 RENDERERS = {"json": render_json, "csv": render_csv, "latex": render_latex}
 
 
-def degree_vector_record(dv: F.DegreeVector) -> dict:
+def degree_vector_record(dv: DegreeVector) -> dict:
+    from .families import is_auxiliary
+
     degrees = [
-        {"class": label.name(dv.n), **_fraction_pair(d), "auxiliary": F.is_auxiliary(label, dv.g)}
+        {"class": label.name(dv.n), **_fraction_pair(d), "auxiliary": is_auxiliary(label, dv.g)}
         for label, d in dv.degrees.items()
     ]
     return {
@@ -138,22 +141,15 @@ def verification_record(report) -> dict:
     """JSON-serializable form of a ``closedform.VerificationReport``."""
     results = []
     for r in report.results:
-        failure = {} if r.error is None else {"error": r.error, "inconsistent": r.inconsistent}
-        results.append(
-            {
-                "g": r.g,
-                "ok": r.ok,
-                "rank": r.rank,
-                "n_unknowns": r.n_unknowns,
-                "n_redundant": r.n_redundant,
-                "auxiliaries": {k: _fraction_pair(v) for k, v in r.auxiliaries.items()},
-                "mismatches": [
-                    {"class": name, "solver": _fraction_pair(got), "closed": _fraction_pair(want)}
-                    for name, got, want in r.mismatches
-                ],
-                **failure,
-            }
-        )
+        result = {k: getattr(r, k) for k in ("g", "ok", "rank", "n_unknowns", "n_redundant")}
+        result["auxiliaries"] = {k: _fraction_pair(v) for k, v in r.auxiliaries.items()}
+        result["mismatches"] = [
+            {"class": name, "solver": _fraction_pair(got), "closed": _fraction_pair(want)}
+            for name, got, want in r.mismatches
+        ]
+        if r.error is not None:
+            result.update(error=r.error, inconsistent=r.inconsistent)
+        results.append(result)
     return {
         "target": report.target,
         "g_min": report.g_min,
@@ -171,8 +167,7 @@ def _genus(parser: argparse.ArgumentParser, value: int) -> int:
 
 def _parse_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
     try:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = map(int, text.split(".."))
     except ValueError:
         parser.error(f"malformed range {text!r}, expected A..B")
     if not 2 <= lo <= hi <= MAX_GENUS:
@@ -223,10 +218,10 @@ def _verify_lines(reports):
 
 
 def cmd_verify(parser, args) -> int:
+    lo, hi = _parse_range(parser, args.range)
     from . import closedform
 
-    lo, hi = _parse_range(parser, args.range)
-    targets = [WEIERSTRASS, G12] if args.divisor == "both" else [DIVISOR_NAMES[args.divisor]]
+    targets = DIVISOR_NAMES.values() if args.divisor == "both" else [DIVISOR_NAMES[args.divisor]]
     reports = [closedform.verify_range(lo, hi, t) for t in targets]
     if args.json:
         _write_lines([render_json([verification_record(r) for r in reports])])
@@ -236,22 +231,21 @@ def cmd_verify(parser, args) -> int:
 
 
 def cmd_relations(parser, args) -> int:
+    g = _genus(parser, args.genus)
     from . import solver
 
-    g = _genus(parser, args.genus)
-    target = DIVISOR_NAMES[args.divisor]
-    _write_lines(relation.render() for relation in solver.assemble_system(g, target))
+    _write_lines(r.render() for r in solver.assemble_system(g, DIVISOR_NAMES[args.divisor]))
     return EXIT_OK
 
 
-# family name -> (catalog function, the options it takes after the genus, in order)
+# family name -> (its catalog function in families, the options it takes after the genus)
 FAMILIES = {
-    "diagonal": (F.diagonal_family, ()),
-    "quadric_pencil": (F.quadric_pencil_family, ("marks",)),
-    "glued": (F.glued_weierstrass_family, ("i", "section", "side", "marks")),
-    "two_point": (F.two_point_blowup_family, ("kind",)),
-    "ruling": (F.g12_ruling_family, ("i", "side")),
-    "f2ip1": (F.f2ip1_family, ("i",)),
+    "diagonal": ("diagonal_family", ()),
+    "quadric_pencil": ("quadric_pencil_family", ("marks",)),
+    "glued": ("glued_weierstrass_family", ("i", "section", "side", "marks")),
+    "two_point": ("two_point_blowup_family", ("kind",)),
+    "ruling": ("g12_ruling_family", ("i", "side")),
+    "f2ip1": ("f2ip1_family", ("i",)),
 }
 
 
@@ -261,9 +255,11 @@ def cmd_families(parser, args) -> int:
     for name in options:
         if getattr(args, name) is None:
             parser.error(f"--{name} is required for family {args.family!r}")
+    from . import families as F
+
     try:
-        dv = build(g, *(getattr(args, name) for name in options))
-    except B.DomainError as exc:
+        dv = getattr(F, build)(g, *(getattr(args, name) for name in options))
+    except F.DomainError as exc:
         parser.error(str(exc))
     _write_lines([render_json(degree_vector_record(dv))])
     return EXIT_OK
@@ -300,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--family", choices=list(FAMILIES), required=True)
     p.add_argument("--i", type=int)
-    p.add_argument("--section", choices=[F.HORIZONTAL, F.DIAGONAL])
-    p.add_argument("--side", choices=[F.LOW, F.HIGH])
+    p.add_argument("--section", choices=["horizontal", "diagonal"])
+    p.add_argument("--side", choices=["low", "high"])
     p.add_argument("--marks", type=int, choices=[1, 2])
-    p.add_argument("--kind", choices=[F.SINGLE, F.WEIERSTRASS_INVOLUTION])
+    p.add_argument("--kind", choices=["single", "weierstrass_involution"])
     p.set_defaults(func=cmd_families)
     return parser
 

@@ -28,7 +28,6 @@ from typing import NamedTuple, Sequence
 
 from . import basis as B
 from . import families as F
-from . import solver
 from .basis import DivisorExpression
 from .families import G12, WEIERSTRASS
 
@@ -184,6 +183,8 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
         raise B.DomainError(f"genus bounds must be int, got {g_min!r}..{g_max!r}")
     if not 2 <= g_min <= g_max:
         raise B.DomainError(f"invalid genus range {g_min}..{g_max}")
+    from . import solver  # here, not at the top: the closed forms alone never solve
+
     results = []
     n = F.marked_points(target)
     for g in range(g_min, g_max + 1):

@@ -307,10 +307,10 @@ _HEADS = {B.DELTA: "a_", B.ETA: "b_"}  # boundary kind -> head of its unknowns a
 
 
 @cache  # each name is spelled once per process
-def boundary_unknown(kind: str, index: int, slot) -> str:
-    """The unknown ``a_i_m`` (delta) or ``b_i_m`` (eta) at index i, slot m; else a DomainError."""
-    if kind not in _HEADS:
-        raise DomainError(f"{kind!r} is not a boundary kind")
+def boundary_unknown(kind: str, index: int, slot: str) -> str:
+    """The unknown ``a_i_m`` (delta) or ``b_i_m`` (eta) at an ``int`` index i, slot m of 0..2."""
+    if kind not in _HEADS or type(index) is not int or slot not in ("0", "1", "2"):
+        raise DomainError(f"no boundary unknown of kind {kind!r}, index {index!r}, slot {slot!r}")
     return f"{_HEADS[kind]}{index}_{slot}"
 
 
@@ -328,17 +328,17 @@ def _entry(label: Label) -> tuple[tuple, str]:
     so a sort never compares past them.  The unknown is ``d`` for psi classes, ``c``
     for eta_irr, ``a_0_2`` for delta_{0,2}, ``a_i_m`` / ``b_i_m`` for delta / eta
     boundary labels; the class is symmetric in the marks, so 1a, 1b and the invariant
-    "1" share ``a_i_1``.  Any other label is a DomainError: one that is not a 3-tuple,
-    a boundary label whose marking is not a non-empty ``str``, or another label that
-    is not in ``basis.GLOBALS[2]``.
+    "1" share ``a_i_1``.  Any other label is a DomainError: not a 3-tuple, a boundary
+    label with an index that is no ``int`` (unbounded: ``_pattern`` names index -1) or
+    a marking outside ``_MARKINGS[2]``, or another label outside ``basis.GLOBALS[2]``.
     """
     if type(label) is PsiSum:
         return (0,), "d"
     if isinstance(label, tuple) and len(label) == 3:
-        kind, index, marking = label
-        if kind in _HEADS and type(marking) is str and marking or label in B.GLOBALS[2]:
+        kind, i, m = label
+        if kind in _HEADS and type(i) is int and m in _MARKINGS[2] or label in B.GLOBALS[2]:
             rank, name = _ENTRIES[kind]
-            return (rank, index, marking), name or boundary_unknown(kind, index, marking[0])
+            return (rank, i, m), name or boundary_unknown(kind, i, m[0])
     raise DomainError(f"{label!r} names no unknown")
 
 
@@ -349,10 +349,13 @@ def unknown(label: Label) -> str:
 
 
 def formal_unknowns(g: int, n: int) -> list[str]:
-    """The formal unknowns in solver order, each once: the names of ``basis.GLOBALS[n]``
-    and then of ``formal_elements``, so the first n + 1 are d, c (and a_0_2)."""
-    elements = B.formal_elements(g, n)  # checks the ambient before GLOBALS[n] is read
-    return list(dict.fromkeys(map(unknown, (*B.GLOBALS[n], *elements))))
+    """The unknowns of ``formal_elements`` in solver order, each once, built without a label:
+    those of ``basis.GLOBALS[n]``, then a_i_m, i in delta_range(g), and b_i_m, i in eta_range(g)."""
+    B.check_ambient(g, n)
+    slots = dict.fromkeys(m[0] for m in B.MARKINGS[n])  # 1a and 1b share the slot 1
+    spots = [(B.DELTA, i) for i in B.delta_range(g)] + [(B.ETA, i) for i in B.eta_range(g)]
+    names = dict.fromkeys(map(unknown, B.GLOBALS[n]))
+    return [*names, *(boundary_unknown(kind, i, m) for kind, i in spots for m in slots)]
 
 
 def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.DivisorExpression":

@@ -356,10 +356,10 @@ def test_is_valid_and_unknown_match_reference():
             for n in (1, 2):
                 want = _reference_is_valid(label, g, n)
                 assert B.is_valid(label, g, n) is want, (label, g, n)
-            # where the reference named a psi that is no class (psi_0, psi_3) or failed
-            # untyped on an empty marking, unknown refuses the label
+            # where the reference named a psi that is no class (psi_0, psi_3) or a marking
+            # that no class has ("3"), or failed untyped on an empty one, unknown refuses it
             boundary = label.kind in (B.DELTA, B.ETA)
-            refused = label.marking == "" if boundary else label in (psi(0), psi(3))
+            refused = label.marking not in F._MARKINGS[2] if boundary else label in (psi(0), psi(3))
             want = DomainError if refused else _outcome(_reference_unknown, label)
             assert _outcome(F.unknown, label) == want, label
     assert F.unknown(PSI_SUM) == _reference_unknown(PSI_SUM) == "d"
@@ -373,8 +373,15 @@ def test_is_valid_and_unknown_match_reference():
         ("unknown", (("eta", 2, 3),)),  # an int marking
         ("boundary_unknown", ("psi", 1, "0")),  # psi is not a boundary kind
         ("unknown", (("psi", 1, "zz"),)),  # not a label of basis.GLOBALS[2]
+        ("unknown", (("delta", 1, "zz"),)),  # a marking outside families._MARKINGS[2]
+        ("unknown", (("eta", "x", "0"),)),  # an index that is not an int
+        ("unknown", (("delta", -5, "9"),)),  # a marking no class has, at any index
+        ("boundary_unknown", ("delta", None, "q")),  # neither an int index nor a slot 0..2
     ],
-    ids=["empty_marking", "pair", "int_marking", "global_kind", "stray_global"],
+    ids=[
+        "empty_marking", "pair", "int_marking", "global_kind", "stray_global",
+        "stray_marking", "str_index", "digit_marking", "none_index_and_slot",
+    ],
 )
 def test_the_label_to_unknown_map_refuses_what_it_cannot_name(name, args):
     # exactly DomainError: not the IndexError, ValueError, TypeError or KeyError of

@@ -6,6 +6,7 @@ imported every submodule.
 
 import contextlib
 import hashlib
+import inspect
 import io
 import os
 import subprocess
@@ -16,20 +17,21 @@ import pytest
 
 import hypdiv
 from hypdiv import cli
+from hypdiv import families as F
 
 SRC = Path(hypdiv.__file__).resolve().parent.parent
 
-# Run ``cli.main`` on the arguments, then report on stderr the modules that
-# importing and running hypdiv added to those the interpreter started with.
+# Run ``cli.main`` on the arguments, then report on stderr its exit status and the
+# modules that importing and running hypdiv added to those the interpreter started with.
 _LOADED = """
 import sys
 before = set(sys.modules)
 from hypdiv.cli import main
 try:
-    main(sys.argv[1:])
-except SystemExit:
-    pass
-sys.stderr.write("\\n" + " ".join(sorted(set(sys.modules) - before)))
+    status = main(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+sys.stderr.write(f"\\n{status} " + " ".join(sorted(set(sys.modules) - before)))
 """
 
 
@@ -46,17 +48,65 @@ def fresh(code, *args):
     )
 
 
+def status_and_loaded(*args):
+    status, *loaded = fresh(_LOADED, *args).stderr.splitlines()[-1].split()
+    return int(status), set(loaded)
+
+
 def loaded_by(*args):
-    return set(fresh(_LOADED, *args).stderr.splitlines()[-1].split())
+    return status_and_loaded(*args)[1]
 
 
 SOLVING = {"hypdiv.closedform", "hypdiv.exactlin", "hypdiv.surfcalc"}
 
 
+# each exits before a command runs: (arguments, exit status)
+PARSER_ONLY = [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["coeffs", "--divisor", "w", "--genus", "1"], 2),
+    (["verify", "--range", "5..2"], 2),
+    (["relations", "--divisor", "w", "--genus", "1"], 2),
+    (["families", "--genus", "1", "--family", "diagonal"], 2),
+    (["families", "--genus", "4", "--family", "glued"], 2),  # --i, --section, ... missing
+]
+
+
 def test_version_loads_only_the_parser_modules():
-    loaded = loaded_by("--version")
-    assert {"hypdiv.cli", "hypdiv.basis", "hypdiv.families"} <= loaded
-    assert not loaded & (SOLVING | {"hypdiv.solver", "json", "csv"}), loaded
+    # the parser, --version, --help and every usage error compile no catalog module
+    for argv, status in PARSER_ONLY:
+        got, loaded = status_and_loaded(*argv)
+        assert got == status, argv
+        assert {m for m in loaded if m.startswith("hypdiv.")} == {"hypdiv.cli"}, (argv, loaded)
+        assert not loaded & {"json", "csv"}, (argv, loaded)
+
+
+def test_the_parser_spells_the_catalog_names():
+    # cli writes these names as literals, so that its module level imports no catalog
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    options = {a.dest: a.choices for a in subparsers["families"]._actions}
+    assert options["section"] == [F.HORIZONTAL, F.DIAGONAL]
+    assert options["side"] == [F.LOW, F.HIGH]
+    assert options["kind"] == [F.SINGLE, F.WEIERSTRASS_INVOLUTION]
+    assert cli.DIVISOR_NAMES == {"w": F.WEIERSTRASS, "g12": F.G12}
+    assert list(cli._LATEX_TARGET) == [F.WEIERSTRASS, F.G12]
+    catalog = {
+        "diagonal": F.diagonal_family,
+        "quadric_pencil": F.quadric_pencil_family,
+        "glued": F.glued_weierstrass_family,
+        "two_point": F.two_point_blowup_family,
+        "ruling": F.g12_ruling_family,
+        "f2ip1": F.f2ip1_family,
+    }
+    assert {family: getattr(F, name) for family, (name, _) in cli.FAMILIES.items()} == catalog
+    for name, family_options in cli.FAMILIES.values():
+        assert len(inspect.signature(getattr(F, name)).parameters) == 1 + len(family_options)
+
+
+def test_closed_form_coeffs_load_no_solving_module():
+    loaded = loaded_by("coeffs", "--divisor", "g12", "--genus", "5")
+    assert "hypdiv.closedform" in loaded
+    assert not loaded & {"hypdiv.solver", "hypdiv.exactlin"}, loaded
 
 
 def test_relations_loads_no_solving_module():
