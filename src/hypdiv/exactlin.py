@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Hashable, Iterable, Mapping, NamedTuple, Union
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 
 class StructuralError(ValueError):
@@ -90,7 +90,7 @@ class Inconsistent(NamedTuple):
     rank: int
 
 
-SolveResult = Union[Unique, Underdetermined, Inconsistent]
+SolveResult = Unique | Underdetermined | Inconsistent
 
 
 def _normalize(row: dict, rhs: int) -> tuple[dict, int]:

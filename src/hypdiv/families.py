@@ -7,26 +7,28 @@ of the target divisor (the universal Weierstrass divisor for n = 1, the
 universal degree-2-series divisor for n = 2).  :data:`CATALOG` is the one
 table of families, as :class:`Template` s: label constructors in the member
 index i with integer degree formulas in (g, i, j) built from +, - and *
-alone.  The public catalog functions (and the ``families`` command)
-evaluate one member into a :class:`DegreeVector`, checking every label and
-degree; :func:`relations` checks each template's labels once per genus,
-reuses its genus-free pattern (:func:`_pattern`) and builds each member
-straight into a :class:`Relation`, the one form in which the catalog reaches
-the solver, checking the type of each degree as it goes.  A test checks each
-self-intersection entry against :mod:`hypdiv.surfcalc` for every genus the
-command line accepts.
+alone.  :func:`relations` resolves each template once per genus
+(:func:`_resolve`): it checks the labels, reuses the genus-free pattern
+(:func:`_pattern`) and builds each member straight into a :class:`Relation`,
+the one form in which the catalog reaches the solver, type-checking each
+degree as it goes.  That member is the one check of a catalog member: the
+public catalog functions (and the ``families`` command) run it, then
+:func:`evaluate` keys the member's nonzero degrees by label in a
+:class:`DegreeVector`.  A test checks each self-intersection entry against
+:mod:`hypdiv.surfcalc` for every genus the command line accepts.
 
 Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g)
 are registered, never dropped; :func:`is_auxiliary` tells them apart.
 For n = 2 the marking "1" stands for the invariant pair 1a/1b, and
 degrees that the underlying relation only constrains through the sum
-psi_1 + psi_2 are recorded against the :data:`PSI_SUM` key.
+psi_1 + psi_2 are recorded against the label :data:`PSI_SUM`.  Like the
+auxiliaries and "1", it is a degree-vector key that ``basis.is_valid`` refuses.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Callable, Mapping, NamedTuple, Union
+from functools import cache, lru_cache
+from typing import Callable, Mapping, NamedTuple
 
 from . import basis as B
 from .basis import BasisElement, DomainError
@@ -42,34 +44,19 @@ SINGLE = "single"
 WEIERSTRASS_INVOLUTION = "weierstrass_involution"
 
 
-class PsiSum:
-    """Key for degrees recorded against the invariant sum psi_1 + psi_2.
-
-    :data:`PSI_SUM` is its one instance; it compares by identity.
-    """
-
-    def name(self, n: int = 2) -> str:
-        return "psi_sum"
-
-    __repr__ = name
+PSI_SUM = tuple.__new__(BasisElement, ("psi_sum", 0, ""))  # the invariant psi_1 + psi_2
 
 
-PSI_SUM = PsiSum()
-
-Label = Union[BasisElement, PsiSum]
-
-
-def is_auxiliary(label: Label, g: int) -> bool:
+def is_auxiliary(label: BasisElement, g: int) -> bool:
     """Whether ``label`` is an eta label whose index is outside eta_range(g)."""
-    eta = isinstance(label, BasisElement) and label.kind == B.ETA
-    return eta and label.index not in B.eta_range(g)
+    return label.kind == B.ETA and label.index not in B.eta_range(g)
 
 
 # n -> the markings of a boundary label in a degree vector; "1" is the invariant 1a/1b
 _MARKINGS = {1: B.MARKINGS[1], 2: B.MARKINGS[2] + ("1",)}
 
 
-def _check_label(label: Label, g: int, n: int) -> None:
+def _check_label(label: BasisElement, g: int, n: int) -> None:
     """Accept a label a degree vector on (g, n) may carry, else a DomainError: a boundary
     label by its bounds (an eta below or above eta_range(g), up to g // 2, is an auxiliary),
     PSI_SUM, or a label in ``basis.GLOBALS[n]``.  The caller has checked the ambient."""
@@ -78,10 +65,8 @@ def _check_label(label: Label, g: int, n: int) -> None:
         if kind == B.DELTA or kind == B.ETA:
             if (0 if kind == B.ETA else 1) <= index <= g // 2 and marking in _MARKINGS[n]:
                 return
-        elif label in B.GLOBALS[n]:
+        elif label in B.GLOBALS[n] or label == PSI_SUM:
             return
-    elif type(label) is PsiSum:
-        return
     raise DomainError(f"{label!r} is not a valid class for (g={g}, n={n})")
 
 
@@ -96,11 +81,11 @@ class DegreeVector(NamedTuple):
     n: int
     target: str
     target_degree: int
-    degrees: dict[Label, int]
+    degrees: dict[BasisElement, int]
     family: str
     params: dict
 
-    def degree(self, label: Label) -> int:
+    def degree(self, label: BasisElement) -> int:
         return self.degrees.get(label, 0)
 
     def provenance(self) -> str:
@@ -111,20 +96,6 @@ def _provenance(family: str, params) -> str:
     """``family[k=v,...]`` over the sorted (name, value) pairs ``params``, or ``family``."""
     inner = ",".join(f"{k}={v}" for k, v in sorted(params))
     return f"{family}[{inner}]" if params else family
-
-
-def _vector(g, n, target, target_degree, degrees, family, params=None) -> DegreeVector:
-    clean: dict[Label, int] = {}
-    for label, value in degrees.items():
-        if value:
-            _check_label(label, g, n)
-            if type(value) is not int:
-                raise CatalogError(f"{family}: non-integer degree {value!r} on {label!r}")
-            clean[label] = value
-    if type(target_degree) is not int:
-        raise CatalogError(f"{family}: non-integer degree {target_degree!r} on the target")
-    params = {} if params is None else params  # each vector its own dict, never copied
-    return tuple.__new__(DegreeVector, (g, n, target, target_degree, clean, family, params))
 
 
 class CatalogError(RuntimeError):
@@ -142,7 +113,7 @@ class Shifted(NamedTuple):
     marking: str
 
 
-def _label_at(label, i) -> Label:
+def _label_at(label, i) -> BasisElement:
     """The label that a template entry puts on the member at index ``i``."""
     if type(label) is Shifted:
         return tuple.__new__(BasisElement, (label.kind, i + label.offset, label.marking))
@@ -235,17 +206,19 @@ TEMPLATES = {(t.family, t.n): t for groups in CATALOG.values() for group in grou
 
 
 def evaluate(template: Template, g: int, i: int | None = None) -> DegreeVector:
-    """The degree vector of the member at index ``i`` (None for a one-member family),
-    every label and degree checked by ``_vector``; the caller checks the ambient."""
-    if template.indices is not None:
-        indices = template.indices(g)
-        if type(i) is not int or i not in indices:
-            raise DomainError(f"i={i!r} out of range {indices.start}..{indices.stop - 1} for g={g}")
-    j = i if template.j is None else template.j(g, i)
-    degrees = {_label_at(label, i): degree(g, i, j) for label, degree in template.entries}
-    params = dict(template.params) if template.indices is None else {"i": i}
-    target, n = (WEIERSTRASS if template.n == 1 else G12), template.n
-    return _vector(g, n, target, template.target_degree(g, i, j), degrees, template.family, params)
+    """The degree vector of the member at index ``i`` (None for a one-member family), its
+    nonzero degrees keyed by label, once its relation (:func:`_resolve`) has checked every
+    label and degree: the assembly and this refuse the same members with the same error.
+    The caller checks the ambient."""
+    indices = (None,) if template.indices is None else template.indices(g)
+    if template.indices is not None and (type(i) is not int or i not in indices):
+        raise DomainError(f"i={i!r} out of range {indices.start}..{indices.stop - 1} for g={g}")
+    _resolve(template, g, template.n, indices)(i)
+    j, n = i if template.j is None else template.j(g, i), template.n
+    degrees = {_label_at(e, i): v for e, degree in template.entries if (v := degree(g, i, j))}
+    params = dict(template.params) if template.indices is None else {"i": i}  # each its own dict
+    target, rhs = WEIERSTRASS if n == 1 else G12, template.target_degree(g, i, j)
+    return DegreeVector(g, n, target, rhs, degrees, template.family, params)
 
 
 def _member(g: int, n: int, family: str, i: int | None = None) -> DegreeVector:
@@ -306,23 +279,29 @@ def marked_points(target: str) -> int:
 _HEADS = {B.DELTA: "a_", B.ETA: "b_"}  # boundary kind -> head of its unknowns a_i_m, b_i_m
 
 
-@cache  # each name is spelled once per process
+@cache  # each name is spelled once per process; its callers have checked the arguments
+def _spelled(kind: str, index: int, slot: str) -> str:
+    return f"{_HEADS[kind]}{index}_{slot}"
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: a True or 1.0 index misses index 1, and is refused
 def boundary_unknown(kind: str, index: int, slot: str) -> str:
     """The unknown ``a_i_m`` (delta) or ``b_i_m`` (eta) at an ``int`` index i, slot m of 0..2."""
     if kind not in _HEADS or type(index) is not int or slot not in ("0", "1", "2"):
         raise DomainError(f"no boundary unknown of kind {kind!r}, index {index!r}, slot {slot!r}")
-    return f"{_HEADS[kind]}{index}_{slot}"
+    return _spelled(kind, index, slot)
 
 
+_GLOBAL_LABELS = (*B.GLOBALS[2], PSI_SUM)  # the labels that name a global unknown
 # kind -> (solver rank, unknown) of its labels; a boundary kind names its unknowns by index
-_ENTRIES = {B.PSI: (0, "d"), B.ETA_IRR: (1, "c"), B.DELTA_0_2: (2, "a_0_2"),
-            B.DELTA: (3, None), B.ETA: (4, None)}
+_ENTRIES = {B.PSI: (0, "d"), PSI_SUM.kind: (0, "d"), B.ETA_IRR: (1, "c"),
+            B.DELTA_0_2: (2, "a_0_2"), B.DELTA: (3, None), B.ETA: (4, None)}
 
 
-def _entry(label: Label) -> tuple[tuple, str]:
+def _entry(label: BasisElement) -> tuple[tuple, str]:
     """(solver key, unknown name) of a label, read off ``_ENTRIES``.
 
-    Solver order: psi (and PSI_SUM), eta_irr, delta_{0,2}, deltas, etas, as in
+    Solver order: psi (PSI_SUM first), eta_irr, delta_{0,2}, deltas, etas, as in
     ``basis.GLOBALS`` then the boundary kinds, each kind by (index, marking), so a
     relation's form ends with its auxiliary eta; distinct labels have distinct keys,
     so a sort never compares past them.  The unknown is ``d`` for psi classes, ``c``
@@ -330,20 +309,17 @@ def _entry(label: Label) -> tuple[tuple, str]:
     boundary labels; the class is symmetric in the marks, so 1a, 1b and the invariant
     "1" share ``a_i_1``.  Any other label is a DomainError: not a 3-tuple, a boundary
     label with an index that is no ``int`` (unbounded: ``_pattern`` names index -1) or
-    a marking outside ``_MARKINGS[2]``, or another label outside ``basis.GLOBALS[2]``.
+    a marking outside ``_MARKINGS[2]``, or another label outside ``basis.GLOBALS[2]`` + PSI_SUM.
     """
-    if type(label) is PsiSum:
-        return (0,), "d"
     if isinstance(label, tuple) and len(label) == 3:
         kind, i, m = label
-        if kind in _HEADS and type(i) is int and m in _MARKINGS[2] or label in B.GLOBALS[2]:
+        if kind in _HEADS and type(i) is int and m in _MARKINGS[2] or label in _GLOBAL_LABELS:
             rank, name = _ENTRIES[kind]
-            return (rank, i, m), name or boundary_unknown(kind, i, m[0])
+            return (rank, i, m), name or _spelled(kind, i, m[0])
     raise DomainError(f"{label!r} names no unknown")
 
 
-@cache  # as boundary_unknown: each label's unknown is named once per process
-def unknown(label: Label) -> str:
+def unknown(label: BasisElement) -> str:
     """Name of the rational unknown that multiplies ``label`` (see :func:`_entry`)."""
     return _entry(label)[1]
 
@@ -423,12 +399,14 @@ def _pattern(template: Template) -> tuple:
 
 
 def _resolve(template: Template, g: int, n: int, indices):
-    """The function i -> relation of the template's member at index i, at genus g.
+    """The function i -> relation of the template's member at index i, at genus g: the one
+    check of a member, for the assembly and :func:`evaluate` alike.
 
     On top of :func:`_pattern`, per genus only the labels are checked: ``_check_label``
     at both ends of ``indices`` covers every member, as label indices are i plus a
     constant and markings are fixed.  Each member type-checks every degree it computes,
-    the target's too, as it builds its one dict; a non-``int`` is a CatalogError."""
+    the target's too, as it builds its one dict.  A non-``int`` is a CatalogError naming
+    the first nonzero non-``int`` label degree, else the target, else the member."""
     for i in (indices[0], indices[-1]):
         for label, _ in template.entries:
             _check_label(_label_at(label, i), g, n)
@@ -443,12 +421,14 @@ def _resolve(template: Template, g: int, n: int, indices):
             if type(v) is not int:
                 break
             if v:
-                coeffs[kind if offset is None else boundary_unknown(kind, i + offset, slot)] = v
+                coeffs[kind if offset is None else _spelled(kind, i + offset, slot)] = v
         else:
             if type(rhs) is int:
                 return Relation(coeffs, rhs, fixed or f"{template.family}[i={i}]")
-        evaluate(template, g, i)  # raises for a nonzero non-int degree, naming its label
-        raise CatalogError(f"{template.family}: non-integer degree at i={i}, g={g}")
+        degrees = ((_label_at(label, i), d(g, i, j)) for label, d in template.entries)
+        odd = next((f"{v!r} on {e!r}" for e, v in degrees if v and type(v) is not int), None)
+        odd = odd or (f"at i={i}, g={g}" if type(rhs) is int else f"{rhs!r} on the target")
+        raise CatalogError(f"{template.family}: non-integer degree {odd}")
 
     return member
 

@@ -1,12 +1,12 @@
 """Assemble and exactly solve the coefficient system for a target divisor.
 
 For a fixed genus and target, every cataloged family member contributes
-one linear relation (:func:`hypdiv.families.relations`): pairing the
-unknown coefficients (named by :func:`hypdiv.families.unknown`) with the
-member's degree vector and equating to the target degree.  The assembly is
-deliberately overdetermined; redundant relations are reported, never
-pruned, since they cross-check the catalog.  The independent a_i_1
-determinations re-solve pairs of those same relations, found by their
+one linear relation (:func:`hypdiv.families.relations`): the unknowns
+(named by :func:`hypdiv.families.unknown`) paired with the member's degrees,
+read off its template with no degree vector built, equal the target degree.
+The assembly is deliberately overdetermined; redundant relations are
+reported, never pruned, since they cross-check the catalog.  The independent
+a_i_1 determinations re-solve pairs of those same relations, found by their
 provenance.
 
 Beyond the families, identification relations enter: at the top boundary

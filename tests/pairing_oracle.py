@@ -11,7 +11,7 @@ from hypdiv import families as F
 
 def unknown(label):
     """``families.unknown`` as it was, through int(marking[0]) and repeated ``.kind`` reads."""
-    if isinstance(label, F.PsiSum) or label.kind == B.PSI:
+    if label == F.PSI_SUM or label.kind == B.PSI:
         return "d"
     if label.kind == B.ETA_IRR:
         return "c"
@@ -23,7 +23,7 @@ def unknown(label):
 
 def solver_key(label):
     """The solver-order key as it was, the kind's position found by ``tuple.index``."""
-    if type(label) is F.PsiSum:
+    if label == F.PSI_SUM:
         return (0,)
     kind, index, marking = label
     return ((B.PSI, B.ETA_IRR, B.DELTA_0_2, B.DELTA, B.ETA).index(kind), index, marking)

@@ -242,8 +242,7 @@ def test_determinations_read_the_relations_of_the_full_solve(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a degree vector was built")
 
-    monkeypatch.setattr(F, "evaluate", refused)
-    monkeypatch.setattr(F, "_vector", refused)
+    monkeypatch.setattr(F, "evaluate", refused)  # the one builder of a degree vector
     for g, report in reports.items():
         determinations = independent_a1_determinations(g)
         assert all(
@@ -485,8 +484,8 @@ def test_solver_order_matches_formal_position_reference():
 
 
 def test_assembly_checks_the_ambient_per_family_not_per_label(monkeypatch):
-    # each family checks (g, n) once itself and once in families._vector;
-    # identification_relations adds one through identified_pairs
+    # assemble_system checks (g, n) once, and identification_relations once more
+    # through identified_pairs; no family member checks it again
     calls = []
     check = B.check_ambient
 

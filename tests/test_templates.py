@@ -63,12 +63,26 @@ def test_genus_free_pattern_is_built_once_per_template(monkeypatch):
 
 
 def _replace_template(monkeypatch, family, n, **changes):
+    """Put the template of (family, n) with ``changes`` in the catalog, and return it."""
+    mutated = F.TEMPLATES[family, n]._replace(**changes)
     groups = tuple(
-        tuple(t._replace(**changes) if (t.family, t.n) == (family, n) else t for t in group)
+        tuple(mutated if (t.family, t.n) == (family, n) else t for t in group)
         for group in F.CATALOG[n]
     )
     assert groups != F.CATALOG[n], family
     monkeypatch.setitem(F.CATALOG, n, groups)
+    return mutated
+
+
+def _evaluate_refuses_alike(mutated, g, i):
+    """``evaluate`` at the offending member i raises what the g12 assembly raises:
+    the member of ``_resolve`` is the one check of both."""
+    with pytest.raises((DomainError, F.CatalogError)) as assembled:
+        S.assemble_system(g, G12)
+    with pytest.raises(type(assembled.value)) as evaluated:
+        F.evaluate(mutated, g, i)
+    assert type(evaluated.value) is type(assembled.value)
+    assert str(evaluated.value) == str(assembled.value)
 
 
 @pytest.mark.parametrize("g", [6, 7, 40])
@@ -80,18 +94,20 @@ def test_label_leaving_its_range_at_the_last_member_is_domain_error(monkeypatch,
     mutated = ((delta, d), irr, (eta._replace(offset=1), e))
     for i in range(1, g // 2):
         F._check_label(F._label_at(eta._replace(offset=1), i), g, 2)
-    _replace_template(monkeypatch, "glued_horizontal_high", 2, entries=mutated)
+    template = _replace_template(monkeypatch, "glued_horizontal_high", 2, entries=mutated)
     with pytest.raises(DomainError, match=rf"eta_{g // 2 + 1}_2 is not a valid class"):
         S.assemble_system(g, G12)
+    _evaluate_refuses_alike(template, g, g // 2)
     S.assemble_system(g, WEIERSTRASS)  # the n = 1 templates are untouched
 
 
 def test_non_integer_degree_formula_is_catalog_error(monkeypatch):
     template = F.TEMPLATES["f2ip1", 2]
     entries = (*template.entries[:-1], (template.entries[-1][0], lambda g, i, j: (i + 1) / 2))
-    _replace_template(monkeypatch, "f2ip1", 2, entries=entries)
+    mutated = _replace_template(monkeypatch, "f2ip1", 2, entries=entries)
     with pytest.raises(F.CatalogError, match="f2ip1: non-integer degree 0.5 on eta_irr"):
         S.assemble_system(5, G12)
+    _evaluate_refuses_alike(mutated, 5, 0)
 
 
 def test_non_integer_degree_at_a_later_member_is_catalog_error(monkeypatch):
@@ -99,16 +115,17 @@ def test_non_integer_degree_at_a_later_member_is_catalog_error(monkeypatch):
     template = F.TEMPLATES["f2ip1", 2]
     (label, degree), psi = template.entries[-1], template.entries[:-1]
     late = lambda g, i, j: 4.5 if i >= 2 else degree(g, i, j)
-    _replace_template(monkeypatch, "f2ip1", 2, entries=(*psi, (label, late)))
+    mutated = _replace_template(monkeypatch, "f2ip1", 2, entries=(*psi, (label, late)))
     with pytest.raises(F.CatalogError, match="f2ip1: non-integer degree 4.5 on eta_irr"):
         S.assemble_system(7, G12)
+    _evaluate_refuses_alike(mutated, 7, 2)
 
 
 @pytest.mark.parametrize(
     "change, message",
     [
-        # a float zero on psi_2 merges with psi_1's int into a float on d;
-        # ``evaluate`` skips the zero, so the member words the error itself
+        # a float zero on psi_2 merges with psi_1's int into a float on d; no
+        # label carries a nonzero non-int degree, so the error names the member
         ("entries", "f2ip1: non-integer degree at i=1, g=7"),
         ("target_degree", "f2ip1: non-integer degree 0.0 on the target"),
     ],
@@ -118,19 +135,23 @@ def test_non_integer_merged_or_target_degree_is_catalog_error(monkeypatch, chang
     if change == "entries":
         psi_1, (psi_2, two), *rest = template.entries
         zero_at_1 = lambda g, i, j: 0.0 if i == 1 else two(g, i, j)
-        _replace_template(monkeypatch, "f2ip1", 2, entries=(psi_1, (psi_2, zero_at_1), *rest))
+        entries = (psi_1, (psi_2, zero_at_1), *rest)
+        mutated, i = _replace_template(monkeypatch, "f2ip1", 2, entries=entries), 1
     else:
-        _replace_template(monkeypatch, "f2ip1", 2, target_degree=lambda g, i, j: 0.0)
+        target = lambda g, i, j: 0.0
+        mutated, i = _replace_template(monkeypatch, "f2ip1", 2, target_degree=target), 0
     with pytest.raises(F.CatalogError, match=rf"^{message}$"):
         S.assemble_system(7, G12)
+    _evaluate_refuses_alike(mutated, 7, i)
 
 
 def test_a_member_with_no_nonzero_degree_is_domain_error(monkeypatch):
     template = F.TEMPLATES["ruling_low", 2]
     zeros = tuple((label, lambda g, i, j: 0) for label, _ in template.entries)
-    _replace_template(monkeypatch, "ruling_low", 2, entries=zeros)
+    mutated = _replace_template(monkeypatch, "ruling_low", 2, entries=zeros)
     with pytest.raises(DomainError, match=r"'ruling_low\[i=1\]' has no nonzero coefficient"):
         S.assemble_system(6, G12)
+    _evaluate_refuses_alike(mutated, 6, 1)
 
 
 def test_assembly_builds_no_degree_vector(monkeypatch):
@@ -138,8 +159,7 @@ def test_assembly_builds_no_degree_vector(monkeypatch):
         raise AssertionError("a degree vector was built")
 
     want = {(g, t): S.assemble_system(g, t) for t in (WEIERSTRASS, G12) for g in range(2, 61)}
-    monkeypatch.setattr(F, "evaluate", refused)
-    monkeypatch.setattr(F, "_vector", refused)
+    monkeypatch.setattr(F, "evaluate", refused)  # the one builder of a degree vector
     for (g, target), relations in want.items():
         assert S.assemble_system(g, target) == relations, (g, target)
 
