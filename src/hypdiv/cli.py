@@ -34,10 +34,13 @@ def _fraction_pair(value: int | Fraction | None) -> dict | None:
 
 
 def output_record(g: int, target: str, view: str, expr: DivisorExpression) -> dict:
-    """JSON-serializable coefficient table for one divisor class."""
+    """JSON-serializable coefficient table of ``expr``, a class on the ambient of (g, target)."""
     from . import basis as B
+    from .families import marked_points
 
     n = expr.n
+    if (expr.g, n) != (g, marked_points(target)):
+        raise B.DomainError(f"a class on (g={expr.g}, n={n}) is no {target} record at g={g}")
     if view == "canonical":
         expr = expr.canonical()
         order = B.enumerate_basis(g, n)

@@ -99,8 +99,8 @@ def closed_form_numerators(g: int, target: str) -> dict[str, int]:
     in solver order: the global unknowns, then each boundary kind by (index, slot)."""
     n = F.marked_points(target)
     B.check_ambient(g, n)
-    table, slots = _NUMERATORS[target], [(m, str(m)) for m in range(n + 1)]  # m and _entry's slot
-    nums = {F.unknown(e): table[e.kind](g) for e in (B.psi(), B.eta_irr(), B.delta_0_2())[: n + 1]}
+    table, slots = _NUMERATORS[target], [(m, str(m)) for m in range(n + 1)]  # m, as a slot
+    nums = {F.unknown(e): table[e.kind](g) for e in B.GLOBALS[n]}
     for kind, indices in ((B.DELTA, B.delta_range(g)), (B.ETA, B.eta_range(g))):
         f = table[kind]
         nums.update((F.boundary_unknown(kind, i, s), f(g, i, m)) for i in indices for m, s in slots)

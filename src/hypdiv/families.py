@@ -9,13 +9,13 @@ table of families, as :class:`Template` s: label constructors in the member
 index i with integer degree formulas in (g, i, j) built from +, - and *
 alone.  :func:`relations` resolves each template once per genus
 (:func:`_resolve`): it checks the labels, reuses the genus-free pattern
-(:func:`_pattern`) and builds each member straight into a :class:`Relation`,
-the one form in which the catalog reaches the solver, type-checking each
-degree as it goes.  That member is the one check of a catalog member: the
-public catalog functions (and the ``families`` command) run it, then
-:func:`evaluate` keys the member's nonzero degrees by label in a
-:class:`DegreeVector`.  A test checks each self-intersection entry against
-:mod:`hypdiv.surfcalc` for every genus the command line accepts.
+(:func:`_pattern`, built without a label) and builds each member straight into
+a :class:`Relation`, the one form in which the catalog reaches the solver,
+type-checking each degree.  That member is the one check of a catalog member:
+the public catalog functions (and the ``families`` command) run it, then
+:func:`evaluate` keys its nonzero degrees by label in a :class:`DegreeVector`.
+:func:`unknown` is the one map from a label to its unknown's name.  A test checks each
+self-intersection entry against :mod:`hypdiv.surfcalc` for every genus the CLI accepts.
 
 Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g)
 are registered, never dropped; :func:`is_auxiliary` tells them apart.
@@ -284,10 +284,10 @@ def _spelled(kind: str, index: int, slot: str) -> str:
     return f"{_HEADS[kind]}{index}_{slot}"
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a True or 1.0 index misses index 1, and is refused
+@lru_cache(maxsize=None, typed=True)  # typed: True or 1.0 misses index 1; unhashable: a TypeError
 def boundary_unknown(kind: str, index: int, slot: str) -> str:
-    """The unknown ``a_i_m`` (delta) or ``b_i_m`` (eta) at an ``int`` index i, slot m of 0..2."""
-    if kind not in _HEADS or type(index) is not int or slot not in ("0", "1", "2"):
+    """The unknown ``a_i_m`` (delta) or ``b_i_m`` (eta), i an ``int`` >= 0 and m in 0..2."""
+    if kind not in _HEADS or type(index) is not int or index < 0 or slot not in ("0", "1", "2"):
         raise DomainError(f"no boundary unknown of kind {kind!r}, index {index!r}, slot {slot!r}")
     return _spelled(kind, index, slot)
 
@@ -298,30 +298,20 @@ _ENTRIES = {B.PSI: (0, "d"), PSI_SUM.kind: (0, "d"), B.ETA_IRR: (1, "c"),
             B.DELTA_0_2: (2, "a_0_2"), B.DELTA: (3, None), B.ETA: (4, None)}
 
 
-def _entry(label: BasisElement) -> tuple[tuple, str]:
-    """(solver key, unknown name) of a label, read off ``_ENTRIES``.
-
-    Solver order: psi (PSI_SUM first), eta_irr, delta_{0,2}, deltas, etas, as in
-    ``basis.GLOBALS`` then the boundary kinds, each kind by (index, marking), so a
-    relation's form ends with its auxiliary eta; distinct labels have distinct keys,
-    so a sort never compares past them.  The unknown is ``d`` for psi classes, ``c``
-    for eta_irr, ``a_0_2`` for delta_{0,2}, ``a_i_m`` / ``b_i_m`` for delta / eta
-    boundary labels; the class is symmetric in the marks, so 1a, 1b and the invariant
-    "1" share ``a_i_1``.  Any other label is a DomainError: not a 3-tuple, a boundary
-    label with an index that is no ``int`` (unbounded: ``_pattern`` names index -1) or
-    a marking outside ``_MARKINGS[2]``, or another label outside ``basis.GLOBALS[2]`` + PSI_SUM.
-    """
+def unknown(label: BasisElement) -> str:
+    """The one map from a label to the name of its rational unknown: ``d`` for psi classes,
+    ``c`` for eta_irr, ``a_0_2`` for delta_{0,2}, and :func:`boundary_unknown` of a delta or
+    eta label at its marking's digit (1a, 1b and the invariant "1" share ``a_i_1``).  Any
+    other label is a DomainError: not a 3-tuple, a kind that is no ``str``, a boundary label
+    whose index is no ``int`` >= 0 or whose marking is outside ``_MARKINGS[2]``, or another
+    label outside ``basis.GLOBALS[2]`` + PSI_SUM."""
     if isinstance(label, tuple) and len(label) == 3:
         kind, i, m = label
-        if kind in _HEADS and type(i) is int and m in _MARKINGS[2] or label in _GLOBAL_LABELS:
-            rank, name = _ENTRIES[kind]
-            return (rank, i, m), name or _spelled(kind, i, m[0])
+        if type(kind) is str and kind in _HEADS and type(i) is int and m in _MARKINGS[2]:
+            return boundary_unknown(kind, i, m[0])
+        if label in _GLOBAL_LABELS:
+            return _ENTRIES[kind][1]
     raise DomainError(f"{label!r} names no unknown")
-
-
-def unknown(label: BasisElement) -> str:
-    """Name of the rational unknown that multiplies ``label`` (see :func:`_entry`)."""
-    return _entry(label)[1]
 
 
 def formal_unknowns(g: int, n: int) -> list[str]:
@@ -382,17 +372,17 @@ def vectors(g: int, n: int) -> list[DegreeVector]:
 
 @cache
 def _pattern(template: Template) -> tuple:
-    """The genus-free part of a template's relations, built once per template:
-    (kind, offset, slot, degree) per unknown in solver order.  The member at i
-    names it ``boundary_unknown(kind, i + offset, slot)``, or ``kind`` itself, the
-    unknown's name, when offset is None; ``degree`` sums the formulas it merges.
-    Label indices are i plus a constant, so the order at i = 0 holds for every i."""
+    """The genus-free part of a template's relations, built once per template and without a
+    label: (kind, offset, slot, degree) per unknown in solver order.  The member at i names
+    it ``boundary_unknown(kind, i + offset, slot)``, or ``kind`` itself, the :func:`unknown`
+    of a fixed label, when offset is None; ``degree`` sums the formulas it merges.  Solver
+    order is a stable sort by the kind's rank in ``_ENTRIES``, the index (a :class:`Shifted`
+    entry's offset: indices are i plus a constant) and the marking, so etas come last."""
     spots: dict[tuple, list] = {}  # (kind, offset, slot) of an unknown -> its degree formulas
-    entries = template.entries
-    for _, name, k in sorted((*_entry(_label_at(e[0], 0)), k) for k, e in enumerate(entries)):
-        label, degree = entries[k]
+    order = lambda entry: (_ENTRIES[entry[0].kind][0], *entry[0][1:])  # index or offset, marking
+    for label, degree in sorted(template.entries, key=order):
         shifted = type(label) is Shifted
-        spot = (label.kind, label.offset, label.marking[0]) if shifted else (name, None, None)
+        spot = (*label[:2], label.marking[0]) if shifted else (unknown(label), None, None)
         spots.setdefault(spot, []).append(degree)
     merged = lambda ds: ds[0] if len(ds) == 1 else lambda g, i, j: sum(d(g, i, j) for d in ds)
     return tuple((*spot, merged(ds)) for spot, ds in spots.items())

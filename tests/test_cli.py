@@ -66,6 +66,22 @@ def test_json_round_trip_on_coeffs_records():
                 assert parse_record(render_json(record)) == record
 
 
+@pytest.mark.parametrize(
+    "g, target, made_at",
+    [(5, "weierstrass", (3, "weierstrass")), (3, "g12", (3, "weierstrass"))],
+    ids=["other_genus", "other_marked_points"],
+)
+def test_output_record_refuses_an_expression_of_another_ambient(g, target, made_at):
+    # neither a record with part of another genus's terms nor one whose class
+    # names render_latex cannot read
+    from hypdiv import closedform
+    from hypdiv.basis import DomainError
+
+    for view in ("formal", "canonical"):
+        with pytest.raises(DomainError, match="is no .* record"):
+            cli.output_record(g, target, view, closedform.closed_form(*made_at))
+
+
 def test_json_round_trip_on_verify_records():
     from hypdiv import closedform
     from hypdiv.cli import verification_record

@@ -356,10 +356,12 @@ def test_is_valid_and_unknown_match_reference():
             for n in (1, 2):
                 want = _reference_is_valid(label, g, n)
                 assert B.is_valid(label, g, n) is want, (label, g, n)
-            # where the reference named a psi that is no class (psi_0, psi_3) or a marking
-            # that no class has ("3"), or failed untyped on an empty one, unknown refuses it
+            # where the reference named a psi that is no class (psi_0, psi_3), a marking
+            # that no class has ("3") or a negative index, or failed untyped on an empty
+            # marking, unknown refuses it
             boundary = label.kind in (B.DELTA, B.ETA)
-            refused = label.marking not in F._MARKINGS[2] if boundary else label in (psi(0), psi(3))
+            stray = label.marking not in F._MARKINGS[2] or label.index < 0
+            refused = stray if boundary else label in (psi(0), psi(3))
             want = DomainError if refused else _outcome(_reference_unknown, label)
             assert _outcome(F.unknown, label) == want, label
     assert F.unknown(PSI_SUM) == _reference_unknown(PSI_SUM) == "d"
@@ -382,12 +384,18 @@ def test_is_valid_and_unknown_match_reference():
         ("unknown", (("delta", True, "0"),), (("delta", 1, "0"),)),
         ("boundary_unknown", ("delta", True, "0"), ("delta", 1, "0")),
         ("boundary_unknown", ("delta", 1.0, "0"), ("delta", 1, "0")),
+        ("unknown", (("delta", -1, "0"),), None),  # a negative index, the auxiliary's included
+        ("unknown", (("eta", -1, "0"),), None),
+        ("boundary_unknown", ("eta", -1, "0"), None),
+        ("unknown", ((["delta"], 1, "0"),), None),  # an unhashable kind
     ],
     ids=[
         "empty_marking", "pair", "int_marking", "global_kind", "stray_global",
         "stray_marking", "str_index", "digit_marking", "none_index_and_slot",
         "float_index_after_int", "bool_index_after_int",
         "bool_boundary_index_after_int", "float_boundary_index_after_int",
+        "negative_delta_index", "negative_eta_index", "negative_boundary_index",
+        "unhashable_kind",
     ],
 )
 def test_the_label_to_unknown_map_refuses_what_it_cannot_name(name, args, named_first):

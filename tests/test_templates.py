@@ -62,6 +62,21 @@ def test_genus_free_pattern_is_built_once_per_template(monkeypatch):
     assert set(built) == set(F.TEMPLATES.values())
 
 
+def test_pattern_builds_no_label(monkeypatch):
+    # the solver order is read off the entries, so no probe label is built, and none
+    # at index -1 for the glued low families
+    def no_label(label, i):
+        raise AssertionError(f"a label built from {label!r} at i={i}")
+
+    cached = {t: F._pattern(t) for t in F.TEMPLATES.values()}
+    monkeypatch.setattr(F, "_label_at", no_label)
+    for template, want in cached.items():
+        got = F._pattern.__wrapped__(template)
+        assert [spot[:3] for spot in got] == [spot[:3] for spot in want], template.family
+        for g, i in ((2, 0), (7, 3), (40, 11)):  # a merged degree is a new function
+            assert [spot[3](g, i, i) for spot in got] == [spot[3](g, i, i) for spot in want]
+
+
 def _replace_template(monkeypatch, family, n, **changes):
     """Put the template of (family, n) with ``changes`` in the catalog, and return it."""
     mutated = F.TEMPLATES[family, n]._replace(**changes)
