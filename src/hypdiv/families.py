@@ -7,13 +7,12 @@ of the target divisor (the universal Weierstrass divisor for n = 1, the
 universal degree-2-series divisor for n = 2).  :data:`CATALOG` is the one
 table of families, as :class:`Template` s: label constructors in the member
 index i with integer degree formulas in (g, i, j) built from +, - and *
-alone.  :func:`relations` resolves each template once per genus
-(:func:`_resolve`): it checks the labels, reuses the genus-free pattern
-(:func:`_pattern`, built without a label) and builds each member straight into
-a :class:`Relation`, the one form in which the catalog reaches the solver,
-type-checking each degree.  That member is the one check of a catalog member:
-the public catalog functions (and the ``families`` command) run it, then
-:func:`evaluate` keys its nonzero degrees by label in a :class:`DegreeVector`.
+alone.  :func:`relations` resolves each template once per genus (:func:`_resolve`): it
+checks the labels and builds each member from the genus-free pattern (:func:`_pattern`,
+one spot per entry) straight into a :class:`Relation`, the one form in which the catalog
+reaches the solver, computing each degree once and refusing the first non-``int``.  That
+member is the one check of a catalog member: the public catalog functions (and the
+``families`` command) run it, then :func:`evaluate` keys its degrees by label.
 :func:`unknown` is the one map from a label to its unknown's name.  A test checks each
 self-intersection entry against :mod:`hypdiv.surfcalc` for every genus the CLI accepts.
 
@@ -210,7 +209,7 @@ def evaluate(template: Template, g: int, i: int | None = None) -> DegreeVector:
     nonzero degrees keyed by label, once its relation (:func:`_resolve`) has checked every
     label and degree: the assembly and this refuse the same members with the same error.
     The caller checks the ambient."""
-    indices = (None,) if template.indices is None else template.indices(g)
+    indices = _indices(template, g)
     if template.indices is not None and (type(i) is not int or i not in indices):
         raise DomainError(f"i={i!r} out of range {indices.start}..{indices.stop - 1} for g={g}")
     _resolve(template, g, template.n, indices)(i)
@@ -360,65 +359,65 @@ class Relation:
         return f"{self.provenance}: {' '.join([f'{value}·{symbol}', *signed])} = {self.rhs}"
 
 
-def _indices(group: tuple[Template, ...], g: int):
-    """The member indices of a group of templates at genus g, (None,) for one member."""
-    return (None,) if group[0].indices is None else group[0].indices(g)
+def _indices(template: Template, g: int):
+    """The member indices of a template at genus g, (None,) for one member."""
+    return (None,) if template.indices is None else template.indices(g)
 
 
 def vectors(g: int, n: int) -> list[DegreeVector]:
     """Every cataloged degree vector on (g, n), in assembly order; the caller checks the ambient."""
-    return [evaluate(t, g, i) for group in CATALOG[n] for i in _indices(group, g) for t in group]
+    return [evaluate(t, g, i) for group in CATALOG[n] for i in _indices(group[0], g) for t in group]
 
 
 @cache
 def _pattern(template: Template) -> tuple:
     """The genus-free part of a template's relations, built once per template and without a
-    label: (kind, offset, slot, degree) per unknown in solver order.  The member at i names
-    it ``boundary_unknown(kind, i + offset, slot)``, or ``kind`` itself, the :func:`unknown`
-    of a fixed label, when offset is None; ``degree`` sums the formulas it merges.  Solver
-    order is a stable sort by the kind's rank in ``_ENTRIES``, the index (a :class:`Shifted`
-    entry's offset: indices are i plus a constant) and the marking, so etas come last."""
-    spots: dict[tuple, list] = {}  # (kind, offset, slot) of an unknown -> its degree formulas
+    label: (kind, offset, slot, degree, entry) per entry, ``entry`` its label, in solver order
+    (a stable sort by the kind's rank in ``_ENTRIES``, the index or a :class:`Shifted` offset,
+    and the marking: etas come last).  The member at i names the unknown ``kind``, a fixed
+    label's, when offset is None, else ``boundary_unknown(kind, i + offset, slot)``.  Two
+    entries that can put one label on a member (equal, or Shifted of a fixed label's kind
+    and marking) are a CatalogError; those that share an unknown (psi_1 and psi_2) add up."""
+    labels = [label for label, _ in template.entries]
+    fixed = {label[::2] for label in labels if type(label) is not Shifted}  # (kind, marking)
+    if len(set(labels)) < len(labels) or any(e[::2] in fixed for e in labels if type(e) is Shifted):
+        raise CatalogError(f"{template.family}: two entries can put one label on a member")
     order = lambda entry: (_ENTRIES[entry[0].kind][0], *entry[0][1:])  # index or offset, marking
-    for label, degree in sorted(template.entries, key=order):
-        shifted = type(label) is Shifted
-        spot = (*label[:2], label.marking[0]) if shifted else (unknown(label), None, None)
-        spots.setdefault(spot, []).append(degree)
-    merged = lambda ds: ds[0] if len(ds) == 1 else lambda g, i, j: sum(d(g, i, j) for d in ds)
-    return tuple((*spot, merged(ds)) for spot, ds in spots.items())
+    return tuple(
+        ((*e[:2], e.marking[0]) if type(e) is Shifted else (unknown(e), None, None)) + (d, e)
+        for e, d in sorted(template.entries, key=order)
+    )
 
 
 def _resolve(template: Template, g: int, n: int, indices):
     """The function i -> relation of the template's member at index i, at genus g: the one
     check of a member, for the assembly and :func:`evaluate` alike.
 
-    On top of :func:`_pattern`, per genus only the labels are checked: ``_check_label``
-    at both ends of ``indices`` covers every member, as label indices are i plus a
-    constant and markings are fixed.  Each member type-checks every degree it computes,
-    the target's too, as it builds its one dict.  A non-``int`` is a CatalogError naming
-    the first nonzero non-``int`` label degree, else the target, else the member."""
+    On top of :func:`_pattern`, per genus only the labels are checked: ``_check_label`` at
+    both ends of ``indices`` covers every member, as label indices are i plus a constant and
+    markings are fixed.  Each member computes each degree once, in solver order, then the
+    target's; the first non-``int`` (zero too) is a CatalogError naming its label or the target."""
+    pattern, target, moving = _pattern(template), template.target_degree, template.j
     for i in (indices[0], indices[-1]):
         for label, _ in template.entries:
             _check_label(_label_at(label, i), g, n)
-    pattern, target, moving = _pattern(template), template.target_degree, template.j
     fixed = None if template.indices else _provenance(template.family, template.params)
 
     def member(i):
-        j = i if moving is None else moving(g, i)
-        coeffs, rhs = {}, target(g, i, j)
-        for kind, offset, slot, degree in pattern:
+        coeffs, j = {}, i if moving is None else moving(g, i)
+        for kind, offset, slot, degree, entry in pattern:
             v = degree(g, i, j)
             if type(v) is not int:
-                break
+                label = _label_at(entry, i)
+                odd = f"{v!r} on {label.kind if label == PSI_SUM else repr(label)}"
+                raise CatalogError(f"{template.family}: non-integer degree {odd}")
             if v:
-                coeffs[kind if offset is None else _spelled(kind, i + offset, slot)] = v
-        else:
-            if type(rhs) is int:
-                return Relation(coeffs, rhs, fixed or f"{template.family}[i={i}]")
-        degrees = ((_label_at(label, i), d(g, i, j)) for label, d in template.entries)
-        odd = next((f"{v!r} on {e!r}" for e, v in degrees if v and type(v) is not int), None)
-        odd = odd or (f"at i={i}, g={g}" if type(rhs) is int else f"{rhs!r} on the target")
-        raise CatalogError(f"{template.family}: non-integer degree {odd}")
+                key = kind if offset is None else _spelled(kind, i + offset, slot)
+                coeffs[key] = coeffs.get(key, 0) + v
+        rhs = target(g, i, j)
+        if type(rhs) is not int:
+            raise CatalogError(f"{template.family}: non-integer degree {rhs!r} on the target")
+        return Relation(coeffs, rhs, fixed or f"{template.family}[i={i}]")
 
     return member
 
@@ -428,7 +427,7 @@ def relations(g: int, n: int) -> list[Relation]:
     template resolved once (:func:`_resolve`); the caller checks the ambient."""
     out = []
     for group in CATALOG[n]:
-        indices = _indices(group, g)
+        indices = _indices(group[0], g)
         members = [_resolve(t, g, n, indices) for t in group] if indices else ()
         out += [member(i) for i in indices for member in members]
     return out

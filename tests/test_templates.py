@@ -5,6 +5,7 @@ import functools
 
 import pytest
 
+from hypdiv import basis as B
 from hypdiv import closedform
 from hypdiv import families as F
 from hypdiv import solver as S
@@ -73,7 +74,7 @@ def test_pattern_builds_no_label(monkeypatch):
     for template, want in cached.items():
         got = F._pattern.__wrapped__(template)
         assert [spot[:3] for spot in got] == [spot[:3] for spot in want], template.family
-        for g, i in ((2, 0), (7, 3), (40, 11)):  # a merged degree is a new function
+        for g, i in ((2, 0), (7, 3), (40, 11)):
             assert [spot[3](g, i, i) for spot in got] == [spot[3](g, i, i) for spot in want]
 
 
@@ -139,9 +140,8 @@ def test_non_integer_degree_at_a_later_member_is_catalog_error(monkeypatch):
 @pytest.mark.parametrize(
     "change, message",
     [
-        # a float zero on psi_2 merges with psi_1's int into a float on d; no
-        # label carries a nonzero non-int degree, so the error names the member
-        ("entries", "f2ip1: non-integer degree at i=1, g=7"),
+        # a float zero on psi_2 is named, though psi_1's int would absorb it in d
+        ("entries", r"f2ip1: non-integer degree 0.0 on psi\(2\)"),
         ("target_degree", "f2ip1: non-integer degree 0.0 on the target"),
     ],
 )
@@ -158,6 +158,58 @@ def test_non_integer_merged_or_target_degree_is_catalog_error(monkeypatch, chang
     with pytest.raises(F.CatalogError, match=rf"^{message}$"):
         S.assemble_system(7, G12)
     _evaluate_refuses_alike(mutated, 7, i)
+
+
+def test_the_first_non_integer_degree_in_solver_order_is_named(monkeypatch):
+    # degree-vector order puts the eta entry before eta_irr, solver order after it
+    psi_1, psi_2, (eta, _), (irr, _) = F.TEMPLATES["f2ip1", 2].entries
+    entries = (psi_1, psi_2, (eta, lambda g, i, j: 0.5), (irr, lambda g, i, j: 1.5))
+    mutated = _replace_template(monkeypatch, "f2ip1", 2, entries=entries)
+    with pytest.raises(F.CatalogError, match=r"^f2ip1: non-integer degree 1\.5 on eta_irr$"):
+        S.assemble_system(7, G12)
+    _evaluate_refuses_alike(mutated, 7, 0)
+
+
+def test_a_non_integer_psi_sum_degree_names_psi_sum(monkeypatch):
+    *rest, (label, _) = F.TEMPLATES["ruling_low", 2].entries
+    assert label == F.PSI_SUM
+    entries = (*rest, (label, lambda g, i, j: 0.5))
+    mutated = _replace_template(monkeypatch, "ruling_low", 2, entries=entries)
+    with pytest.raises(F.CatalogError, match=r"^ruling_low: non-integer degree 0\.5 on psi_sum$"):
+        S.assemble_system(6, G12)
+    _evaluate_refuses_alike(mutated, 6, 1)
+
+
+def test_pattern_keeps_one_spot_per_entry():
+    for template in F.TEMPLATES.values():
+        pattern = F._pattern(template)
+        assert len(pattern) == len(template.entries), template.family
+        assert {spot[4] for spot in pattern} == {label for label, _ in template.entries}
+
+
+_ONE = lambda g, i, j: 1
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # the fixed delta_2_0 is the shifted label at i = 2
+        ((B.delta(2, "0"), _ONE), (F.Shifted("delta", 0, "0"), _ONE)),
+        ((F.Shifted("delta", 0, "0"), _ONE), (F.Shifted("delta", 0, "0"), _ONE)),
+    ],
+    ids=["fixed-and-shifted", "duplicated-shifted"],
+)
+def test_two_entries_that_can_put_one_label_on_a_member_are_refused(monkeypatch, entries):
+    hand = F.Template("hand", 2, lambda g, i, j: 0, entries, B.delta_range)
+    monkeypatch.setitem(F.CATALOG, 2, ((hand,),))
+    message = r"^hand: two entries can put one label on a member$"
+    with pytest.raises(F.CatalogError, match=message):
+        F.relations(8, 2)
+    with pytest.raises(F.CatalogError, match=message):
+        S.assemble_system(8, G12)
+    for i in (2, 3):
+        with pytest.raises(F.CatalogError, match=message):
+            F.evaluate(hand, 8, i)
 
 
 def test_a_member_with_no_nonzero_degree_is_domain_error(monkeypatch):
