@@ -7,12 +7,12 @@ of the target divisor (the universal Weierstrass divisor for n = 1, the
 universal degree-2-series divisor for n = 2).  :data:`CATALOG` is the one
 table of families, as :class:`Template` s: label constructors in the member
 index i with integer degree formulas in (g, i, j) built from +, - and *
-alone.  :func:`relations` resolves each template once per genus (:func:`_resolve`): it
-checks the labels and builds each member from the genus-free pattern (:func:`_pattern`,
+alone.  One walk (:func:`_walk`) resolves each template once per genus (:func:`_resolve`):
+it checks the labels and builds each member from the genus-free pattern (:func:`_pattern`,
 one spot per entry) straight into a :class:`Relation`, the one form in which the catalog
 reaches the solver, computing each degree once and refusing the first non-``int``.  That
-member is the one check of a catalog member: the public catalog functions (and the
-``families`` command) run it, then :func:`evaluate` keys its degrees by label.
+member is the one check of a catalog member: :func:`relations` reads it off the walk, and a
+degree vector (:func:`family_vectors`; :func:`evaluate` for one member) runs it first.
 :func:`unknown` is the one map from a label to its unknown's name.  A test checks each
 self-intersection entry against :mod:`hypdiv.surfcalc` for every genus the CLI accepts.
 
@@ -119,20 +119,23 @@ def _label_at(label, i) -> BasisElement:
     return label
 
 
+_SOLE = lambda g: (None,)  # the indices of a one-member family: its member is at i = None
+
+
 class Template(NamedTuple):
     """One family for every genus: ``entries`` pairs each label (fixed, or
     :class:`Shifted` by i) with its degree formula, in degree-vector order.
 
     ``j`` gives the moving genus from (g, i), None meaning j = i; ``indices``
-    gives the member indices at genus g.  A family without ``indices`` has
-    one member, at i = j = None, with the fixed ``params`` (name, value) pairs.
+    gives the member indices at genus g.  A family left at ``_SOLE`` has one
+    member, at i = j = None, with the fixed ``params`` (name, value) pairs.
     """
 
     family: str
     n: int
     target_degree: Callable
     entries: tuple
-    indices: Callable | None = None
+    indices: Callable = _SOLE
     j: Callable | None = None
     params: tuple = ()
 
@@ -205,19 +208,12 @@ TEMPLATES = {(t.family, t.n): t for groups in CATALOG.values() for group in grou
 
 
 def evaluate(template: Template, g: int, i: int | None = None) -> DegreeVector:
-    """The degree vector of the member at index ``i`` (None for a one-member family), its
-    nonzero degrees keyed by label, once its relation (:func:`_resolve`) has checked every
-    label and degree: the assembly and this refuse the same members with the same error.
-    The caller checks the ambient."""
-    indices = _indices(template, g)
-    if template.indices is not None and (type(i) is not int or i not in indices):
+    """The degree vector of the member at index ``i`` (None for a one-member family), once the
+    index is checked, from the template's :func:`_resolve`.  The caller checks the ambient."""
+    indices = template.indices(g)
+    if template.indices is not _SOLE and (type(i) is not int or i not in indices):
         raise DomainError(f"i={i!r} out of range {indices.start}..{indices.stop - 1} for g={g}")
-    _resolve(template, g, template.n, indices)(i)
-    j, n = i if template.j is None else template.j(g, i), template.n
-    degrees = {_label_at(e, i): v for e, degree in template.entries if (v := degree(g, i, j))}
-    params = dict(template.params) if template.indices is None else {"i": i}  # each its own dict
-    target, rhs = WEIERSTRASS if n == 1 else G12, template.target_degree(g, i, j)
-    return DegreeVector(g, n, target, rhs, degrees, template.family, params)
+    return _resolve(template, g, template.n, indices)[1](i)
 
 
 def _member(g: int, n: int, family: str, i: int | None = None) -> DegreeVector:
@@ -359,16 +355,6 @@ class Relation:
         return f"{self.provenance}: {' '.join([f'{value}·{symbol}', *signed])} = {self.rhs}"
 
 
-def _indices(template: Template, g: int):
-    """The member indices of a template at genus g, (None,) for one member."""
-    return (None,) if template.indices is None else template.indices(g)
-
-
-def vectors(g: int, n: int) -> list[DegreeVector]:
-    """Every cataloged degree vector on (g, n), in assembly order; the caller checks the ambient."""
-    return [evaluate(t, g, i) for group in CATALOG[n] for i in _indices(group[0], g) for t in group]
-
-
 @cache
 def _pattern(template: Template) -> tuple:
     """The genus-free part of a template's relations, built once per template and without a
@@ -390,8 +376,9 @@ def _pattern(template: Template) -> tuple:
 
 
 def _resolve(template: Template, g: int, n: int, indices):
-    """The function i -> relation of the template's member at index i, at genus g: the one
-    check of a member, for the assembly and :func:`evaluate` alike.
+    """The pair (member, vector) of functions of the member index i at genus g.  ``member``
+    gives the relation and is the one check of a member; ``vector`` calls it, then keys the
+    nonzero degrees by label, so the assembly and :func:`evaluate` refuse the same members alike.
 
     On top of :func:`_pattern`, per genus only the labels are checked: ``_check_label`` at
     both ends of ``indices`` covers every member, as label indices are i plus a constant and
@@ -401,7 +388,7 @@ def _resolve(template: Template, g: int, n: int, indices):
     for i in (indices[0], indices[-1]):
         for label, _ in template.entries:
             _check_label(_label_at(label, i), g, n)
-    fixed = None if template.indices else _provenance(template.family, template.params)
+    fixed = _provenance(template.family, template.params) if template.indices is _SOLE else None
 
     def member(i):
         coeffs, j = {}, i if moving is None else moving(g, i)
@@ -419,15 +406,34 @@ def _resolve(template: Template, g: int, n: int, indices):
             raise CatalogError(f"{template.family}: non-integer degree {rhs!r} on the target")
         return Relation(coeffs, rhs, fixed or f"{template.family}[i={i}]")
 
-    return member
+    def vector(i):  # degree-vector order, each params its own dict
+        rhs, j = member(i).rhs, i if moving is None else moving(g, i)
+        degrees = {_label_at(e, i): v for e, degree in template.entries if (v := degree(g, i, j))}
+        params = dict(template.params) if fixed else {"i": i}
+        divisor = WEIERSTRASS if n == 1 else G12
+        return DegreeVector(g, n, divisor, rhs, degrees, template.family, params)
+
+    return member, vector
+
+
+def _walk(g: int, n: int, vectors: bool) -> list:
+    """Each cataloged member on (g, n), in assembly order: its relation, or its degree vector
+    if ``vectors``, from one :func:`_resolve` per template.  The caller checks the ambient."""
+    out = []
+    for group in CATALOG[n]:
+        indices = group[0].indices(g)
+        builds = [_resolve(t, g, n, indices)[vectors] for t in group] if indices else ()
+        out += [build(i) for i in indices for build in builds]
+    return out
 
 
 def relations(g: int, n: int) -> list[Relation]:
-    """The relation of every cataloged member on (g, n), in assembly order, each
-    template resolved once (:func:`_resolve`); the caller checks the ambient."""
-    out = []
-    for group in CATALOG[n]:
-        indices = _indices(group[0], g)
-        members = [_resolve(t, g, n, indices) for t in group] if indices else ()
-        out += [member(i) for i in indices for member in members]
-    return out
+    """Each cataloged member's relation, in assembly order; the caller checks the ambient (g, n)."""
+    return _walk(g, n, False)
+
+
+def family_vectors(g: int, target: str) -> list[DegreeVector]:
+    """The degree vector of every member entering the (g, target) system, read off the walk."""
+    n = marked_points(target)
+    B.check_ambient(g, n)
+    return _walk(g, n, True)

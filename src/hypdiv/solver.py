@@ -2,8 +2,9 @@
 
 For a fixed genus and target, every cataloged family member contributes
 one linear relation (:func:`hypdiv.families.relations`): the unknowns
-(named by :func:`hypdiv.families.unknown`) paired with the member's degrees,
-read off its template with no degree vector built, equal the target degree.
+(named by :func:`hypdiv.families.unknown`) paired with the member's degrees
+equal the target degree.  It is read off the one walk over the catalog that
+:func:`family_vectors` reads as degree vectors; the assembly builds none.
 The assembly is deliberately overdetermined; redundant relations are
 reported, never pruned, since they cross-check the catalog.  The independent
 a_i_1 determinations re-solve pairs of those same relations, found by their
@@ -33,7 +34,7 @@ from typing import NamedTuple, Sequence
 from . import families as F
 from . import basis as B
 from .basis import DivisorExpression
-from .families import G12, Relation
+from .families import G12, Relation, family_vectors
 
 
 class SolverError(RuntimeError):
@@ -47,13 +48,6 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.certificate = certificate
         self.inconsistent = list(inconsistent)
-
-
-def family_vectors(g: int, target: str) -> list[F.DegreeVector]:
-    """Every cataloged degree vector entering the (g, target) system, in assembly order."""
-    n = F.marked_points(target)
-    B.check_ambient(g, n)
-    return F.vectors(g, n)
 
 
 def identification_relations(g: int, target: str) -> list[Relation]:

@@ -41,11 +41,31 @@ def test_label_checks_do_not_grow_with_the_genus(monkeypatch):
         return check(label, g, n)
 
     monkeypatch.setattr(F, "_check_label", counted)
-    S.assemble_system(200, G12)
-    at_200 = len(calls)
-    calls.clear()
-    S.assemble_system(2000, G12)
-    assert len(calls) == at_200 > 0
+    for walk in (S.assemble_system, S.family_vectors):  # each template resolved once per genus
+        calls.clear()
+        walk(200, G12)
+        at_200 = len(calls)
+        calls.clear()
+        walk(2000, G12)
+        assert len(calls) == at_200 > 0, walk.__name__
+
+
+def test_family_vectors_are_the_members_evaluated_one_by_one():
+    for target, n in ((WEIERSTRASS, 1), (G12, 2)):
+        for g in range(2, 41):
+            got = S.family_vectors(g, target)
+            want = [
+                F.evaluate(t, g, i)
+                for group in F.CATALOG[n]
+                for i in group[0].indices(g)
+                for t in group
+            ]
+            assert got == want, (g, target)
+            # equal dicts may differ in order; the families output prints the degrees in order
+            assert [list(dv.degrees.items()) for dv in got] == [
+                list(dv.degrees.items()) for dv in want
+            ], (g, target)
+            assert len({id(dv.params) for dv in got + want}) == 2 * len(got), (g, target)
 
 
 def test_genus_free_pattern_is_built_once_per_template(monkeypatch):
@@ -226,7 +246,7 @@ def test_assembly_builds_no_degree_vector(monkeypatch):
         raise AssertionError("a degree vector was built")
 
     want = {(g, t): S.assemble_system(g, t) for t in (WEIERSTRASS, G12) for g in range(2, 61)}
-    monkeypatch.setattr(F, "evaluate", refused)  # the one builder of a degree vector
+    monkeypatch.setattr(F, "DegreeVector", refused)  # every degree vector is built through it
     for (g, target), relations in want.items():
         assert S.assemble_system(g, target) == relations, (g, target)
 
