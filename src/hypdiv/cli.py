@@ -241,27 +241,27 @@ def cmd_relations(parser, args) -> int:
     return EXIT_OK
 
 
-# family name -> (its catalog function in families, the options it takes after the genus)
+# --family -> (the options it takes after the genus, its families.TEMPLATES key from them)
 FAMILIES = {
-    "diagonal": ("diagonal_family", ()),
-    "quadric_pencil": ("quadric_pencil_family", ("marks",)),
-    "glued": ("glued_weierstrass_family", ("i", "section", "side", "marks")),
-    "two_point": ("two_point_blowup_family", ("kind",)),
-    "ruling": ("g12_ruling_family", ("i", "side")),
-    "f2ip1": ("f2ip1_family", ("i",)),
+    "diagonal": ((), lambda a: ("diagonal", 1)),
+    "quadric_pencil": (("marks",), lambda a: ("quadric_pencil", a.marks)),
+    "glued": (("i", "section", "side", "marks"), lambda a: (f"glued_{a.section}_{a.side}", a.marks)),
+    "two_point": (("kind",), lambda a: ("two_point_" + a.kind.split("_")[0], 2)),
+    "ruling": (("i", "side"), lambda a: (f"ruling_{a.side}", 2)),
+    "f2ip1": (("i",), lambda a: ("f2ip1", 2)),
 }
 
 
 def cmd_families(parser, args) -> int:
     g = _genus(parser, args.genus)
-    build, options = FAMILIES[args.family]
+    options, key = FAMILIES[args.family]
     for name in options:
         if getattr(args, name) is None:
             parser.error(f"--{name} is required for family {args.family!r}")
     from . import families as F
 
-    try:
-        dv = getattr(F, build)(g, *(getattr(args, name) for name in options))
+    try:  # a family without --i among its options ignores it
+        dv = F.evaluate(F.TEMPLATES[key(args)], g, args.i if "i" in options else None)
     except F.DomainError as exc:
         parser.error(str(exc))
     _write_lines([render_json(degree_vector_record(dv))])

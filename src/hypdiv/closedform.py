@@ -13,12 +13,12 @@ marked points) has an extra delta_{0,2} term; the solver confirms its
 delta_{i,1} normalization exactly (see the g=3 pins in the acceptance suite),
 which settles the alternative (g-1)(2g+2) reading.
 
-:func:`verify_range` decides each genus with one predicate: an unknown
-mismatches when it is on one side only or when the solver's value and the
-numerator over the shared denominator fail a cross-multiplied comparison in
-integers.  Only a mismatch builds ``Fraction`` s, to report it.  The report
-is ``NamedTuple`` records: one :class:`GenusResult` per genus inside a
-:class:`VerificationReport`.
+:func:`verify_range` decides each genus with one predicate, over the formal unknowns
+and the auxiliaries (b_0_m, m < n, and for even g b_{g/2}_m, m >= 1, off the eta row):
+an unknown mismatches when it is on one side only or when the solver's value and the
+numerator over the shared denominator fail a cross-multiplied comparison in integers.
+Only a mismatch builds ``Fraction`` s, to report it.  The report is ``NamedTuple``
+records: one :class:`GenusResult` per genus inside a :class:`VerificationReport`.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def _mismatches(g: int, n: int, got: dict, nums: dict) -> list:
 
 
 def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
-    """Compare solver output against the closed form, unknown by unknown.
+    """Compare solver output against the closed form, unknown by unknown, auxiliaries included.
 
     Mismatches are collected into the report (with both values), never
     raised: a failure report is a result, not an exception.  A genus whose
@@ -194,7 +194,10 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
             failure = str(exc), exc.inconsistent
             results.append(GenusResult(g, False, [], None, None, None, {}, *failure))
             continue
-        mismatches = _mismatches(g, n, solved.coefficients, closed_form_numerators(g, target))
+        nums, eta = closed_form_numerators(g, target), _NUMERATORS[target][B.ETA]
+        aux = [(0, m) for m in range(n)] + [(g // 2, m) for m in range(1, n + 1)] * (g % 2 == 0)
+        nums.update((F.boundary_unknown(B.ETA, i, str(m)), eta(g, i, m)) for i, m in aux)
+        mismatches = _mismatches(g, n, solved.coefficients | solved.auxiliaries, nums)
         counts = solved.rank, solved.n_unknowns, len(solved.redundant)
         results.append(GenusResult(g, not mismatches, mismatches, *counts, solved.auxiliaries))
     return VerificationReport(target, g_min, g_max, results)

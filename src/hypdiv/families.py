@@ -12,7 +12,8 @@ it checks the labels and builds each member from the genus-free pattern (:func:`
 one spot per entry) straight into a :class:`Relation`, the one form in which the catalog
 reaches the solver, computing each degree once and refusing the first non-``int``.  That
 member is the one check of a catalog member: :func:`relations` reads it off the walk, and a
-degree vector (:func:`family_vectors`; :func:`evaluate` for one member) runs it first.
+degree vector (:func:`family_vectors`; :func:`evaluate` for one member of :data:`TEMPLATES`,
+as the ``families`` command asks) runs it first.  Each family's geometry is at its template.
 :func:`unknown` is the one map from a label to its unknown's name.  A test checks each
 self-intersection entry against :mod:`hypdiv.surfcalc` for every genus the CLI accepts.
 
@@ -39,8 +40,6 @@ HORIZONTAL = "horizontal"
 DIAGONAL = "diagonal"
 LOW = "low"
 HIGH = "high"
-SINGLE = "single"
-WEIERSTRASS_INVOLUTION = "weierstrass_involution"
 
 
 PSI_SUM = tuple.__new__(BasisElement, ("psi_sum", 0, ""))  # the invariant psi_1 + psi_2
@@ -146,6 +145,8 @@ _MOVING = {LOW: None, HIGH: lambda g, i: g - i}  # side -> the genus j of the mo
 
 
 def _glued(section: str, side: str, n: int) -> Template:
+    """A moving genus-i cover with a Weierstrass section glued to a fixed curve of genus g-i;
+    high puts the constant marks on the moving component (delta_{i,1} or delta_{i,2}), low not."""
     # nodal fibers meet eta_irr twice; two fibers meet eta_{i-1,.} (low) or eta_{i,.} (high)
     m = "0" if side == LOW else "1" if n == 1 else "2"
     delta, eta = Shifted(B.DELTA, 0, m), Shifted(B.ETA, -1 if side == LOW else 0, m)
@@ -158,6 +159,8 @@ def _glued(section: str, side: str, n: int) -> Template:
 
 
 def _ruling(side: str) -> Template:
+    """The glued family with a marked ruling after a degree-2 base change: it lies in
+    delta_{i,1}, misses the target, and pins only psi_1 + psi_2."""
     entries = (  # the base change doubles every degree of the glued family
         (Shifted(B.DELTA, 0, "1"), lambda g, i, j: -2),
         (Shifted(B.ETA, -1 if side == LOW else 0, "1"), lambda g, i, j: 4),
@@ -170,16 +173,20 @@ def _ruling(side: str) -> Template:
 # members of a group run i-major: each template at the first i, then at the next
 CATALOG: dict[int, tuple[tuple[Template, ...], ...]] = {
     1: (
-        (
+        (  # C fixed, the diagonal section of C x C: it meets each of the 2g+2 Weierstrass
+            # points once, and deg psi = -(diagonal)^2 = 2g - 2
             Template("diagonal", 1, lambda g, i, j: 2 * g + 2, (
                 (_PSI_1, lambda g, i, j: 2 * g - 2),
             )),
+            # a general bidegree-(2, g+1) pencil on P^1 x P^1 marked at base points: each psi
+            # degree is 1, and two base points never share a ruling (target degree 0 for n = 2)
             Template("quadric_pencil", 1, _ONE, ((_PSI_1, _ONE), (_ETA_IRR, _PENCIL))),
         ),
         tuple(_glued(s, side, 1) for s in (HORIZONTAL, DIAGONAL) for side in (LOW, HIGH)),
     ),
     2: (
-        (
+        (  # C x C blown up at one non-Weierstrass diagonal point (single) or at the 2g+2
+            # Weierstrass ones (weierstrass), with two sections
             Template("two_point_single", 2, _ONE, (
                 (_PSI_1, _ONE), (_PSI_2, lambda g, i, j: 2 * g - 1), (_DELTA_0_2, _ONE),
             )),
@@ -193,7 +200,8 @@ CATALOG: dict[int, tuple[tuple[Template, ...], ...]] = {
         ),
         tuple(_glued(s, side, 2) for s in (HORIZONTAL, DIAGONAL) for side in (LOW, HIGH)),
         (_ruling(LOW), _ruling(HIGH)),
-        (
+        (  # a pencil branched along 2i+2 concurrent (1,1)-curves and 2g-2i rulings; member
+            # i = 0 pins the auxiliary eta_{0,1}, which closes the system at g = 2
             Template("f2ip1", 2, _ZERO, (
                 (_PSI_1, lambda g, i, j: 2 * (i + 1)), (_PSI_2, lambda g, i, j: 2),
                 (Shifted(B.ETA, 0, "1"), lambda g, i, j: 2),
@@ -203,7 +211,7 @@ CATALOG: dict[int, tuple[tuple[Template, ...], ...]] = {
     ),
 }
 
-# (family, n) -> its template, for the public catalog functions
+# (family, n) -> its template, where the ``families`` command looks a family up by name
 TEMPLATES = {(t.family, t.n): t for groups in CATALOG.values() for group in groups for t in group}
 
 
@@ -211,57 +219,11 @@ def evaluate(template: Template, g: int, i: int | None = None) -> DegreeVector:
     """The degree vector of the member at index ``i`` (None for a one-member family), once the
     index is checked, from the template's :func:`_resolve`.  The caller checks the ambient."""
     indices = template.indices(g)
+    if template.indices is _SOLE and i is not None:
+        raise DomainError(f"{template.family} has one member, at no index: i={i!r}")
     if template.indices is not _SOLE and (type(i) is not int or i not in indices):
         raise DomainError(f"i={i!r} out of range {indices.start}..{indices.stop - 1} for g={g}")
     return _resolve(template, g, template.n, indices)[1](i)
-
-
-def _member(g: int, n: int, family: str, i: int | None = None) -> DegreeVector:
-    """The member at index ``i`` of the template ``TEMPLATES[family, n]``, after
-    ``check_ambient``; a (family, n) that the table lacks is a DomainError naming it."""
-    B.check_ambient(g, n)
-    if (family, n) not in TEMPLATES:
-        raise DomainError(f"{family} is not a catalog family for n={n}")
-    return evaluate(TEMPLATES[family, n], g, i)
-
-
-def diagonal_family(g: int) -> DegreeVector:
-    """Fixed curve C, diagonal section of C x C (n = 1): it meets each of the
-    2g+2 Weierstrass points once, and deg(psi) = -(diagonal)^2 = 2g - 2."""
-    return _member(g, 1, "diagonal")
-
-
-def quadric_pencil_family(g: int, marks: int) -> DegreeVector:
-    """General bidegree-(2, g+1) pencil on P^1 x P^1, marked at base points: each
-    psi degree is 1, and two base points never share a ruling (target degree 0)."""
-    return _member(g, marks, "quadric_pencil")
-
-
-def glued_weierstrass_family(g: int, i: int, section: str, side: str, n: int) -> DegreeVector:
-    """Moving genus-i cover with a Weierstrass section (``horizontal`` or ``diagonal``)
-    glued to a fixed curve of genus g-i; ``side = high`` puts the constant
-    marks on the moving component (delta_{i,1} or delta_{i,2}), ``low`` not."""
-    return _member(g, n, f"glued_{section}_{side}", i)
-
-
-def two_point_blowup_family(g: int, kind: str) -> DegreeVector:
-    """Blowup of C x C at one non-Weierstrass diagonal point (``single``) or at the
-    2g+2 Weierstrass ones (``weierstrass_involution``), with two sections (n = 2)."""
-    family = {SINGLE: "two_point_single", WEIERSTRASS_INVOLUTION: "two_point_weierstrass"}
-    return _member(g, 2, family.get(kind, f"kind {kind!r}"))
-
-
-def g12_ruling_family(g: int, i: int, side: str) -> DegreeVector:
-    """Glued family with a marked ruling, after a degree-2 base change (n = 2); it
-    lies in delta_{i,1}, misses the target, and pins only psi_1 + psi_2."""
-    return _member(g, 2, f"ruling_{side}", i)
-
-
-def f2ip1_family(g: int, i: int) -> DegreeVector:
-    """Pencil branched along 2i+2 concurrent (1,1)-curves and 2g-2i rulings (n = 2);
-    its member i = 0 puts its eta-degree on the auxiliary eta_{0,1}, which
-    closes the coefficient system at g = 2."""
-    return _member(g, 2, "f2ip1", i)
 
 
 def marked_points(target: str) -> int:

@@ -352,6 +352,61 @@ def test_verify_orders_the_unknowns_no_label_names_by_name(monkeypatch):
     ]
 
 
+def test_verify_checks_the_auxiliaries(monkeypatch):
+    # b_0_0 is named by no formal class; its closed form is the eta row read at i = 0
+    eta_row = CF._NUMERATORS[WEIERSTRASS][B.ETA]
+    changed = lambda g, i, m: eta_row(g, i, m) + (i == 0)
+    monkeypatch.setitem(CF._NUMERATORS[WEIERSTRASS], B.ETA, changed)
+    report = CF.verify_range(2, 4, WEIERSTRASS)
+    assert [r.g for r in report.results if not r.ok] == [2, 3, 4]
+    assert report.results[0].mismatches == [("b_0_0", Fraction(-1, 5), Fraction(-1, 10))]
+
+
+@pytest.mark.parametrize("target", [WEIERSTRASS, G12])
+def test_verify_checks_each_auxiliary_the_solver_reports(monkeypatch, target):
+    # each auxiliary, alone, against the eta row changed at its (i, m) only
+    import hypdiv.solver as S
+
+    eta_row = CF._NUMERATORS[target][B.ETA]
+    for g in range(2, 8):
+        auxiliaries = S.solve_coefficients(g, target).auxiliaries
+        n = F.marked_points(target)
+        spots = [(0, m) for m in range(n)] + [(g // 2, m) for m in range(1, n + 1)] * (g % 2 == 0)
+        assert set(auxiliaries) == {f"b_{i}_{m}" for i, m in spots}, (g, target)
+        for name, value in auxiliaries.items():
+            spot = tuple(map(int, name.split("_")[1:]))
+            changed = lambda G, i, m: eta_row(G, i, m) + ((i, m) == spot)
+            monkeypatch.setitem(CF._NUMERATORS[target], B.ETA, changed)
+            (result,) = CF.verify_range(g, g, target).results
+            want = value + Fraction(1, 2 * (g - 1) * (2 * g + 1))
+            assert result.mismatches == [(name, value, want)], (g, target, name)
+
+
+@pytest.mark.parametrize(
+    "change, mismatch",
+    [
+        (lambda a: a.pop("b_0_0"), ("b_0_0", None, Fraction(-1, 14))),
+        (lambda a: a.update(b_5_0=Fraction(1)), ("b_5_0", Fraction(1), None)),
+    ],
+    ids=["dropped", "extra"],
+)
+def test_verify_reports_a_dropped_or_an_extra_auxiliary(monkeypatch, change, mismatch):
+    import hypdiv.solver as S
+
+    original = S.solve_coefficients
+
+    def perturbed(g, target):
+        report = original(g, target)
+        if g == 3:
+            change(report.auxiliaries)
+        return report
+
+    monkeypatch.setattr(S, "solve_coefficients", perturbed)
+    report = CF.verify_range(2, 4, WEIERSTRASS)
+    assert [r.g for r in report.results if not r.ok] == [3]
+    assert report.results[1].mismatches == [mismatch]
+
+
 def test_passing_verify_builds_no_fraction(monkeypatch):
     def forbidden(*args):
         raise AssertionError("closedform built a Fraction")

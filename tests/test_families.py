@@ -7,17 +7,8 @@ import pytest
 from hypdiv import basis as B
 from hypdiv import families as F
 from hypdiv.basis import DomainError, delta, eta, eta_irr, psi
-from hypdiv.families import (
-    PSI_SUM,
-    diagonal_family,
-    f2ip1_family,
-    formal_unknowns,
-    g12_ruling_family,
-    glued_weierstrass_family,
-    is_auxiliary,
-    quadric_pencil_family,
-    two_point_blowup_family,
-)
+from hypdiv import cli
+from hypdiv.families import PSI_SUM, formal_unknowns, is_auxiliary
 from pairing_oracle import pairing_degree as _reference_pairing_degree
 from pairing_oracle import unknown as _reference_unknown
 
@@ -26,128 +17,149 @@ def aux_eta(i, m):
     return eta(i, m)
 
 
+def member(family, n, g, i=None):
+    return F.evaluate(F.TEMPLATES[family, n], g, i)
+
+
 def test_diagonal_family_degrees():
     for g, psi_deg, target in ((2, 2, 6), (3, 4, 8), (11, 20, 24)):
-        dv = diagonal_family(g)
+        dv = member("diagonal", 1, g)
         assert dv.degrees == {psi(1): psi_deg}
         assert dv.target_degree == target
         assert dv.target == F.WEIERSTRASS
 
 
 def test_quadric_pencil_degrees():
-    dv = quadric_pencil_family(2, 1)
+    dv = member("quadric_pencil", 1, 2)
     assert dv.degrees == {psi(1): 1, eta_irr(): 20}
     assert dv.target_degree == 1
 
-    dv = quadric_pencil_family(3, 2)
+    dv = member("quadric_pencil", 2, 3)
     assert dv.degrees == {psi(1): 1, psi(2): 1, eta_irr(): 28}
     assert dv.target_degree == 0
 
-    dv = quadric_pencil_family(2, 2)
+    dv = member("quadric_pencil", 2, 2)
     assert dv.degrees == {psi(1): 1, psi(2): 1, eta_irr(): 20}
     assert dv.target_degree == 0
 
 
 def test_glued_horizontal_low_registers_auxiliary_at_i1():
-    dv = glued_weierstrass_family(4, 1, F.HORIZONTAL, F.LOW, 1)
+    dv = member("glued_horizontal_low", 1, 4, 1)
     assert dv.degrees == {delta(1, "0"): -1, eta_irr(): 8, aux_eta(0, "0"): 2}
     assert dv.target_degree == 0
     assert [k for k in dv.degrees if is_auxiliary(k, 4)] == [aux_eta(0, "0")]
 
 
 def test_glued_diagonal_low_degrees():
-    dv = glued_weierstrass_family(4, 2, F.DIAGONAL, F.LOW, 1)
+    dv = member("glued_diagonal_low", 1, 4, 2)
     assert dv.degrees == {delta(2, "0"): -2, eta_irr(): 8, eta(1, "0"): 6}
 
 
 def test_glued_horizontal_high_degrees():
-    dv = glued_weierstrass_family(5, 2, F.HORIZONTAL, F.HIGH, 1)
+    dv = member("glued_horizontal_high", 1, 5, 2)
     assert dv.degrees == {delta(2, "1"): -1, eta_irr(): 24, eta(2, "1"): 2}
 
 
 def test_glued_high_top_index_even_genus_is_auxiliary():
-    dv = glued_weierstrass_family(4, 2, F.HORIZONTAL, F.HIGH, 1)
+    dv = member("glued_horizontal_high", 1, 4, 2)
     assert dv.degrees[aux_eta(2, "1")] == 2
-    dv2 = glued_weierstrass_family(4, 2, F.HORIZONTAL, F.HIGH, 2)
+    dv2 = member("glued_horizontal_high", 2, 4, 2)
     assert dv2.degrees[delta(2, "2")] == -1
     assert dv2.degrees[aux_eta(2, "2")] == 2
 
 
 def test_glued_range_errors():
     with pytest.raises(DomainError):
-        glued_weierstrass_family(4, 3, F.HORIZONTAL, F.LOW, 1)
+        member("glued_horizontal_low", 1, 4, 3)
     with pytest.raises(DomainError):
-        glued_weierstrass_family(4, 0, F.HORIZONTAL, F.LOW, 1)
+        member("glued_horizontal_low", 1, 4, 0)
+
+
+FAMILY = ["families", "--genus", "4", "--family"]
+GLUED = [*FAMILY, "glued", "--i", "1"]
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: glued_weierstrass_family(4, 1, "vertical", F.LOW, 1),
-        lambda: glued_weierstrass_family(4, 1, F.HORIZONTAL, "middle", 2),
-        lambda: glued_weierstrass_family(4, 1, F.LOW, F.HORIZONTAL, 1),  # swapped
-        lambda: glued_weierstrass_family(4, 1, None, F.LOW, 1),
-        lambda: glued_weierstrass_family(4, 1, "horizontal_low", "", 1),
-        lambda: g12_ruling_family(4, 1, "middle"),
-        lambda: g12_ruling_family(4, 1, 0),
-        lambda: two_point_blowup_family(4, "double"),
-        lambda: two_point_blowup_family(4, None),
-        lambda: two_point_blowup_family(4, "weierstrass"),
+        lambda: cli.main([*GLUED, "--section", "vertical", "--side", "low", "--marks", "1"]),
+        lambda: cli.main([*GLUED, "--section", "horizontal", "--side", "middle", "--marks", "2"]),
+        lambda: cli.main([*GLUED, "--section", "low", "--side", "horizontal", "--marks", "1"]),  # swapped
+        lambda: cli.main([*GLUED, "--side", "low", "--marks", "1"]),  # no section
+        lambda: cli.main([*GLUED, "--section", "horizontal_low", "--side", "", "--marks", "1"]),
+        lambda: cli.main([*FAMILY, "ruling", "--i", "1", "--side", "middle"]),
+        lambda: cli.main([*FAMILY, "ruling", "--i", "1", "--side", "0"]),
+        lambda: cli.main([*FAMILY, "two_point", "--kind", "double"]),
+        lambda: cli.main([*FAMILY, "two_point"]),  # no kind
+        lambda: cli.main([*FAMILY, "two_point", "--kind", "weierstrass"]),
         # a template name is no kind
-        lambda: two_point_blowup_family(4, "two_point_single"),
-        lambda: two_point_blowup_family(4, "two_point_weierstrass"),
+        lambda: cli.main([*FAMILY, "two_point", "--kind", "two_point_single"]),
+        lambda: cli.main([*FAMILY, "two_point", "--kind", "two_point_weierstrass"]),
     ],
 )
-def test_catalog_functions_refuse_a_bad_section_side_or_kind(call):
-    with pytest.raises(DomainError) as caught:
+def test_catalog_functions_refuse_a_bad_section_side_or_kind(call, capsys):
+    # a section, side or kind picks a template only through the families command, whose
+    # option choices and required options refuse these as usage errors
+    with pytest.raises(SystemExit) as caught:
         call()
-    assert type(caught.value) is DomainError
+    assert caught.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "invalid choice" in err or "is required for family" in err, err
+
+
+def test_a_one_member_template_refuses_an_index():
+    for family, n in (("diagonal", 1), ("quadric_pencil", 2), ("two_point_single", 2)):
+        for bad in ("x", 3, 0, False):
+            with pytest.raises(DomainError, match=f"^{family} has one member") as caught:
+                member(family, n, 5, bad)
+            assert type(caught.value) is DomainError
+        assert member(family, n, 5).params == dict(F.TEMPLATES[family, n].params)
 
 
 def test_two_point_blowup_degrees():
-    dv = two_point_blowup_family(2, F.SINGLE)
+    dv = member("two_point_single", 2, 2)
     assert dv.degrees == {psi(1): 1, psi(2): 3, B.delta_0_2(): 1}
     assert dv.target_degree == 1
 
-    dv = two_point_blowup_family(2, F.WEIERSTRASS_INVOLUTION)
+    dv = member("two_point_weierstrass", 2, 2)
     assert dv.degrees == {psi(1): 8, psi(2): 8, B.delta_0_2(): 6}
     assert dv.target_degree == -2
 
-    dv = two_point_blowup_family(3, F.WEIERSTRASS_INVOLUTION)
+    dv = member("two_point_weierstrass", 2, 3)
     assert dv.degrees == {psi(1): 12, psi(2): 12, B.delta_0_2(): 8}
     assert dv.target_degree == -4
 
 
 def test_ruling_family_degrees():
-    dv = g12_ruling_family(3, 1, F.HIGH)
+    dv = member("ruling_high", 2, 3, 1)
     assert dv.degrees == {delta(1, "1"): -2, eta(1, "1"): 4, eta_irr(): 32, PSI_SUM: 2}
     assert dv.target_degree == 0
 
-    dv = g12_ruling_family(3, 1, F.LOW)
+    dv = member("ruling_low", 2, 3, 1)
     assert dv.degrees == {delta(1, "1"): -2, aux_eta(0, "1"): 4, eta_irr(): 16, PSI_SUM: 2}
 
-    dv = g12_ruling_family(4, 2, F.LOW)
+    dv = member("ruling_low", 2, 4, 2)
     assert dv.degrees == {delta(2, "1"): -2, eta(1, "1"): 4, eta_irr(): 32, PSI_SUM: 2}
 
 
 def test_f2ip1_degrees():
-    dv = f2ip1_family(3, 1)
+    dv = member("f2ip1", 2, 3, 1)
     assert dv.degrees == {psi(1): 4, psi(2): 2, eta(1, "1"): 2, eta_irr(): 88}
     assert dv.target_degree == 0
 
-    dv = f2ip1_family(5, 2)
+    dv = member("f2ip1", 2, 5, 2)
     assert dv.degrees == {psi(1): 6, psi(2): 2, eta(2, "1"): 2, eta_irr(): 204}
 
 
 def test_f2ip1_range_error():
     with pytest.raises(DomainError):
-        f2ip1_family(2, 1)
+        member("f2ip1", 2, 2, 1)
     with pytest.raises(DomainError):
-        f2ip1_family(5, 3)
+        member("f2ip1", 2, 5, 3)
 
 
 def test_f2ip1_boundary_member_pins_auxiliary():
-    dv = f2ip1_family(2, 0)
+    dv = member("f2ip1", 2, 2, 0)
     assert dv.degrees == {psi(1): 2, psi(2): 2, aux_eta(0, "1"): 2, eta_irr(): 36}
 
 
@@ -178,7 +190,7 @@ def test_low_high_reflection_symmetry_n1():
     for g in range(2, 12):
         for i in range(1, g // 2 + 1):
             for section in (F.HORIZONTAL, F.DIAGONAL):
-                high = glued_weierstrass_family(g, i, section, F.HIGH, 1)
+                high = member(f"glued_{section}_high", 1, g, i)
                 # low-side closed forms evaluated at the reflected index g-i
                 j = g - i
                 if section == F.HORIZONTAL:
@@ -203,9 +215,9 @@ def test_self_intersection_entries_match_lattice_recomputation():
 
     for g in range(2, 11):
         for i in range(1, g // 2 + 1):
-            horizontal = glued_weierstrass_family(g, i, F.HORIZONTAL, F.LOW, 1)
+            horizontal = member("glued_horizontal_low", 1, g, i)
             assert horizontal.degrees[delta(i, "0")] == branch_section_self_intersection(1, 0, 2)
-            diagonal = glued_weierstrass_family(g, i, F.DIAGONAL, F.LOW, 1)
+            diagonal = member("glued_diagonal_low", 1, g, i)
             assert diagonal.degrees[delta(i, "0")] == branch_section_self_intersection(
                 1, 1, 2 * i + 2
             )
@@ -527,10 +539,10 @@ def test_self_intersection_literals_match_surfcalc_for_every_cli_genus():
     horizontal = S.branch_section_self_intersection(1, 0, 2)
     for g in range(2, MAX_GENUS + 1):
         diag = S.diagonal_self_intersection(g)
-        single = two_point_blowup_family(g, F.SINGLE)
-        involution = two_point_blowup_family(g, F.WEIERSTRASS_INVOLUTION)
+        single = member("two_point_single", 2, g)
+        involution = member("two_point_weierstrass", 2, g)
         checks = [
-            (diagonal_family(g), psi(1), -diag),
+            (member("diagonal", 1, g), psi(1), -diag),
             (single, psi(1), -S.section_after_blowups(0, 1)),
             (single, psi(2), -S.section_after_blowups(diag, 1)),
             (involution, psi(1), -S.section_after_blowups(diag, 2 * g + 2)),
@@ -540,14 +552,14 @@ def test_self_intersection_literals_match_surfcalc_for_every_cli_genus():
             for side in (F.LOW, F.HIGH):
                 j = i if side == F.LOW else g - i
                 # the base change of the ruling family doubles every degree
-                checks.append((g12_ruling_family(g, i, side), delta(i, "1"), 2 * horizontal))
+                checks.append((member(f"ruling_{side}", 2, g, i), delta(i, "1"), 2 * horizontal))
                 for n in (1, 2):
                     key = delta(i, "0" if side == F.LOW else str(n))
                     for section, expected in (
                         (F.HORIZONTAL, horizontal),
                         (F.DIAGONAL, S.branch_section_self_intersection(1, 1, 2 * j + 2)),
                     ):
-                        dv = glued_weierstrass_family(g, i, section, side, n)
+                        dv = member(f"glued_{section}_{side}", n, g, i)
                         checks.append((dv, key, expected))
         for dv, label, expected in checks:
             assert dv.degree(label) == expected, (dv.provenance(), dv.g, dv.n, label)
@@ -555,10 +567,10 @@ def test_self_intersection_literals_match_surfcalc_for_every_cli_genus():
 
 def test_non_int_family_index_is_domain_error():
     builders = (
-        lambda i: glued_weierstrass_family(6, i, F.HORIZONTAL, F.LOW, 1),
-        lambda i: glued_weierstrass_family(6, i, F.DIAGONAL, F.HIGH, 2),
-        lambda i: g12_ruling_family(6, i, F.LOW),
-        lambda i: f2ip1_family(5, i),
+        lambda i: member("glued_horizontal_low", 1, 6, i),
+        lambda i: member("glued_diagonal_high", 2, 6, i),
+        lambda i: member("ruling_low", 2, 6, i),
+        lambda i: member("f2ip1", 2, 5, i),
     )
     for build in builders:
         for bad in (2.0, True, Fraction(1), "1", None):

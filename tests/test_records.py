@@ -52,7 +52,7 @@ def test_cli_process_loads_neither_dataclasses_nor_inspect():
 def test_value_records_are_immutable():
     lattice = SurfaceLattice(2)
     records = [
-        (F.diagonal_family(3), "target_degree"),
+        (F.evaluate(F.TEMPLATES["diagonal", 1], 3), "target_degree"),
         (CF.closed_form(3, F.WEIERSTRASS), "terms"),
         (lattice.curve_class(1, 1), "coefficients"),
         (lattice, "exceptional_count"),

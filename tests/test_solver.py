@@ -218,8 +218,9 @@ def _reference_determinations(g):
             if not 0 <= eta_index <= (g - 1) // 2:
                 continue
             b = F.unknown(B.eta(eta_index, "1"))
-            values = {**pinned, b: solve_for(F.f2ip1_family(g, eta_index), b, pinned)}
-            ruling = F.g12_ruling_family(g, i, side)
+            pin = F.evaluate(F.TEMPLATES["f2ip1", 2], g, eta_index)
+            values = {**pinned, b: solve_for(pin, b, pinned)}
+            ruling = F.evaluate(F.TEMPLATES[f"ruling_{side}", 2], g, i)
             determinations[side] = solve_for(ruling, F.unknown(B.delta(i, "1")), values)
         out[i] = determinations
     return out

@@ -4,9 +4,10 @@ The module tests run a fresh interpreter, since this one has long since
 imported every submodule.
 """
 
+import argparse
 import contextlib
 import hashlib
-import inspect
+import itertools
 import io
 import os
 import subprocess
@@ -81,26 +82,33 @@ def test_version_loads_only_the_parser_modules():
         assert not loaded & {"json", "csv"}, (argv, loaded)
 
 
+def _family_keys():
+    """(family, options, TEMPLATES key) for every --family and choice of its options."""
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    choices = {a.dest: a.choices for a in subparsers["families"]._actions}
+    assert list(cli.FAMILIES) == choices["family"]
+    for family, (names, key) in cli.FAMILIES.items():
+        # --i has no choices: any int stands for it
+        for values in itertools.product(*(choices[name] or [1] for name in names)):
+            options = dict(zip(names, values))
+            yield family, options, key(argparse.Namespace(**options))
+
+
 def test_the_parser_spells_the_catalog_names():
     # cli writes these names as literals, so that its module level imports no catalog
     subparsers = cli.build_parser()._subparsers._group_actions[0].choices
     options = {a.dest: a.choices for a in subparsers["families"]._actions}
     assert options["section"] == [F.HORIZONTAL, F.DIAGONAL]
     assert options["side"] == [F.LOW, F.HIGH]
-    assert options["kind"] == [F.SINGLE, F.WEIERSTRASS_INVOLUTION]
     assert cli.DIVISOR_NAMES == {"w": F.WEIERSTRASS, "g12": F.G12}
     assert list(cli._LATEX_TARGET) == [F.WEIERSTRASS, F.G12]
-    catalog = {
-        "diagonal": F.diagonal_family,
-        "quadric_pencil": F.quadric_pencil_family,
-        "glued": F.glued_weierstrass_family,
-        "two_point": F.two_point_blowup_family,
-        "ruling": F.g12_ruling_family,
-        "f2ip1": F.f2ip1_family,
-    }
-    assert {family: getattr(F, name) for family, (name, _) in cli.FAMILIES.items()} == catalog
-    for name, family_options in cli.FAMILIES.values():
-        assert len(inspect.signature(getattr(F, name)).parameters) == 1 + len(family_options)
+    for family, chosen, key in _family_keys():  # each route names a template
+        assert key in F.TEMPLATES, (family, chosen, key)
+
+
+def test_every_template_has_a_route_on_the_command_line():
+    # a template added to the catalog without a --family route fails here
+    assert set(F.TEMPLATES) - {key for *_, key in _family_keys()} == set()
 
 
 def test_closed_form_coeffs_load_no_solving_module():

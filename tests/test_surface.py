@@ -13,27 +13,18 @@ from hypdiv.basis import DomainError
 from hypdiv.exactlin import StructuralError
 from hypdiv.surfcalc import LatticeError
 
-CATALOG_FUNCTIONS = [
-    F.diagonal_family,
-    F.quadric_pencil_family,
-    F.glued_weierstrass_family,
-    F.two_point_blowup_family,
-    F.g12_ruling_family,
-    F.f2ip1_family,
-]
 FUNCTIONS = [
     getattr(hypdiv, name)
     for name in hypdiv.__all__
     if inspect.isfunction(getattr(hypdiv, name, None))
-] + CATALOG_FUNCTIONS
+]
 TYPED = (DomainError, TypeError, StructuralError)
 # the surfcalc docstrings name LatticeError as their failure
 LATTICE = {"branch_halve", "diagonal_self_intersection"}
 
 # names the public functions accept, so that a draw can get past the first check
 WORDS = [
-    F.WEIERSTRASS, F.G12, F.HORIZONTAL, F.DIAGONAL, F.LOW, F.HIGH, F.SINGLE,
-    F.WEIERSTRASS_INVOLUTION, "delta", "eta", "psi", "eta_irr", "0", "1", "1a", "2",
+    F.WEIERSTRASS, F.G12, "delta", "eta", "psi", "eta_irr", "0", "1", "1a", "2",
 ]
 SCALARS = st.one_of(
     st.integers(-3, 12),  # a larger genus makes verify_range and enumerate_basis slow
@@ -48,8 +39,8 @@ ARGUMENTS = st.one_of(SCALARS, st.lists(SCALARS, max_size=3).map(tuple))
 
 def test_the_surface_is_every_public_function():
     names = {f.__name__ for f in FUNCTIONS}
-    assert {"solve", "rank", "verify_range", "branch_halve", "f2ip1_family"} <= names
-    assert len(names) == len(FUNCTIONS) == 17
+    assert {"solve", "rank", "verify_range", "branch_halve", "solve_coefficients"} <= names
+    assert len(names) == len(FUNCTIONS) == 11
 
 
 @pytest.mark.parametrize("function", FUNCTIONS, ids=lambda f: f.__name__)

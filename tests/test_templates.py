@@ -2,10 +2,12 @@
 per-member degree-vector path, and the checks made once per template."""
 
 import functools
+import json
 
 import pytest
 
 from hypdiv import basis as B
+from hypdiv import cli
 from hypdiv import closedform
 from hypdiv import families as F
 from hypdiv import solver as S
@@ -268,10 +270,13 @@ def test_templates_of_a_group_share_their_index_range():
             assert all(t.n == n for t in group)
 
 
-def test_catalog_functions_read_the_table(monkeypatch):
+def test_the_families_command_reads_the_table(monkeypatch, capsys):
     template = F.TEMPLATES["f2ip1", 2]
     seven = template._replace(target_degree=lambda g, i, j: 7)
     monkeypatch.setitem(F.TEMPLATES, ("f2ip1", 2), seven)
-    assert F.f2ip1_family(5, 2).target_degree == 7
-    with pytest.raises(DomainError, match=r"i=3 out of range 0\.\.2 for g=5"):
-        F.f2ip1_family(5, 3)
+    assert cli.main(["families", "--genus", "5", "--family", "f2ip1", "--i", "2"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["target"] == {"divisor": G12, "num": 7, "den": 1}
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["families", "--genus", "5", "--family", "f2ip1", "--i", "3"])
+    assert caught.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: i=3 out of range 0..2 for g=5\n")
