@@ -25,10 +25,8 @@ A label is a :class:`BasisElement`: an immutable ``NamedTuple`` equal to (and ha
 as) the tuple ``(kind, index, marking)``, so hashed and compared in C; the constructors
 below build it through ``tuple.__new__``, skipping the Python-level ``NamedTuple.__new__``.
 
-A :class:`DivisorExpression` is a ``NamedTuple`` too, ``(g, n, terms)``.
-Expressions keep the *formal* labels (both members of an identified
-pair may carry separate coefficients, as in printed closed forms);
-``DivisorExpression.canonical()`` merges them by summing.
+A :class:`DivisorExpression` ``(g, n, terms)`` is a ``NamedTuple`` too, on the *formal* labels:
+identified twins keep their own coefficients; a ``coeffs`` record's canonical view sums them.
 """
 
 from __future__ import annotations
@@ -217,10 +215,3 @@ class DivisorExpression(NamedTuple):
             terms[e] = terms[e] + coeff if e in terms else coeff
         nonzero = ((e, v) for e, v in terms.items() if v)
         return cls(g, n, {e: v if type(v) is Fraction else Fraction(v) for e, v in nonzero})
-
-    def canonical(self) -> "DivisorExpression":
-        """Merge identified labels; the canonical coefficient is the sum."""
-        twins = dict(identified_pairs(self.g, self.n))
-        return DivisorExpression.from_terms(
-            self.g, self.n, ((twins.get(e, e), v) for e, v in self.terms.items())
-        )

@@ -1,10 +1,11 @@
 """Command-line front end: compute, verify, and export coefficient tables.
 
-Subcommands: ``coeffs``, ``verify``, ``relations``, ``families``.
-Rationals are always serialized as integer (numerator, denominator)
-pairs; nothing is ever rendered as a decimal.  Exit status contract:
-0 success, 1 verification mismatch, 2 usage error (including a genus
-above ``MAX_GENUS``).
+Subcommands: ``coeffs``, ``verify``, ``relations``, ``families``.  Rationals are always
+serialized as integer (numerator, denominator) pairs, never as decimals.  Exit status
+contract: 0 success, 1 verification mismatch, 2 usage error (a genus above ``MAX_GENUS`` too).
+
+``coeffs`` has one record path: :func:`_record` builds its table from {unknown: value}, and
+:func:`render_coeffs_json` writes it without json, as :func:`render_json`, its reference, does.
 
 The module level imports argparse and nothing of the catalog; the parser spells
 its choices as literals, which a test pins to :mod:`hypdiv.families`.  Each command
@@ -35,37 +36,50 @@ def _fraction_pair(value: int | Fraction | None) -> dict | None:
 
 def output_record(g: int, target: str, view: str, expr: DivisorExpression) -> dict:
     """JSON-serializable coefficient table of ``expr``, a class on the ambient of (g, target)."""
+    return _record(g, target, view, lambda e: expr.terms.get(e, 0), (expr.g, expr.n))
+
+
+def _record(g: int, target: str, view: str, coefficient, made_at=None) -> dict:
+    """The table of the class with ``coefficient(e)`` on each formal label e; the canonical view
+    adds each twin's to its representative's.  A class ``made_at`` another (g, n) is refused."""
     from . import basis as B
     from .families import marked_points
 
-    n = expr.n
-    if (expr.g, n) != (g, marked_points(target)):
-        raise B.DomainError(f"a class on (g={expr.g}, n={n}) is no {target} record at g={g}")
-    if view == "canonical":
-        expr = expr.canonical()
-        order = B.enumerate_basis(g, n)
-    else:
-        order = B.formal_elements(g, n)
-    names, values = [e.name(n) for e in order], expr.terms
-    terms = [{"class": s, **_fraction_pair(values[e])} for e, s in zip(order, names) if e in values]
-    identified = [f"{t.name(n)} = {c.name(n)}" for t, c in B.identified_pairs(g, n)]
-    return {
-        "genus": g,
-        "divisor": target,
-        "view": view,
-        "terms": terms,
-        "metadata": {
-            "tool_version": __version__,
-            "basis_order": names,
-            "identified": identified,
-        },
-    }
+    n = marked_points(target)
+    if made_at not in (None, (g, n)):
+        raise B.DomainError(f"a class on (g, n) = {made_at} is no {target} record at g={g}")
+    pairs = B.identified_pairs(g, n)
+    values = {e: coefficient(e) for e in B.formal_elements(g, n)}
+    for twin, e in pairs if view == "canonical" else ():
+        values[e] += values.pop(twin)
+    names = [e.name(n) for e in values]
+    named = zip(names, values.values())
+    terms = [{"class": s, "num": v.numerator, "den": v.denominator} for s, v in named if v]
+    identified = [f"{t.name(n)} = {c.name(n)}" for t, c in pairs]
+    metadata = {"tool_version": __version__, "basis_order": names, "identified": identified}
+    return {"genus": g, "divisor": target, "view": view, "terms": terms, "metadata": metadata}
 
 
 def render_json(record: dict) -> str:
     import json
 
     return json.dumps(record, indent=2, sort_keys=False)
+
+
+def render_coeffs_json(record: dict) -> str:
+    """``render_json`` of an ``output_record``, byte for byte, without the json module: one
+    string per term, and no string in a record needs escaping."""
+    meta, keys = record["metadata"], ("basis_order", "identified")
+    term = '    {\n      "class": "%s",\n      "num": %d,\n      "den": %d\n    }'
+    terms = ",\n".join([term % (t["class"], t["num"], t["den"]) for t in record["terms"]])
+    terms = f"[\n{terms}\n  ]" if terms else "[]"
+    order, identified = (",\n".join(f'      "{s}"' for s in meta[k]) for k in keys)
+    return (
+        f'{{\n  "genus": {record["genus"]},\n  "divisor": "{record["divisor"]}",\n'
+        f'  "view": "{record["view"]}",\n  "terms": {terms},\n  "metadata": {{\n'
+        f'    "tool_version": "{meta["tool_version"]}",\n    "basis_order": [\n{order}\n    ],\n'
+        f'    "identified": [\n{identified}\n    ]\n  }}\n}}'
+    )
 
 
 def parse_record(text: str) -> dict:
@@ -75,13 +89,9 @@ def parse_record(text: str) -> dict:
 
 
 def render_csv(record: dict) -> str:
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    rows = [(term["class"], term["num"], term["den"]) for term in record["terms"]]
-    csv.writer(buffer).writerows([("class", "numerator", "denominator"), *rows])
-    return buffer.getvalue()
+    """What ``csv.writer`` writes for the terms under a header; no field needs quoting."""
+    rows = [f'{t["class"]},{t["num"]},{t["den"]}\r\n' for t in record["terms"]]
+    return "".join(["class,numerator,denominator\r\n", *rows])
 
 
 _LATEX_TARGET = dict(weierstrass=r"\bigl[\mathcal{W}\bigr]", g12=r"\bigl[\mathcal{G}^{1}_{2}\bigr]")
@@ -121,7 +131,7 @@ def render_latex(record: dict) -> str:
     return f"{comment}\n\\[\n{lhs} = {body}\n\\]"
 
 
-RENDERERS = {"json": render_json, "csv": render_csv, "latex": render_latex}
+RENDERERS = {"json": render_coeffs_json, "csv": render_csv, "latex": render_latex}
 
 
 def degree_vector_record(dv: DegreeVector) -> dict:
@@ -153,13 +163,8 @@ def verification_record(report) -> dict:
         if r.error is not None:
             result.update(error=r.error, inconsistent=r.inconsistent)
         results.append(result)
-    return {
-        "target": report.target,
-        "g_min": report.g_min,
-        "g_max": report.g_max,
-        "ok": report.ok,
-        "results": results,
-    }
+    record = {k: getattr(report, k) for k in ("target", "g_min", "g_max", "ok")}
+    return {**record, "results": results}
 
 
 def _genus(parser: argparse.ArgumentParser, value: int) -> int:
@@ -189,12 +194,14 @@ def cmd_coeffs(parser, args) -> int:
     if args.source == "solver":
         from . import solver
 
-        expr = solver.solve_coefficients(g, target).solution
+        values = solver.solve_coefficients(g, target).coefficients
     else:
         from . import closedform
 
-        expr = closedform.closed_form(g, target)
-    record = output_record(g, target, args.view, expr)
+        values = closedform.closed_form_values(g, target)
+    from .families import unknown
+
+    record = _record(g, target, args.view, lambda e: values[unknown(e)])
     _write_lines([RENDERERS[args.format](record)])
     return EXIT_OK
 
@@ -255,13 +262,14 @@ FAMILIES = {
 def cmd_families(parser, args) -> int:
     g = _genus(parser, args.genus)
     options, key = FAMILIES[args.family]
-    for name in options:
-        if getattr(args, name) is None:
-            parser.error(f"--{name} is required for family {args.family!r}")
+    for name in ("i", "section", "side", "marks", "kind"):  # every option a family may take
+        if (getattr(args, name) is None) == (name in options):
+            verb = "is required for" if name in options else "is not taken by"
+            parser.error(f"--{name} {verb} family {args.family!r}")
     from . import families as F
 
-    try:  # a family without --i among its options ignores it
-        dv = F.evaluate(F.TEMPLATES[key(args)], g, args.i if "i" in options else None)
+    try:
+        dv = F.evaluate(F.TEMPLATES[key(args)], g, args.i)
     except F.DomainError as exc:
         parser.error(str(exc))
     _write_lines([render_json(degree_vector_record(dv))])

@@ -13,8 +13,8 @@ marked points) has an extra delta_{0,2} term; the solver confirms its
 delta_{i,1} normalization exactly (see the g=3 pins in the acceptance suite),
 which settles the alternative (g-1)(2g+2) reading.
 
-:func:`verify_range` decides each genus with one predicate, over the formal unknowns
-and the auxiliaries (b_0_m, m < n, and for even g b_{g/2}_m, m >= 1, off the eta row):
+:func:`verify_range` decides each genus with one predicate, run on the formal unknowns and,
+apart, on the auxiliaries (b_0_m, m < n, and for even g b_{g/2}_m, m >= 1, off the eta row):
 an unknown mismatches when it is on one side only or when the solver's value and the
 numerator over the shared denominator fail a cross-multiplied comparison in integers.
 Only a mismatch builds ``Fraction`` s, to report it.  The report is ``NamedTuple``
@@ -156,16 +156,16 @@ class VerificationReport(NamedTuple):
         return f"{self.target}: {checked} genera checked, mismatches at g in {failed}"
 
 
-def _mismatches(g: int, n: int, got: dict, nums: dict) -> list:
-    """(class, solver value, closed-form value) of each formal label whose unknown differs,
-    in order, then (unknown, ...) of each other differing unknown, by name; a zero or
-    missing value reads None.  Only a mismatch walks the labels and builds ``Fraction`` s."""
+def _mismatches(g: int, n: int, got: dict, nums: dict, formal: bool = True) -> list:
+    """(class, solver value, closed-form value) of each formal label whose unknown differs, in
+    order, then (unknown, ...) of each other differing unknown (each one unless ``formal``), by
+    name; a zero or missing value reads None.  Only a mismatch walks labels and builds Fractions."""
     den = _den(g)
     bad = {u for u, v in got.items() if u in nums and v.numerator * den != nums[u] * v.denominator}
     bad |= got.keys() ^ nums.keys()  # an unknown on one side only
     if not bad:
         return []
-    rows = [(e.name(n), F.unknown(e)) for e in B.formal_elements(g, n)]
+    rows = [(e.name(n), F.unknown(e)) for e in B.formal_elements(g, n)] if formal else []
     rows += [(u, u) for u in sorted(bad.difference(u for _, u in rows))]  # named by no label
     closed = lambda u: Fraction(nums[u], den) if nums.get(u) else None
     return [(s, got.get(u) or None, closed(u)) for s, u in rows if u in bad]
@@ -194,10 +194,11 @@ def verify_range(g_min: int, g_max: int, target: str) -> VerificationReport:
             failure = str(exc), exc.inconsistent
             results.append(GenusResult(g, False, [], None, None, None, {}, *failure))
             continue
-        nums, eta = closed_form_numerators(g, target), _NUMERATORS[target][B.ETA]
-        aux = [(0, m) for m in range(n)] + [(g // 2, m) for m in range(1, n + 1)] * (g % 2 == 0)
-        nums.update((F.boundary_unknown(B.ETA, i, str(m)), eta(g, i, m)) for i, m in aux)
-        mismatches = _mismatches(g, n, solved.coefficients | solved.auxiliaries, nums)
+        eta = _NUMERATORS[target][B.ETA]
+        spots = [(0, m) for m in range(n)] + [(g // 2, m) for m in range(1, n + 1)] * (g % 2 == 0)
+        aux = {F.boundary_unknown(B.ETA, i, str(m)): eta(g, i, m) for i, m in spots}
+        mismatches = _mismatches(g, n, solved.coefficients, closed_form_numerators(g, target))
+        mismatches += _mismatches(g, n, solved.auxiliaries, aux, formal=False)
         counts = solved.rank, solved.n_unknowns, len(solved.redundant)
         results.append(GenusResult(g, not mismatches, mismatches, *counts, solved.auxiliaries))
     return VerificationReport(target, g_min, g_max, results)

@@ -1,5 +1,6 @@
 """CLI contract: formats, round-trips, and the exit-status table."""
 
+import hashlib
 import json
 
 import pytest
@@ -301,3 +302,83 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# sha256 of `coeffs` stdout beyond the goldens' g <= 20: (divisor, genus, format, view)
+COEFFS_SHA256 = {
+    ("w", 999, "json", "formal"): "08857c002c46a707a6dbe40574fbee156e227aec0f2e93c27265577e7739613d",
+    ("w", 999, "json", "canonical"): "7dafdfa0a60f2989e076a43d79b2e91813fb4ce901512e013a915b77d02e283b",
+    ("w", 999, "csv", "formal"): "2ebbe5f20d0350e9d834ff97401f1b13606d53edef1e3f4665af8f606e68c67e",
+    ("w", 999, "csv", "canonical"): "340473856736b5aa636a6e54f53c6da720df912496a7a1cf420815ab576880c9",
+    ("w", 999, "latex", "formal"): "1381f210f65a4615f09b96064d84b1d924cf1d78222744c5c5e4becead3fd483",
+    ("w", 999, "latex", "canonical"): "0f0bea0e38aa8e7f67a05ebffdb24fdd28ec5c81f71c33aa77cbda8001473ceb",
+    ("g12", 999, "json", "formal"): "21ad27d1825036daa16cdfe0641736596aa4ad996938f1d1e9b06a7f76d714da",
+    ("g12", 999, "json", "canonical"): "a8425b84e42f2c1024fdd05de33444e3f427c825f03c067ef02bff33d657f73a",
+    ("g12", 999, "csv", "formal"): "b0b8fab00dab6c405202f1910a20f90604539b2c176a9fc98fdf897fbbdcf33a",
+    ("g12", 999, "csv", "canonical"): "5b0e2cbf72734931ca005a64020f87959c4ba605d9f867a5b222540162bceb95",
+    ("g12", 999, "latex", "formal"): "eb4ae3a3ad88ea52b51c4b02733aa19c4b88f98c496542596a4090538ab897ad",
+    ("g12", 999, "latex", "canonical"): "05788e24c911c25ef98eebbf1dd4ed34ee7cb11d515fd02c0a797563eb576aef",
+    ("w", 2000, "json", "formal"): "9516929f06ed4d626d1615c146143d057c001a075315a57d78e84e973861d2bf",
+    ("w", 2000, "json", "canonical"): "965b47bbe0f7adac87f3608932c44200c861441c321429e6c4a3a9a6d7dddddf",
+    ("w", 2000, "csv", "formal"): "d493d0e17462b6d2efe8ebbccf5e157e8a40d481be8e51e6e6b05d66f7325ac1",
+    ("w", 2000, "csv", "canonical"): "1b39de79daee830916aa0a99a0981a277d0121765bc15846f18b9db5b325f06e",
+    ("w", 2000, "latex", "formal"): "989de439880f0a002b1313db54c0b47e01cd8aa71c6944b1351b955acd55483d",
+    ("w", 2000, "latex", "canonical"): "bb27b3cd0b605dffada4f5bbed0d72fb8a094951c4aa76a4f5c50eb647414212",
+    ("g12", 2000, "json", "formal"): "4ddb128b3e4695ed50b4dfb534c729df46e275e42e53930d3b37106de5ab32bd",
+    ("g12", 2000, "json", "canonical"): "b9c8b917ea546eee3db987c66035a251e30a1bb1f08e3caa404c8db3d04cd504",
+    ("g12", 2000, "csv", "formal"): "d18dd99e8f132ba8e2c8e1a7b6b86d8a66ace14ff01145873e9ad6c6ff46d198",
+    ("g12", 2000, "csv", "canonical"): "aa0dbcbd9acd0bfeb9357ffb1c9289af572697117aea1216e7c95efe4da2bca1",
+    ("g12", 2000, "latex", "formal"): "9ac627e370204d12151748edfc1caa31837c07281a9612437d9ec0d558daac20",
+    ("g12", 2000, "latex", "canonical"): "7daa6ea0a36df7e1c1c321ce19e03971f5bdab6b207eea5c025da70ffa5dc1c6",
+}
+
+
+@pytest.mark.parametrize("divisor, g, fmt, view", list(COEFFS_SHA256))
+def test_coeffs_bytes_at_large_genus(capsys, divisor, g, fmt, view):
+    argv = ["coeffs", "--divisor", divisor, "--genus", str(g), "--format", fmt, "--view", view]
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == COEFFS_SHA256[divisor, g, fmt, view]
+
+
+@pytest.mark.parametrize("divisor", ["w", "g12"])
+@pytest.mark.parametrize("view", ["formal", "canonical"])
+def test_solver_coeffs_bytes_at_large_genus(capsys, divisor, view):
+    argv = ["coeffs", "--divisor", divisor, "--genus", "999", "--view", view, "--source", "solver"]
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == COEFFS_SHA256[divisor, 999, "json", view]
+
+
+def test_coeffs_json_writer_is_render_json():
+    from hypdiv import closedform
+    from hypdiv.basis import DivisorExpression
+    from hypdiv.families import G12, WEIERSTRASS
+
+    for g in range(2, 21):
+        for target in (WEIERSTRASS, G12):
+            for view in ("formal", "canonical"):
+                record = cli.output_record(g, target, view, closedform.closed_form(g, target))
+                assert cli.render_coeffs_json(record) == render_json(record), (g, target, view)
+    zero = cli.output_record(3, G12, "formal", DivisorExpression.from_terms(3, 2, []))
+    assert cli.render_coeffs_json(zero) == render_json(zero)  # "terms": []
+
+
+# a value the parser accepts for each option of ``families`` after --genus and --family
+OPTION_VALUES = {"i": "1", "section": "horizontal", "side": "low", "marks": "1", "kind": "single"}
+
+
+@pytest.mark.parametrize("family", list(cli.FAMILIES))
+def test_a_family_refuses_an_option_it_does_not_take(capsys, family):
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    dests = {a.dest for a in subparsers["families"]._actions} - {"help", "genus", "family"}
+    assert dests == OPTION_VALUES.keys()
+    options = cli.FAMILIES[family][0]
+    taken = [f"--{name}={OPTION_VALUES[name]}" for name in options]
+    code, _ = run(capsys, "families", "--genus", "7", "--family", family, *taken)
+    assert code == EXIT_OK  # its own options alone pass
+    for name in OPTION_VALUES.keys() - set(options):
+        argv = ["families", "--genus", "7", "--family", family, *taken]
+        argv.append(f"--{name}={OPTION_VALUES[name]}")
+        assert usage_error(*argv) == EXIT_USAGE, argv
+        assert f"--{name} is not taken by family {family!r}" in capsys.readouterr().err

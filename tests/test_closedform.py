@@ -112,13 +112,17 @@ def test_identified_index_coherence():
 def test_canonicalization_well_defined_on_closed_forms():
     # merging identified labels never silently changes a coefficient ratio:
     # the two merged values are equal, so the canonical value is twice each
+    from hypdiv import cli
+
     for g in (2, 4, 7, 9):
-        for expr in (CF.closed_form(g, WEIERSTRASS), CF.closed_form(g, G12)):
-            merged = expr.canonical()
+        for target in (WEIERSTRASS, G12):
+            expr = CF.closed_form(g, target)
+            record = cli.output_record(g, target, "canonical", expr)
+            merged = {t["class"]: Fraction(t["num"], t["den"]) for t in record["terms"]}
             for twin, canonical in B.identified_pairs(g, expr.n):
                 if twin in expr.terms:
                     assert expr.terms[twin] == expr.terms[canonical]
-                    assert merged.terms[canonical] == 2 * expr.terms[canonical]
+                    assert merged[canonical.name(expr.n)] == 2 * expr.terms[canonical]
 
 
 def test_sign_table():
@@ -486,3 +490,23 @@ def test_closed_form_functions_reject_an_index_or_slot_outside_their_domain(form
     with pytest.raises(B.DomainError) as caught:
         formula(*args)
     assert type(caught.value) is B.DomainError
+
+
+def test_verify_names_an_auxiliary_reported_under_a_formal_name_by_its_unknown(monkeypatch):
+    # the auxiliaries are compared apart from the formal unknowns: the solver's b_0_0 renamed
+    # to the formal b_1_0 neither hides the formal b_1_0 (eta_1_0) nor takes its class name
+    import hypdiv.solver as S
+
+    original = S.solve_coefficients
+
+    def perturbed(g, target):
+        report = original(g, target)
+        if g == 3:
+            report.auxiliaries["b_1_0"] = report.auxiliaries.pop("b_0_0")
+        return report
+
+    monkeypatch.setattr(S, "solve_coefficients", perturbed)
+    report = CF.verify_range(2, 4, WEIERSTRASS)
+    assert [r.g for r in report.results if not r.ok] == [3]
+    b_0_0 = CF.w_eta(3, 0, 0)  # the solver's value, which the closed form confirms
+    assert report.results[1].mismatches == [("b_0_0", None, b_0_0), ("b_1_0", b_0_0, None)]

@@ -374,9 +374,12 @@ def test_solution_expression_is_formal_view():
     assert expr.terms[delta(1, "1a")] == frac(-1, 5)
     assert expr.terms[delta(1, "1b")] == frac(-1, 5)
     assert expr.terms[delta(1, "2")] == frac(-6, 5)
-    merged = expr.canonical()
-    assert merged.terms[delta(1, "0")] == frac(-12, 5)  # sum policy
-    assert merged.terms[delta(1, "1a")] == frac(-2, 5)
+    from hypdiv import cli
+
+    record = cli.output_record(2, G12, "canonical", expr)
+    merged = {t["class"]: frac(t["num"], t["den"]) for t in record["terms"]}
+    assert merged["delta_1_0"] == frac(-12, 5)  # sum policy
+    assert merged["delta_1_1a"] == frac(-2, 5)
 
 
 def test_one_formal_table_per_solve(monkeypatch):

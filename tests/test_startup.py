@@ -70,6 +70,7 @@ PARSER_ONLY = [
     (["relations", "--divisor", "w", "--genus", "1"], 2),
     (["families", "--genus", "1", "--family", "diagonal"], 2),
     (["families", "--genus", "4", "--family", "glued"], 2),  # --i, --section, ... missing
+    (["families", "--genus", "5", "--family", "diagonal", "--i", "3"], 2),  # not its option
 ]
 
 
@@ -115,6 +116,15 @@ def test_closed_form_coeffs_load_no_solving_module():
     loaded = loaded_by("coeffs", "--divisor", "g12", "--genus", "5")
     assert "hypdiv.closedform" in loaded
     assert not loaded & {"hypdiv.solver", "hypdiv.exactlin"}, loaded
+
+
+@pytest.mark.parametrize("source", ["closed", "solver"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_coeffs_loads_no_json(fmt, source):
+    # coeffs writes its json and csv itself; json serves verify --json and families
+    argv = ["coeffs", "--divisor", "g12", "--genus", "6", "--format", fmt, "--source", source]
+    loaded = loaded_by(*argv)
+    assert not {m for m in loaded if m.split(".")[0] in ("json", "csv")}, loaded
 
 
 def test_relations_loads_no_solving_module():
