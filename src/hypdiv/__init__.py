@@ -34,8 +34,8 @@ _EXPORTS = {
     "WEIERSTRASS": "families",
     "DegreeVector": "families",
     "Relation": "families",
+    "assemble_system": "families",
     "CoefficientReport": "solver",
-    "assemble_system": "solver",
     "solve_coefficients": "solver",
     "branch_halve": "surfcalc",
     "diagonal_self_intersection": "surfcalc",

@@ -97,9 +97,8 @@ def render_csv(record: dict) -> str:
 _LATEX_TARGET = dict(weierstrass=r"\bigl[\mathcal{W}\bigr]", g12=r"\bigl[\mathcal{G}^{1}_{2}\bigr]")
 
 
-def _latex_class(e: BasisElement, n: int) -> str:
-    from . import basis as B
-
+def _latex_class(e: BasisElement, n: int, B) -> str:
+    """The LaTeX symbol of ``e``; ``B`` is :mod:`hypdiv.basis`, imported once per render."""
     if e.kind == B.PSI:
         return r"\psi" if n == 1 else rf"\psi_{{{e.index}}}"
     if e.kind != B.DELTA and e.kind != B.ETA:
@@ -116,13 +115,13 @@ def _latex_term(num: int, den: int, symbol: str) -> str:
 
 
 def render_latex(record: dict) -> str:
-    from .basis import formal_elements
+    from . import basis as B
     from .families import marked_points
 
     n = marked_points(record["divisor"])
-    labels = {e.name(n): e for e in formal_elements(record["genus"], n)}
+    labels = {e.name(n): e for e in B.formal_elements(record["genus"], n)}
     terms = "".join(
-        _latex_term(t["num"], t["den"], _latex_class(labels[t["class"]], n))
+        _latex_term(t["num"], t["den"], _latex_class(labels[t["class"]], n, B))
         for t in record["terms"]
     )
     body = ("" if terms[1] == "+" else "-") + terms[3:] if terms else "0"  # no leading " + "
@@ -242,9 +241,9 @@ def cmd_verify(parser, args) -> int:
 
 def cmd_relations(parser, args) -> int:
     g = _genus(parser, args.genus)
-    from . import solver
+    from .families import assemble_system
 
-    _write_lines(r.render() for r in solver.assemble_system(g, DIVISOR_NAMES[args.divisor]))
+    _write_lines(r.render() for r in assemble_system(g, DIVISOR_NAMES[args.divisor]))
     return EXIT_OK
 
 

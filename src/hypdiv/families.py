@@ -17,6 +17,12 @@ as the ``families`` command asks) runs it first.  Each family's geometry is at i
 :func:`unknown` is the one map from a label to its unknown's name.  A test checks each
 self-intersection entry against :mod:`hypdiv.surfcalc` for every genus the CLI accepts.
 
+The assembly (:func:`assemble_system`, which ``hypdiv relations`` prints and the solver
+solves) is those relations plus the identification relations: at the top boundary index
+two formal labels name one irreducible divisor, and the printed closed forms give both one
+value, so ``b_t_0 = b_t_1`` (odd g) and its like are forced.  The f2ip1 member i = 0
+(target g12) pins the auxiliary ``b_0_1``; at g = 2 it makes delta_{1,1} computable.
+
 Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g)
 are registered, never dropped; :func:`is_auxiliary` tells them apart.
 For n = 2 the marking "1" stands for the invariant pair 1a/1b, and
@@ -312,9 +318,11 @@ class Relation:
         return f"Relation(coeffs={self.coeffs!r}, rhs={self.rhs!r}, provenance={self.provenance!r})"
 
     def render(self) -> str:
-        (symbol, value), *rest = self.coeffs.items()
-        signed = [f"- {-v}·{s}" if v < 0 else f"+ {v}·{s}" for s, v in rest]
-        return f"{self.provenance}: {' '.join([f'{value}·{symbol}', *signed])} = {self.rhs}"
+        """``provenance: c·x + c·y - c·z = rhs``; the first coefficient carries its own sign."""
+        terms = iter(self.coeffs.items())
+        symbol, value = next(terms)
+        signed = "".join([f" - {-v}·{s}" if v < 0 else f" + {v}·{s}" for s, v in terms])
+        return f"{self.provenance}: {value}·{symbol}{signed} = {self.rhs}"
 
 
 @cache
@@ -392,6 +400,23 @@ def _walk(g: int, n: int, vectors: bool) -> list:
 def relations(g: int, n: int) -> list[Relation]:
     """Each cataloged member's relation, in assembly order; the caller checks the ambient (g, n)."""
     return _walk(g, n, False)
+
+
+def identification_relations(g: int, target: str) -> list[Relation]:
+    """Symmetric constraints for formal label pairs naming one divisor."""
+    out = []
+    for twin, canonical in B.identified_pairs(g, marked_points(target)):
+        s1, s2 = unknown(twin), unknown(canonical)
+        if s1 != s2:
+            out.append(Relation({s2: -1, s1: 1}, 0, f"identification[{s1}={s2}]"))
+    return out
+
+
+def assemble_system(g: int, target: str) -> list[Relation]:
+    """All relations for (g, target), in deterministic order, each form in solver order."""
+    n = marked_points(target)
+    B.check_ambient(g, n)
+    return relations(g, n) + identification_relations(g, target)
 
 
 def family_vectors(g: int, target: str) -> list[DegreeVector]:

@@ -1,23 +1,13 @@
-"""Assemble and exactly solve the coefficient system for a target divisor.
+"""Exactly solve the coefficient system that :mod:`hypdiv.families` assembles.
 
-For a fixed genus and target, every cataloged family member contributes
-one linear relation (:func:`hypdiv.families.relations`): the unknowns
-(named by :func:`hypdiv.families.unknown`) paired with the member's degrees
-equal the target degree.  It is read off the one walk over the catalog that
-:func:`family_vectors` reads as degree vectors; the assembly builds none.
-The assembly is deliberately overdetermined; redundant relations are
-reported, never pruned, since they cross-check the catalog.  The independent
-a_i_1 determinations re-solve pairs of those same relations, found by their
-provenance.
-
-Beyond the families, identification relations enter: at the top boundary
-index two formal labels name the same irreducible divisor, and the printed
-closed forms give both one common value, so ``b_t_0 = b_t_1`` (odd g) and
-its like are forced.  The f2ip1 member i = 0 (target g12) pins the
-auxiliary ``b_0_1``; at g = 2 it is what makes delta_{1,1} computable.
-Unknowns on out-of-range labels (``b_0_0``, ``b_0_1``, and for even g
-``b_{g/2}_1`` / ``b_{g/2}_2``) are auxiliaries: solved and reported, but
-excluded from the resulting divisor expression.
+For a fixed genus and target, :func:`hypdiv.families.assemble_system` gives one linear
+relation per cataloged family member, plus the identification relations; this module
+imports it, ``identification_relations`` and ``family_vectors`` under those names.  The
+system is deliberately overdetermined; redundant relations are reported, never pruned,
+since they cross-check the catalog.  Unknowns on out-of-range labels (``b_0_0``,
+``b_0_1``, and for even g ``b_{g/2}_1`` / ``b_{g/2}_2``) are auxiliaries: solved and
+reported apart from the formal coefficients.  The independent a_i_1 determinations
+re-solve pairs of the solve's relations, found by their provenance.
 
 The linear system takes its columns as the boundary formal unknowns, then
 the auxiliaries, then the first n + 1 formal unknowns, d, c (and a_0_2):
@@ -33,8 +23,7 @@ from typing import NamedTuple, Sequence
 
 from . import families as F
 from . import basis as B
-from .basis import DivisorExpression
-from .families import G12, Relation, family_vectors
+from .families import G12, Relation, assemble_system, family_vectors, identification_relations
 
 
 class SolverError(RuntimeError):
@@ -48,23 +37,6 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.certificate = certificate
         self.inconsistent = list(inconsistent)
-
-
-def identification_relations(g: int, target: str) -> list[Relation]:
-    """Symmetric constraints for formal label pairs naming one divisor."""
-    out = []
-    for twin, canonical in B.identified_pairs(g, F.marked_points(target)):
-        s1, s2 = F.unknown(twin), F.unknown(canonical)
-        if s1 != s2:
-            out.append(Relation({s2: -1, s1: 1}, 0, f"identification[{s1}={s2}]"))
-    return out
-
-
-def assemble_system(g: int, target: str) -> list[Relation]:
-    """All relations for (g, target), in deterministic order, each form in solver order."""
-    n = F.marked_points(target)
-    B.check_ambient(g, n)
-    return F.relations(g, n) + identification_relations(g, target)
 
 
 def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[str], list[str]]:
@@ -90,11 +62,6 @@ class CoefficientReport(NamedTuple):
         # the relations are left out: a large genus has thousands
         shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self))
         return f"CoefficientReport({shown})"
-
-    @property
-    def solution(self) -> DivisorExpression:
-        """The formal-view expression giving every label its coefficient."""
-        return F.formal_expression(self.g, F.marked_points(self.target), self.coefficients)
 
 
 def solve_coefficients(g: int, target: str) -> CoefficientReport:

@@ -350,6 +350,26 @@ def test_solver_coeffs_bytes_at_large_genus(capsys, divisor, view):
     assert hashlib.sha256(out.encode()).hexdigest() == COEFFS_SHA256[divisor, 999, "json", view]
 
 
+# (line count, sha256) of `relations` stdout beyond the goldens' g <= 20, captured before
+# the assembly moved from solver to families: both parities, and the genus limit
+RELATIONS_SHA256 = {
+    ("w", 999): (1999, "6584583e18d559706ae220ee5766de02236c3dcfd242ab084e1acc1d1fe58e08"),
+    ("w", 1000): (2003, "0ba7ef83dfd89af26efaed61435f5d875c5f431451129f090f0b3216dab4ae5a"),
+    ("w", 2000): (4003, "f72caa1b4259efd3511207fd3b59c17b9d1b1f06a5f3f05c8ff425424fe4b7a3"),
+    ("g12", 999): (3498, "83217112d05c2ff6683343228cca671566977b63a0045acd289c5a3b8c0f51b9"),
+    ("g12", 1000): (3504, "cbb3a39f05bbe05be8cc52080aa12b99699a4c19cbabb31e6ba6f55373a5c978"),
+    ("g12", 2000): (7004, "31360ac5b853fc330c32acf75427443b4e03c1335fe9bda6f07c65605bc73d2a"),
+}
+
+
+@pytest.mark.parametrize("divisor, g", list(RELATIONS_SHA256))
+def test_relations_bytes_at_large_genus(capsys, divisor, g):
+    code, out = run(capsys, "relations", "--divisor", divisor, "--genus", str(g))
+    assert code == EXIT_OK
+    data = out.encode()
+    assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == RELATIONS_SHA256[divisor, g]
+
+
 def test_coeffs_json_writer_is_render_json():
     from hypdiv import closedform
     from hypdiv.basis import DivisorExpression

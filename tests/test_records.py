@@ -106,3 +106,27 @@ def test_relation_drops_zero_coefficients():
         S.Relation({"d": 0}, Fraction(0), "empty")
     with pytest.raises(AttributeError):
         relation.other = 1
+
+
+def _two_pass_render(relation):
+    # the renderer that Relation.render replaced, kept as its reference
+    (symbol, value), *rest = relation.coeffs.items()
+    signed = [f"- {-v}·{s}" if v < 0 else f"+ {v}·{s}" for s, v in rest]
+    return f"{relation.provenance}: {' '.join([f'{value}·{symbol}', *signed])} = {relation.rhs}"
+
+
+@pytest.mark.parametrize(
+    "coeffs, rhs, line",
+    [
+        ({"c": -3, "d": 2}, 0, "p: -3·c + 2·d = 0"),  # a negative first coefficient
+        ({"d": 7}, 1, "p: 7·d = 1"),  # a single term
+        ({"a_1_0": -1}, -4, "p: -1·a_1_0 = -4"),
+        ({"d": 1, "c": -1, "b_0_1": 1}, -2, "p: 1·d - 1·c + 1·b_0_1 = -2"),  # ±1, rhs < 0
+        ({"b_2_2": -1, "b_2_0": 1}, 0, "p: -1·b_2_2 + 1·b_2_0 = 0"),
+        ({"d": 12, "c": -40, "a_3_1": -5, "b_2_1": 1, "a_0_2": 9}, -123,
+         "p: 12·d - 40·c - 5·a_3_1 + 1·b_2_1 + 9·a_0_2 = -123"),
+    ],
+)
+def test_relation_renders_as_its_two_pass_reference(coeffs, rhs, line):
+    relation = S.Relation(coeffs, rhs, "p")
+    assert relation.render() == _two_pass_render(relation) == line

@@ -369,8 +369,7 @@ def test_identification_relations_match_parity():
 def test_solution_expression_is_formal_view():
     from hypdiv.basis import delta
 
-    report = solve_coefficients(2, G12)
-    expr = report.solution
+    expr = F.formal_expression(2, 2, solve_coefficients(2, G12).coefficients)
     assert expr.terms[delta(1, "1a")] == frac(-1, 5)
     assert expr.terms[delta(1, "1b")] == frac(-1, 5)
     assert expr.terms[delta(1, "2")] == frac(-6, 5)
@@ -384,7 +383,7 @@ def test_solution_expression_is_formal_view():
 
 def test_one_formal_table_per_solve(monkeypatch):
     # a verified genus builds the table once, to order the solve's unknowns;
-    # the closed-form values and ``solution`` build none
+    # the closed-form values and the solved expression build none
     built = []
     original = F.formal_unknowns
 
@@ -399,9 +398,8 @@ def test_one_formal_table_per_solve(monkeypatch):
         assert all(built.count(g) == 1 for g in range(2, 9)), built
         report = solve_coefficients(5, target)
         built.clear()
-        expr = report.solution
+        F.formal_expression(5, F.marked_points(target), report.coefficients)
         assert built == []
-        assert expr == F.formal_expression(5, F.marked_points(target), report.coefficients)
 
 
 def test_packaging_does_each_step_once(monkeypatch):
@@ -421,7 +419,8 @@ def test_packaging_does_each_step_once(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(Fraction, "__add__", forbidden)
             patched.setattr(Fraction, "__radd__", forbidden)
-            expressions = closedform.closed_form(g, target), report.solution
+            solved = F.formal_expression(g, n, report.coefficients)
+            expressions = closedform.closed_form(g, target), solved
         assert expressions[0] == expressions[1]
         with monkeypatch.context() as patched:
             patched.setattr(F, "sorted", forbidden, raising=False)
