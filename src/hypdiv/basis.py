@@ -24,6 +24,7 @@ into 1a (n=2).
 A label is a :class:`BasisElement`: an immutable ``NamedTuple`` equal to (and hashing
 as) the tuple ``(kind, index, marking)``, so hashed and compared in C; the constructors
 below build it through ``tuple.__new__``, skipping the Python-level ``NamedTuple.__new__``.
+It writes itself as a name, ``delta_3_1a``, or as a LaTeX symbol, ``\\delta_{3,\\{1\\}}``.
 
 A :class:`DivisorExpression` ``(g, n, terms)`` is a ``NamedTuple`` too, on the *formal* labels:
 identified twins keep their own coefficients; a ``coeffs`` record's canonical view sums them.
@@ -38,9 +39,6 @@ ETA_IRR = "eta_irr"
 DELTA = "delta"
 ETA = "eta"
 DELTA_0_2 = "delta_0_2"
-
-MARKINGS_1 = ("0", "1")
-MARKINGS_2 = ("0", "1a", "1b", "2")
 
 
 class DomainError(ValueError):
@@ -60,6 +58,15 @@ class BasisElement(NamedTuple):
         if self.kind == DELTA or self.kind == ETA:
             return f"{self.kind}_{self.index}_{self.marking}"
         return self.kind  # eta_irr, delta_0_2
+
+    def latex(self, n: int) -> str:
+        """The LaTeX symbol of the label, as ``coeffs --format latex`` writes it."""
+        if self.kind == PSI:
+            return r"\psi" if n == 1 else rf"\psi_{{{self.index}}}"
+        if self.kind == DELTA or self.kind == ETA:
+            marking = {"1a": r"\{1\}", "1b": r"\{2\}"}.get(self.marking, self.marking)
+            return rf"\{self.kind}_{{{self.index},{marking}}}"
+        return {ETA_IRR: r"\eta_{\mathrm{irr}}", DELTA_0_2: r"\delta_{0,2}"}[self.kind]
 
     def __repr__(self):
         if self.kind != DELTA and self.kind != ETA and self not in GLOBALS[2]:  # a stray label
@@ -90,7 +97,7 @@ def delta_0_2() -> BasisElement:
 # n -> the labels that are not boundary divisors, in solver order
 GLOBALS = {1: (psi(1), eta_irr()), 2: (psi(1), psi(2), eta_irr(), delta_0_2())}
 # n -> the markings of a boundary label
-MARKINGS = {1: MARKINGS_1, 2: MARKINGS_2}
+MARKINGS = {1: ("0", "1"), 2: ("0", "1a", "1b", "2")}
 
 
 def check_ambient(g: int, n: int) -> None:

@@ -4,8 +4,9 @@ Subcommands: ``coeffs``, ``verify``, ``relations``, ``families``.  Rationals are
 serialized as integer (numerator, denominator) pairs, never as decimals.  Exit status
 contract: 0 success, 1 verification mismatch, 2 usage error (a genus above ``MAX_GENUS`` too).
 
-``coeffs`` has one record path: :func:`_record` builds its table from {unknown: value}, and
-:func:`render_coeffs_json` writes it without json, as :func:`render_json`, its reference, does.
+``coeffs`` has one record path: :func:`_record` builds a formal or canonical table from
+{unknown: value}; :func:`render_coeffs_json` writes it as :func:`render_json` does, without json,
+and :func:`render_latex` pairs its ``basis_order`` by position with the labels of its view.
 
 The module level imports argparse and nothing of the catalog; the parser spells
 its choices as literals, which a test pins to :mod:`hypdiv.families`.  Each command
@@ -48,6 +49,8 @@ def _record(g: int, target: str, view: str, coefficient, made_at=None) -> dict:
     n = marked_points(target)
     if made_at not in (None, (g, n)):
         raise B.DomainError(f"a class on (g, n) = {made_at} is no {target} record at g={g}")
+    if view not in ("formal", "canonical"):
+        raise B.DomainError(f"no view {view!r}: a record's view is 'formal' or 'canonical'")
     pairs = B.identified_pairs(g, n)
     values = {e: coefficient(e) for e in B.formal_elements(g, n)}
     for twin, e in pairs if view == "canonical" else ():
@@ -97,17 +100,6 @@ def render_csv(record: dict) -> str:
 _LATEX_TARGET = dict(weierstrass=r"\bigl[\mathcal{W}\bigr]", g12=r"\bigl[\mathcal{G}^{1}_{2}\bigr]")
 
 
-def _latex_class(e: BasisElement, n: int, B) -> str:
-    """The LaTeX symbol of ``e``; ``B`` is :mod:`hypdiv.basis`, imported once per render."""
-    if e.kind == B.PSI:
-        return r"\psi" if n == 1 else rf"\psi_{{{e.index}}}"
-    if e.kind != B.DELTA and e.kind != B.ETA:
-        return {B.ETA_IRR: r"\eta_{\mathrm{irr}}", B.DELTA_0_2: r"\delta_{0,2}"}[e.kind]
-    symbol = r"\delta" if e.kind == B.DELTA else r"\eta"
-    marking = {"1a": r"\{1\}", "1b": r"\{2\}"}.get(e.marking, e.marking)
-    return rf"{symbol}_{{{e.index},{marking}}}"
-
-
 def _latex_term(num: int, den: int, symbol: str) -> str:
     """One summand with its sign in front, " + 3\\psi"; a coefficient 1 is left unwritten."""
     magnitude = rf"\tfrac{{{abs(num)}}}{{{den}}}" if den > 1 else "" if abs(num) == 1 else abs(num)
@@ -118,15 +110,16 @@ def render_latex(record: dict) -> str:
     from . import basis as B
     from .families import marked_points
 
-    n = marked_points(record["divisor"])
-    labels = {e.name(n): e for e in B.formal_elements(record["genus"], n)}
-    terms = "".join(
-        _latex_term(t["num"], t["den"], _latex_class(labels[t["class"]], n, B))
-        for t in record["terms"]
-    )
+    g, view, n = record["genus"], record["view"], marked_points(record["divisor"])
+    order = record["metadata"]["basis_order"]
+    labels = (B.formal_elements if view == "formal" else B.enumerate_basis)(g, n)
+    if view not in ("formal", "canonical") or len(order) != len(labels):
+        raise B.DomainError(f"{len(order)} names for the {len(labels)} labels of view {view!r}")
+    latex = {s: e.latex(n) for s, e in zip(order, labels)}
+    terms = "".join(_latex_term(t["num"], t["den"], latex[t["class"]]) for t in record["terms"])
     body = ("" if terms[1] == "+" else "-") + terms[3:] if terms else "0"  # no leading " + "
     lhs = _LATEX_TARGET[record["divisor"]]
-    comment = f"% genus {record['genus']}, view {record['view']}"
+    comment = f"% genus {g}, view {view}"
     return f"{comment}\n\\[\n{lhs} = {body}\n\\]"
 
 

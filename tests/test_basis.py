@@ -81,6 +81,13 @@ def test_genus_below_two_rejected():
         enumerate_basis(1, 1)
 
 
+def test_is_valid_checks_the_ambient():
+    # the predicate is total: an ambient that is no stack raises, whatever the label
+    for g, n in ((1, 1), (3, 3)):
+        with pytest.raises(DomainError, match=f"got {g if g < 2 else n}$"):
+            B.is_valid(psi(1), g, n)
+
+
 def test_non_int_ambient_rejected():
     for g, n in ((2.0, 1), (3, 2.0), (Fraction(4), 2)):
         with pytest.raises(DomainError, match="must be int"):
@@ -372,10 +379,20 @@ def test_a_stray_global_label_is_refused_and_named(stray):
 
 def test_globals_and_markings_are_the_tables_the_labels_follow():
     assert B.GLOBALS == {1: (psi(1), eta_irr()), 2: (psi(1), psi(2), eta_irr(), B.delta_0_2())}
-    assert B.MARKINGS == {1: B.MARKINGS_1, 2: B.MARKINGS_2}
+    assert B.MARKINGS == {1: ("0", "1"), 2: ("0", "1a", "1b", "2")}
     for n, globals_ in B.GLOBALS.items():
         for g in (4, 5):
             formal = B.formal_elements(g, n)
             assert [e for e in formal if e.kind not in (B.DELTA, B.ETA)] == list(globals_)
     assert [e.name(1) for e in B.GLOBALS[1]] == ["psi", "eta_irr"]
     assert [e.name(2) for e in B.GLOBALS[2]] == ["psi1", "psi2", "eta_irr", "delta_0_2"]
+
+
+def test_a_label_writes_its_latex_symbol():
+    assert [e.latex(1) for e in B.GLOBALS[1]] == [r"\psi", r"\eta_{\mathrm{irr}}"]
+    assert [e.latex(2) for e in B.GLOBALS[2]] == [
+        r"\psi_{1}", r"\psi_{2}", r"\eta_{\mathrm{irr}}", r"\delta_{0,2}"
+    ]
+    symbols = [r"\delta_{3,0}", r"\delta_{3,\{1\}}", r"\delta_{3,\{2\}}", r"\delta_{3,2}"]
+    assert [delta(3, m).latex(2) for m in B.MARKINGS[2]] == symbols
+    assert [eta(2, m).latex(1) for m in B.MARKINGS[1]] == [r"\eta_{2,0}", r"\eta_{2,1}"]

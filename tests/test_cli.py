@@ -83,6 +83,48 @@ def test_output_record_refuses_an_expression_of_another_ambient(g, target, made_
             cli.output_record(g, target, view, closedform.closed_form(*made_at))
 
 
+def test_output_record_refuses_a_view_that_is_not_formal_or_canonical():
+    # argparse guards --view, but output_record is called directly too
+    from hypdiv import closedform
+    from hypdiv.basis import DomainError
+
+    expr = closedform.closed_form(3, "weierstrass")
+    for view in ("bogus", "Formal", ""):
+        with pytest.raises(DomainError, match=repr(view)):
+            cli.output_record(3, "weierstrass", view, expr)
+
+
+def test_render_latex_reads_labels_by_position_and_names_none(monkeypatch):
+    # the record's basis_order is paired with its view's labels, so rendering spells
+    # no formal name again; a record whose order is not its view's is refused
+    from collections import Counter
+
+    from hypdiv import basis as B
+    from hypdiv import closedform
+    from hypdiv.basis import DomainError
+
+    named = Counter()
+    name = B.BasisElement.name
+
+    def counted(self, n):
+        named[self] += 1
+        return name(self, n)
+
+    expr = closedform.closed_form(200, "g12")
+    for view, other in (("formal", "canonical"), ("canonical", "formal")):
+        record = cli.output_record(200, "g12", view, expr)
+        named.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(B.BasisElement, "name", counted)
+            rendered = cli.render_latex(record)
+        assert named == Counter(), view
+        assert rendered.startswith(f"% genus 200, view {view}\n")
+        with pytest.raises(DomainError, match=f"names for the .* labels of view '{other}'$"):
+            cli.render_latex({**record, "view": other})
+        with pytest.raises(DomainError, match="'bogus'"):
+            cli.render_latex({**record, "view": "bogus"})
+
+
 def test_json_round_trip_on_verify_records():
     from hypdiv import closedform
     from hypdiv.cli import verification_record

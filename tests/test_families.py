@@ -287,7 +287,7 @@ def _reference_check_label(label, g, n):
         return
     invariant = n == 2 and label.marking == "1"
     if is_auxiliary(label, g):
-        markings = B.MARKINGS_1 if n == 1 else B.MARKINGS_2
+        markings = ("0", "1") if n == 1 else ("0", "1a", "1b", "2")
         if not 0 <= label.index <= g // 2 or not (invariant or label.marking in markings):
             raise DomainError(f"{label!r} is not a valid auxiliary for (g={g}, n={n})")
     elif invariant and label.kind in (B.DELTA, B.ETA):
@@ -337,7 +337,7 @@ def test_check_label_matches_reference_branch_order():
 def _reference_is_valid(e, g, n):
     """``basis.is_valid`` as it was, with ``range`` membership tests."""
     B.check_ambient(g, n)
-    markings = B.MARKINGS_1 if n == 1 else B.MARKINGS_2
+    markings = ("0", "1") if n == 1 else ("0", "1a", "1b", "2")
     if e.kind == B.PSI:
         return 1 <= e.index <= n
     if e.kind == B.ETA_IRR:
