@@ -26,13 +26,14 @@ as) the tuple ``(kind, index, marking)``, so hashed and compared in C; the const
 below build it through ``tuple.__new__``, skipping the Python-level ``NamedTuple.__new__``.
 It writes itself as a name, ``delta_3_1a``, or as a LaTeX symbol, ``\\delta_{3,\\{1\\}}``.
 
-A :class:`DivisorExpression` ``(g, n, terms)`` is a ``NamedTuple`` too, on the *formal* labels:
-identified twins keep their own coefficients; a ``coeffs`` record's canonical view sums them.
+A :class:`DivisorExpression` ``(g, n, terms)`` is a ``NamedTuple`` too, {formal label: rational}
+kept as built: identified twins keep their own coefficients; a ``coeffs`` record's canonical view
+sums them.  It is checked where it is written, by ``cli.output_record`` through :func:`validate`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 PSI = "psi"
 ETA_IRR = "eta_irr"
@@ -118,16 +119,11 @@ def eta_range(g: int) -> range:
 
 
 def is_valid(e: BasisElement, g: int, n: int) -> bool:
-    """Whether ``e`` is a (kind, index, marking) label valid for the ambient (g, n)."""
-    check_ambient(g, n)
-    return _in_range(e, g, n)
-
-
-def _in_range(e: BasisElement, g: int, n: int) -> bool:
-    """``is_valid`` for an ambient the caller has already checked.
+    """Whether ``e`` is a (kind, index, marking) label valid for the ambient (g, n).
 
     The index must be an ``int``; a ``bool``, a float or a string is not one.
     """
+    check_ambient(g, n)
     if not (isinstance(e, tuple) and len(e) == 3 and type(e[1]) is int):
         return False
     kind, index, marking = e
@@ -189,36 +185,8 @@ def formal_position(g: int, n: int) -> dict[BasisElement, int]:
 
 
 class DivisorExpression(NamedTuple):
-    """Sparse exact linear combination of formal labels for one ambient."""
+    """Sparse exact combination of formal labels for one ambient, unchecked until written."""
 
     g: int
     n: int
     terms: dict[BasisElement, Fraction]
-
-    @classmethod
-    def from_terms(
-        cls, g: int, n: int, items: Iterable[tuple[BasisElement, Fraction]]
-    ) -> "DivisorExpression":
-        """Build an expression in one pass; coefficients of a repeated label are summed.
-
-        A coefficient that is not rational (a float, a string, a bool) is a TypeError,
-        and an invalid label a DomainError, even when its coefficient is 0.  Each
-        label keeps its first position; zeros go and values become ``Fraction`` s
-        at the end.
-        """
-        from fractions import Fraction  # here: ``hypdiv relations`` builds no rational
-        from numbers import Rational
-
-        check_ambient(g, n)
-        terms: dict[BasisElement, Fraction] = {}
-        for item in items:
-            if not (isinstance(item, tuple) and len(item) == 2):
-                raise TypeError(f"{item!r} is not a (label, coefficient) pair")
-            e, coeff = item
-            if type(coeff) is bool or not isinstance(coeff, Rational):
-                raise TypeError(f"coefficient of {e!r} must be rational, got {coeff!r}")
-            if not _in_range(e, g, n):
-                validate(e, g, n)  # raises, naming e and the ambient
-            terms[e] = terms[e] + coeff if e in terms else coeff
-        nonzero = ((e, v) for e, v in terms.items() if v)
-        return cls(g, n, {e: v if type(v) is Fraction else Fraction(v) for e, v in nonzero})

@@ -36,19 +36,31 @@ def _fraction_pair(value: int | Fraction | None) -> dict | None:
 
 
 def output_record(g: int, target: str, view: str, expr: DivisorExpression) -> dict:
-    """JSON-serializable coefficient table of ``expr``, a class on the ambient of (g, target)."""
-    return _record(g, target, view, lambda e: expr.terms.get(e, 0), (expr.g, expr.n))
+    """JSON-serializable coefficient table of ``expr``, a class on the ambient of (g, target).
+    Refused: an ``expr`` made at another (g, n) and, term by term, a coefficient that is not
+    rational (TypeError), then a label that ``basis.validate`` refuses (DomainError), even at 0."""
+    from numbers import Rational
 
-
-def _record(g: int, target: str, view: str, coefficient, made_at=None) -> dict:
-    """The table of the class with ``coefficient(e)`` on each formal label e; the canonical view
-    adds each twin's to its representative's.  A class ``made_at`` another (g, n) is refused."""
     from . import basis as B
     from .families import marked_points
 
     n = marked_points(target)
-    if made_at not in (None, (g, n)):
-        raise B.DomainError(f"a class on (g, n) = {made_at} is no {target} record at g={g}")
+    if (expr.g, expr.n) != (g, n):
+        raise B.DomainError(f"a class on (g, n) = {expr.g, expr.n} is no {target} record at g={g}")
+    for e, coeff in expr.terms.items():
+        if type(coeff) is bool or not isinstance(coeff, Rational):
+            raise TypeError(f"coefficient of {e!r} must be rational, got {coeff!r}")
+        B.validate(e, g, n)
+    return _record(g, target, view, lambda e: expr.terms.get(e, 0))
+
+
+def _record(g: int, target: str, view: str, coefficient) -> dict:
+    """The table of the class with ``coefficient(e)`` on each formal label e; the canonical view
+    adds each twin's to its representative's.  It checks the view, and output_record the terms."""
+    from . import basis as B
+    from .families import marked_points
+
+    n = marked_points(target)
     if view not in ("formal", "canonical"):
         raise B.DomainError(f"no view {view!r}: a record's view is 'formal' or 'canonical'")
     pairs = B.identified_pairs(g, n)

@@ -288,10 +288,9 @@ def formal_unknowns(g: int, n: int) -> list[str]:
 
 
 def formal_expression(g: int, n: int, values: Mapping[str, Fraction]) -> "B.DivisorExpression":
-    """The formal-view expression giving every label its unknown's value."""
-    return B.DivisorExpression.from_terms(
-        g, n, [(e, values[unknown(e)]) for e in B.formal_elements(g, n)]
-    )
+    """The formal-view expression giving every label its unknown's value, zeros left out."""
+    terms = {e: v for e in B.formal_elements(g, n) if (v := values[unknown(e)])}
+    return B.DivisorExpression(g, n, terms)
 
 
 class Relation:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypdiv import basis as B
+from hypdiv import cli
 from hypdiv.basis import (
     BasisElement,
     DivisorExpression,
@@ -151,11 +152,11 @@ def test_malformed_label_is_domain_error():
     "bad", [("delta", 1), ("delta", 1, "0", "x"), "delta", 5, ("delta", "1", "0"), delta(7, "0")]
 )
 def test_from_terms_rejects_malformed_label_with_domain_error(bad):
-    # the shape is checked before the range, so no unpacking or comparison error leaks;
-    # a zero coefficient does not excuse the label
+    # written by output_record: the shape is checked before the range, so no unpacking
+    # or comparison error leaks; a zero coefficient does not excuse the label
     for coeff in (1, 0, Fraction(0)):
         with pytest.raises(DomainError) as caught:
-            DivisorExpression.from_terms(4, 1, [(bad, coeff)])
+            _written(DivisorExpression(4, 1, {bad: coeff}))
         assert type(caught.value) is DomainError
 
 
@@ -165,8 +166,8 @@ def test_non_int_index_is_domain_error(bad):
     for g, n in ((4, 1), (5, 1), (4, 2)):
         assert B.is_valid(bad, g, n) is False
         for call in (
-            lambda: DivisorExpression.from_terms(g, n, [(bad, 1), (delta(1, "0"), 1)]),
-            lambda: DivisorExpression.from_terms(g, n, [(bad, 0), (delta(1, "0"), 1)]),
+            lambda: _written(DivisorExpression(g, n, {eta_irr(): 1, bad: 1})),
+            lambda: _written(DivisorExpression(g, n, {bad: 0, eta_irr(): 1})),
             lambda: canonicalize(bad, g, n),
             lambda: B.validate(bad, g, n),
         ):
@@ -195,49 +196,66 @@ def test_basis_elements_are_canonical_and_distinct():
             assert all(canonicalize(e, g, n) == e for e in elements)
 
 
-def _expr(g, n, items):
-    return DivisorExpression.from_terms(g, n, items)
+# marked points -> the divisor whose record is written on that ambient
+TARGET = {1: "weierstrass", 2: "g12"}
+
+
+def _written(expr, view="formal"):
+    """The terms of ``expr``'s ``coeffs`` record in ``view``: class -> value."""
+    record = cli.output_record(expr.g, TARGET[expr.n], view, expr)
+    return {t["class"]: Fraction(t["num"], t["den"]) for t in record["terms"]}
 
 
 def test_cancellation_drops_terms():
-    a = _expr(2, 1, [(psi(1), Fraction(3)), (eta_irr(), 1), (psi(1), Fraction(-3))])
-    assert a.terms == {eta_irr(): 1}
+    # a zero coefficient, and a canonical sum of zero, is written as no term
+    expr = DivisorExpression(2, 1, {psi(1): Fraction(0), eta_irr(): 1, delta(1, "1"): 0})
+    for view in ("formal", "canonical"):
+        assert _written(expr, view) == {"eta_irr": 1}
 
 
 def test_non_rational_coefficient_rejected():
     # a bool is an int subclass but no coefficient, as for labels and LinearSystem.add_row
     for bad in (0.1, 0.5, "1/3", True, False):
         with pytest.raises(TypeError) as excinfo:
-            _expr(3, 1, [(delta(1, "0"), bad)])
+            _written(DivisorExpression(3, 1, {delta(1, "0"): bad}))
         assert "delta_1_0" in str(excinfo.value) and repr(bad) in str(excinfo.value)
     # a zero float is still a float
     with pytest.raises(TypeError):
-        _expr(3, 1, [(psi(1), 0.0)])
-    e = _expr(3, 1, [(psi(1), 2), (eta_irr(), Fraction(1, 3))])
-    assert e.terms == {psi(1): 2, eta_irr(): Fraction(1, 3)}
-    assert all(type(v) is Fraction for v in e.terms.values())
+        _written(DivisorExpression(3, 1, {psi(1): 0.0}))
+    e = DivisorExpression(3, 1, {psi(1): 2, eta_irr(): Fraction(1, 3)})
+    assert _written(e) == {"psi": 2, "eta_irr": Fraction(1, 3)}
 
 
-def _reference_from_terms(g, n, items):
-    # the former two-pass construction: each coefficient made a Fraction, a zero
-    # dropped before its label is checked, a repeat added to Fraction(0)
+def _reference_record(g, n, view, terms):
+    # the terms checked one by one, coefficient first, the label against the formal
+    # labels with an int index; then each label of the view given its summed value
     from numbers import Rational
 
-    B.check_ambient(g, n)
-    terms = {}
-    for e, coeff in items:
+    from hypdiv import __version__
+
+    formal = B.formal_elements(g, n)
+    for e, coeff in terms.items():
         if type(coeff) is bool or not isinstance(coeff, Rational):
             raise TypeError(f"coefficient of {e!r} must be rational, got {coeff!r}")
-        coeff = Fraction(coeff)
-        if not coeff:
-            continue
-        B.validate(e, g, n)
-        acc = terms.get(e, Fraction(0)) + coeff
-        if acc:
-            terms[e] = acc
-        else:
-            del terms[e]
-    return terms
+        if not (isinstance(e, tuple) and len(e) == 3 and type(e[1]) is int and e in formal):
+            raise DomainError(f"{e!r} is not a formal label at (g={g}, n={n})")
+    twins = dict(B.identified_pairs(g, n))
+    order = formal if view == "formal" else [e for e in formal if e not in twins]
+    value = {e: Fraction(terms.get(e, 0)) for e in order}
+    for twin, e in twins.items() if view == "canonical" else ():
+        value[e] += Fraction(terms.get(twin, 0))
+    record_terms = [
+        {"class": e.name(n), "num": v.numerator, "den": v.denominator}
+        for e, v in value.items()
+        if v
+    ]
+    metadata = {
+        "tool_version": __version__,
+        "basis_order": [e.name(n) for e in order],
+        "identified": [f"{t.name(n)} = {e.name(n)}" for t, e in twins.items()],
+    }
+    record = {"genus": g, "divisor": TARGET[n], "view": view, "terms": record_terms}
+    return {**record, "metadata": metadata}
 
 
 _coefficients = st.one_of(
@@ -252,56 +270,46 @@ _bad_coefficients = st.sampled_from([0.5, 0.0, "1", True, False, None])
 
 @settings(max_examples=150, deadline=None)
 @given(ambient, st.data())
-def test_from_terms_matches_the_two_pass_reference(gn, data):
+def test_output_record_matches_the_reference_built_from_the_terms(gn, data):
     g, n = gn
     pool = data.draw(st.lists(st.sampled_from(B.formal_elements(g, n)), min_size=1, max_size=4))
-    items = data.draw(st.lists(st.tuples(st.sampled_from(pool), _coefficients), max_size=12))
-    for e, coeff in data.draw(st.lists(st.sampled_from(items), max_size=3)) if items else ():
-        items.append((e, -coeff))  # a cancellation
+    items = data.draw(st.lists(st.tuples(st.sampled_from(pool), _coefficients), max_size=6))
     if data.draw(st.booleans()):
-        # a bad label carries a nonzero coefficient: the reference skipped a zero unchecked
+        # a bad label (with any coefficient, zero too), a bad coefficient, or both, anywhere
         bad = data.draw(
             st.one_of(
-                st.tuples(_bad_labels, _coefficients.filter(bool)),
+                st.tuples(_bad_labels, _coefficients),
                 st.tuples(st.sampled_from(pool), _bad_coefficients),
+                st.tuples(_bad_labels, _bad_coefficients),
             )
         )
         items.insert(data.draw(st.integers(min_value=0, max_value=len(items))), bad)
+    terms, view = dict(items), data.draw(st.sampled_from(["formal", "canonical"]))
+    target = TARGET[n]
     try:
-        want = _reference_from_terms(g, n, items)
+        want = _reference_record(g, n, view, terms)
     except (TypeError, DomainError) as exc:
         with pytest.raises(type(exc)) as caught:
-            DivisorExpression.from_terms(g, n, items)
+            cli.output_record(g, target, view, DivisorExpression(g, n, terms))
         assert type(caught.value) is type(exc)
         return
-    got = DivisorExpression.from_terms(g, n, items)
-    assert (got.g, got.n) == (g, n) and got.terms == want
-    assert all(type(v) is Fraction for v in got.terms.values())
-    # each label keeps the position of its first occurrence
-    assert list(got.terms) == [e for e in dict.fromkeys(e for e, _ in items) if e in got.terms]
-
-
-def _canonical(expr):
-    """The canonical view of ``expr``, as its ``coeffs`` record gives it: class -> value."""
-    from hypdiv import cli
-
-    target = "weierstrass" if expr.n == 1 else "g12"
-    record = cli.output_record(expr.g, target, "canonical", expr)
-    return {t["class"]: Fraction(t["num"], t["den"]) for t in record["terms"]}
+    assert cli.output_record(g, target, view, DivisorExpression(g, n, terms)) == want
 
 
 def test_canonical_view_sums_identified_coefficients():
-    e = _expr(2, 1, [(delta(1, "0"), Fraction(1, 3)), (delta(1, "1"), Fraction(1, 6))])
-    assert _canonical(e) == {"delta_1_0": Fraction(1, 2)}
-    cancelled = _expr(2, 1, [(delta(1, "0"), Fraction(1, 3)), (delta(1, "1"), Fraction(-1, 3))])
-    assert _canonical(cancelled) == {}  # a zero sum is dropped
+    e = DivisorExpression(2, 1, {delta(1, "0"): Fraction(1, 3), delta(1, "1"): Fraction(1, 6)})
+    assert _written(e, "canonical") == {"delta_1_0": Fraction(1, 2)}
+    cancelled = DivisorExpression(
+        2, 1, {delta(1, "0"): Fraction(1, 3), delta(1, "1"): Fraction(-1, 3)}
+    )
+    assert _written(cancelled, "canonical") == {}  # a zero sum is dropped
 
 
 def test_canonical_view_n2_even_genus():
-    e = _expr(
-        2, 2, [(delta(1, "0"), 1), (delta(1, "2"), 2), (delta(1, "1a"), 3), (delta(1, "1b"), 3)]
+    e = DivisorExpression(
+        2, 2, {delta(1, "0"): 1, delta(1, "2"): 2, delta(1, "1a"): 3, delta(1, "1b"): 3}
     )
-    merged = _canonical(e)
+    merged = _written(e, "canonical")
     assert merged["delta_1_0"] == 3
     assert merged["delta_1_1a"] == 6  # 1a and 1b name one divisor
     assert "delta_1_2" not in merged and "delta_1_1b" not in merged
@@ -368,7 +376,7 @@ def test_a_stray_global_label_is_refused_and_named(stray):
     for g in range(2, 13):
         for n in (1, 2):
             for call in (
-                lambda: DivisorExpression.from_terms(g, n, [(e, 5), (eta_irr(), 1)]),
+                lambda: _written(DivisorExpression(g, n, {e: 5, eta_irr(): 1})),
                 lambda: canonicalize(e, g, n),
                 lambda: F._check_label(e, g, n),
             ):

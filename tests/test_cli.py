@@ -6,6 +6,7 @@ import json
 import pytest
 
 from hypdiv import cli
+from hypdiv.basis import DivisorExpression, DomainError, delta, eta_irr
 from hypdiv.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main, parse_record, render_json
 
 
@@ -76,7 +77,6 @@ def test_output_record_refuses_an_expression_of_another_ambient(g, target, made_
     # neither a record with part of another genus's terms nor one whose class
     # names render_latex cannot read
     from hypdiv import closedform
-    from hypdiv.basis import DomainError
 
     for view in ("formal", "canonical"):
         with pytest.raises(DomainError, match="is no .* record"):
@@ -86,12 +86,62 @@ def test_output_record_refuses_an_expression_of_another_ambient(g, target, made_
 def test_output_record_refuses_a_view_that_is_not_formal_or_canonical():
     # argparse guards --view, but output_record is called directly too
     from hypdiv import closedform
-    from hypdiv.basis import DomainError
 
     expr = closedform.closed_form(3, "weierstrass")
     for view in ("bogus", "Formal", ""):
         with pytest.raises(DomainError, match=repr(view)):
             cli.output_record(3, "weierstrass", view, expr)
+
+
+# labels no class at g = 3, n = 1 has; the last two equal delta(1, "0") and hash as it does
+STRAY_LABELS = [delta(9, "0"), ("delta", 1), ("eta_irr", 7, "q"), delta(1.0, "0"), delta(True, "0")]
+
+
+@pytest.mark.parametrize("label", STRAY_LABELS, ids=repr)
+def test_output_record_refuses_a_label_of_no_formal_class(label):
+    # unchecked, such a term is dropped from the record or read as delta_1_0; a zero
+    # coefficient does not excuse it
+    for coeff in (1, 0):
+        expr = DivisorExpression(3, 1, {eta_irr(): 1, label: coeff})
+        for view in ("formal", "canonical"):
+            with pytest.raises(DomainError) as caught:
+                cli.output_record(3, "weierstrass", view, expr)
+            assert type(caught.value) is DomainError and repr(label) in str(caught.value)
+
+
+@pytest.mark.parametrize("coeff", [0.5, 0.0, "x", True, None], ids=repr)
+def test_output_record_refuses_a_coefficient_that_is_not_rational(coeff):
+    # unchecked, True is written as 1, 0.0 and None are dropped as falsy, and 0.5
+    # and "x" fail on .numerator
+    expr = DivisorExpression(3, 1, {eta_irr(): 1, delta(1, "0"): coeff})
+    for view in ("formal", "canonical"):
+        with pytest.raises(TypeError) as caught:
+            cli.output_record(3, "weierstrass", view, expr)
+        assert type(caught.value) is TypeError
+        assert "delta_1_0" in str(caught.value) and repr(coeff) in str(caught.value)
+
+
+def test_output_record_checks_a_coefficient_before_its_label():
+    for label, coeff in ((delta(9, "0"), 0.5), (("delta", 1), None), (delta(1.0, "0"), True)):
+        expr = DivisorExpression(3, 1, {eta_irr(): 1, label: coeff})
+        with pytest.raises(TypeError, match="must be rational") as caught:
+            cli.output_record(3, "weierstrass", "formal", expr)
+        assert type(caught.value) is TypeError
+
+
+def test_the_acceptance_path_and_the_coeffs_path_write_one_record():
+    # output_record on closed_form (acceptance criterion 8) against _record on the
+    # {unknown: value} map that ``coeffs`` hands it
+    from hypdiv import closedform
+    from hypdiv.families import G12, WEIERSTRASS, unknown
+
+    for g in range(2, 41):
+        for target in (WEIERSTRASS, G12):
+            expr = closedform.closed_form(g, target)
+            values = closedform.closed_form_values(g, target)
+            for view in ("formal", "canonical"):
+                want = cli._record(g, target, view, lambda e: values[unknown(e)])
+                assert cli.output_record(g, target, view, expr) == want, (g, target, view)
 
 
 def test_render_latex_reads_labels_by_position_and_names_none(monkeypatch):
@@ -101,7 +151,6 @@ def test_render_latex_reads_labels_by_position_and_names_none(monkeypatch):
 
     from hypdiv import basis as B
     from hypdiv import closedform
-    from hypdiv.basis import DomainError
 
     named = Counter()
     name = B.BasisElement.name
@@ -414,7 +463,6 @@ def test_relations_bytes_at_large_genus(capsys, divisor, g):
 
 def test_coeffs_json_writer_is_render_json():
     from hypdiv import closedform
-    from hypdiv.basis import DivisorExpression
     from hypdiv.families import G12, WEIERSTRASS
 
     for g in range(2, 21):
@@ -422,7 +470,7 @@ def test_coeffs_json_writer_is_render_json():
             for view in ("formal", "canonical"):
                 record = cli.output_record(g, target, view, closedform.closed_form(g, target))
                 assert cli.render_coeffs_json(record) == render_json(record), (g, target, view)
-    zero = cli.output_record(3, G12, "formal", DivisorExpression.from_terms(3, 2, []))
+    zero = cli.output_record(3, G12, "formal", DivisorExpression(3, 2, {}))
     assert cli.render_coeffs_json(zero) == render_json(zero)  # "terms": []
 
 

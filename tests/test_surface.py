@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypdiv
+from hypdiv import cli
 from hypdiv import families as F
 from hypdiv.basis import DomainError
 from hypdiv.exactlin import StructuralError
@@ -76,21 +77,18 @@ def test_relation_coefficients_that_are_not_a_dict_are_a_type_error(coeffs):
     assert type(caught.value) is TypeError
 
 
-@pytest.mark.parametrize("item", [*NOT_PAIRS[1:6], hypdiv.basis.psi(1), (hypdiv.basis.psi(1), 1, 2)])
-def test_a_from_terms_item_that_is_not_a_pair_is_a_type_error(item):
-    with pytest.raises(TypeError, match="not a \\(label, coefficient\\) pair") as caught:
-        hypdiv.DivisorExpression.from_terms(3, 1, [(hypdiv.basis.eta_irr(), 1), item])
-    assert type(caught.value) is TypeError
-
-
 @settings(max_examples=120, deadline=None)
-@given(row=ARGUMENTS, coeffs=ARGUMENTS, rhs=SCALARS, items=st.lists(ARGUMENTS, max_size=3))
-def test_the_public_classes_fail_typed(row, coeffs, rhs, items):
+@given(
+    row=ARGUMENTS, coeffs=ARGUMENTS, rhs=SCALARS, terms=st.dictionaries(ARGUMENTS, ARGUMENTS, max_size=3)
+)
+def test_the_public_classes_fail_typed(row, coeffs, rhs, terms):
     calls = {
         "solve": lambda: hypdiv.solve(hypdiv.LinearSystem(("x",), [row])),
         "rank": lambda: hypdiv.rank(hypdiv.LinearSystem(("x",), [row])),
         "Relation": lambda: hypdiv.Relation(coeffs, rhs, "p"),
-        "from_terms": lambda: hypdiv.DivisorExpression.from_terms(3, 1, items),
+        "output_record": lambda: cli.output_record(
+            3, "weierstrass", "formal", hypdiv.DivisorExpression(3, 1, terms)
+        ),
     }
     for name, call in calls.items():
         try:
