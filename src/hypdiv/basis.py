@@ -128,7 +128,7 @@ def is_valid(e: BasisElement, g: int, n: int) -> bool:
         return False
     kind, index, marking = e
     if kind == DELTA or kind == ETA:
-        return 1 <= index <= (g if kind == DELTA else g - 1) // 2 and marking in MARKINGS[n]
+        return index in (delta_range if kind == DELTA else eta_range)(g) and marking in MARKINGS[n]
     return e in GLOBALS[n]
 
 

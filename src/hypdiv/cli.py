@@ -37,14 +37,17 @@ def _fraction_pair(value: int | Fraction | None) -> dict | None:
 
 def output_record(g: int, target: str, view: str, expr: DivisorExpression) -> dict:
     """JSON-serializable coefficient table of ``expr``, a class on the ambient of (g, target).
-    Refused: an ``expr`` made at another (g, n) and, term by term, a coefficient that is not
-    rational (TypeError), then a label that ``basis.validate`` refuses (DomainError), even at 0."""
+    Refused: an ``expr`` that is no DivisorExpression with a dict of terms (TypeError), one made
+    at another (g, n) and, term by term, a coefficient that is not rational (TypeError), then a
+    label that ``basis.validate`` refuses (DomainError), even at 0."""
     from numbers import Rational
 
     from . import basis as B
     from .families import marked_points
 
     n = marked_points(target)
+    if not isinstance(expr, B.DivisorExpression) or not isinstance(expr.terms, dict):
+        raise TypeError(f"a record is written from a DivisorExpression with dict terms: {expr!r}")
     if (expr.g, expr.n) != (g, n):
         raise B.DomainError(f"a class on (g, n) = {expr.g, expr.n} is no {target} record at g={g}")
     for e, coeff in expr.terms.items():

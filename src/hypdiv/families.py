@@ -1,19 +1,19 @@
 """Catalog of one-parameter test families, each written once as a template in (g, i).
 
-Each family is a complete one-parameter family of pointed stable
-hyperelliptic curves, reduced to the only data the linear method needs:
-the exact degree of every generator class on the family plus the degree
-of the target divisor (the universal Weierstrass divisor for n = 1, the
-universal degree-2-series divisor for n = 2).  :data:`CATALOG` is the one
-table of families, as :class:`Template` s: label constructors in the member
-index i with integer degree formulas in (g, i, j) built from +, - and *
-alone.  One walk (:func:`_walk`) resolves each template once per genus (:func:`_resolve`):
-it checks the labels and builds each member from the genus-free pattern (:func:`_pattern`,
-one spot per entry) straight into a :class:`Relation`, the one form in which the catalog
-reaches the solver, computing each degree once and refusing the first non-``int``.  That
-member is the one check of a catalog member: :func:`relations` reads it off the walk, and a
-degree vector (:func:`family_vectors`; :func:`evaluate` for one member of :data:`TEMPLATES`,
-as the ``families`` command asks) runs it first.  Each family's geometry is at its template.
+Each family is a complete one-parameter family of pointed stable hyperelliptic curves, reduced
+to the only data the linear method needs: the exact degree of every generator class on the
+family plus the degree of the target divisor (the universal Weierstrass divisor for n = 1, the
+universal degree-2-series divisor for n = 2).  :data:`CATALOG` is the one table of families,
+as :class:`Template` s: label constructors in the member index i with integer degree formulas
+in (g, i, j) built from +, - and * alone.  One walk (:func:`_walk`) resolves each template
+once per genus (:func:`_resolve`): it checks the labels and builds each member from the
+genus-free pattern (:func:`_pattern`, one spot per entry) straight into a :class:`Relation`,
+the one form in which the catalog reaches the solver, computing each degree once and refusing
+the first non-``int``.  The walk is the one writer of a member's name, ``family[i=…]`` or, for
+a one-member family, ``family[k=v,...]`` over its sorted params.  That member is the one check
+of a catalog member: :func:`relations` reads it off the walk, and a degree vector
+(:func:`family_vectors`; :func:`evaluate` for one member of :data:`TEMPLATES`, as the
+``families`` command asks) runs it first.  Each family's geometry is at its template.
 :func:`unknown` is the one map from a label to its unknown's name.  A test checks each
 self-intersection entry against :mod:`hypdiv.surfcalc` for every genus the CLI accepts.
 
@@ -91,15 +91,6 @@ class DegreeVector(NamedTuple):
 
     def degree(self, label: BasisElement) -> int:
         return self.degrees.get(label, 0)
-
-    def provenance(self) -> str:
-        return _provenance(self.family, self.params.items())
-
-
-def _provenance(family: str, params) -> str:
-    """``family[k=v,...]`` over the sorted (name, value) pairs ``params``, or ``family``."""
-    inner = ",".join(f"{k}={v}" for k, v in sorted(params))
-    return f"{family}[{inner}]" if params else family
 
 
 class CatalogError(RuntimeError):
@@ -357,7 +348,9 @@ def _resolve(template: Template, g: int, n: int, indices):
     for i in (indices[0], indices[-1]):
         for label, _ in template.entries:
             _check_label(_label_at(label, i), g, n)
-    fixed = _provenance(template.family, template.params) if template.indices is _SOLE else None
+    inner = ",".join(f"{k}={v}" for k, v in sorted(template.params))  # a one-member family
+    sole = f"{template.family}[{inner}]" if inner else template.family  # is named by its params
+    fixed = sole if template.indices is _SOLE else None
 
     def member(i):
         coeffs, j = {}, i if moving is None else moving(g, i)

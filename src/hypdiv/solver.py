@@ -2,12 +2,12 @@
 
 For a fixed genus and target, :func:`hypdiv.families.assemble_system` gives one linear
 relation per cataloged family member, plus the identification relations; this module
-imports it, ``identification_relations`` and ``family_vectors`` under those names.  The
-system is deliberately overdetermined; redundant relations are reported, never pruned,
-since they cross-check the catalog.  Unknowns on out-of-range labels (``b_0_0``,
-``b_0_1``, and for even g ``b_{g/2}_1`` / ``b_{g/2}_2``) are auxiliaries: solved and
-reported apart from the formal coefficients.  The independent a_i_1 determinations
-re-solve pairs of the solve's relations, found by their provenance.
+imports it (the benchmark tracer hooks it here), ``family_vectors`` (the acceptance suite
+reads it here) and ``G12`` under those names, and :mod:`hypdiv.exactlin` at the top, as
+every process that loads this module solves.  The system is deliberately overdetermined;
+redundant relations are reported, never pruned, since they cross-check the catalog.
+Unknowns on out-of-range labels (``b_0_0``, ``b_0_1``, and for even g ``b_{g/2}_1`` /
+``b_{g/2}_2``) are auxiliaries: solved and reported apart from the formal coefficients.
 
 The linear system takes its columns as the boundary formal unknowns, then
 the auxiliaries, then the first n + 1 formal unknowns, d, c (and a_0_2):
@@ -23,7 +23,8 @@ from typing import NamedTuple, Sequence
 
 from . import families as F
 from . import basis as B
-from .families import G12, Relation, assemble_system, family_vectors, identification_relations
+from . import exactlin
+from .families import G12, assemble_system, family_vectors
 
 
 class SolverError(RuntimeError):
@@ -39,7 +40,7 @@ class SolverError(RuntimeError):
         self.inconsistent = list(inconsistent)
 
 
-def unknown_order(g: int, target: str, relations: list[Relation]) -> tuple[list[str], list[str]]:
+def unknown_order(g: int, target: str, relations: list[F.Relation]) -> tuple[list[str], list[str]]:
     """(formal unknowns, auxiliary unknowns of ``relations``), both in solver order."""
     formal = F.formal_unknowns(g, F.marked_points(target))
     symbols = dict.fromkeys(chain(formal, *(relation.coeffs for relation in relations)))
@@ -56,7 +57,7 @@ class CoefficientReport(NamedTuple):
     rank: int
     n_unknowns: int
     redundant: list[str]
-    relations: Sequence[Relation] = ()
+    relations: Sequence[F.Relation] = ()
 
     def __repr__(self):
         # the relations are left out: a large genus has thousands
@@ -71,8 +72,6 @@ def solve_coefficients(g: int, target: str) -> CoefficientReport:
     certificate) or leaves any unknown free, auxiliary or not; either one
     signals a catalog bug, not a data condition.
     """
-    from . import exactlin  # here, not at the top: ``hypdiv relations`` never solves
-
     relations = assemble_system(g, target)
     formal, auxiliaries = unknown_order(g, target, relations)
     dense = F.marked_points(target) + 1  # d, c (and a_0_2) lead the formal order
@@ -114,8 +113,6 @@ def independent_a1_determinations(g: int) -> dict[int, dict[str, Fraction]]:
     it touches pinned by ``f2ip1[i=k]`` (a disjoint family).  Returns
     i -> {side: value} for the sides with an f2ip1 member; every i has one.
     """
-    from . import exactlin  # here, not at the top: ``hypdiv relations`` never solves
-
     report = solve_coefficients(g, G12)
     relation = {r.provenance: r for r in report.relations}.get
     fixed = [({s: 1}, report.coefficients[s]) for s in ("c", "d")]

@@ -1,8 +1,9 @@
-"""The tests' one conversion from a degree vector to a linear form, written
-as the package first had it: a key sort, then one unknown name per label.
+"""The tests' one conversion from a degree vector to a relation, written
+as the package first had it: a key sort, then one unknown name per label,
+and the member's name read off its family and params.
 
-``hypdiv.families.relations`` reaches the same forms from the genus-free
-template patterns; the tests check the two against each other.
+``hypdiv.families.relations`` reaches the same forms and names from the
+genus-free template patterns; the tests check the two against each other.
 """
 
 from hypdiv import basis as B
@@ -41,3 +42,11 @@ def pairing_degree(dv):
         else:
             form.pop(name, None)
     return form
+
+
+def provenance(dv):
+    """``DegreeVector.provenance`` as it was, sorting the params of every member."""
+    if dv.params:
+        inner = ",".join(f"{k}={v}" for k, v in sorted(dv.params.items()))
+        return f"{dv.family}[{inner}]"
+    return dv.family

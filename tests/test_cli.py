@@ -121,6 +121,25 @@ def test_output_record_refuses_a_coefficient_that_is_not_rational(coeff):
         assert "delta_1_0" in str(caught.value) and repr(coeff) in str(caught.value)
 
 
+@pytest.mark.parametrize(
+    "expr",
+    [
+        DivisorExpression(3, 1, [(eta_irr(), 1)]),
+        DivisorExpression(3, 1, None),
+        None,
+        DivisorExpression(5, 2, None),  # of another ambient too: the type is checked first
+        (3, 1, {eta_irr(): 1}),  # the fields of an expression, in a plain tuple
+    ],
+    ids=repr,
+)
+def test_output_record_refuses_what_is_no_expression_with_dict_terms(expr):
+    # unchecked, each failed on .items() or .g with a bare AttributeError
+    for view in ("formal", "canonical"):
+        with pytest.raises(TypeError) as caught:
+            cli.output_record(3, "weierstrass", view, expr)
+        assert type(caught.value) is TypeError and repr(expr) in str(caught.value)
+
+
 def test_output_record_checks_a_coefficient_before_its_label():
     for label, coeff in ((delta(9, "0"), 0.5), (("delta", 1), None), (delta(1.0, "0"), True)):
         expr = DivisorExpression(3, 1, {eta_irr(): 1, label: coeff})
@@ -285,7 +304,7 @@ def test_verify_names_the_family_of_an_inconsistent_catalog(capsys, monkeypatch)
         return assemble(g, target)
 
     monkeypatch.setattr(S, "assemble_system", counted)
-    family = S.family_vectors(3, "g12")[-1].provenance()
+    family = F.relations(3, 2)[-1].provenance
     code, out = run(capsys, "verify", "--range", "3..4", "--divisor", "g12")
     assert code == EXIT_MISMATCH
     assert assembled == [3, 4]  # naming the certificate needs no second assembly

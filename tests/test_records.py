@@ -97,13 +97,13 @@ def test_linear_system_appends_to_its_own_row_list():
 
 def test_relation_drops_zero_coefficients():
     coeffs = {"d": 0, "c": 2, "a_1_0": 0, "b_1_0": -1}
-    relation = S.Relation(coeffs, 3, "p")
+    relation = F.Relation(coeffs, 3, "p")
     assert relation.coeffs == {"c": 2, "b_1_0": -1} and list(relation.coeffs) == ["c", "b_1_0"]
     assert coeffs["d"] == 0 and len(coeffs) == 4  # the caller's dict is left alone
-    assert relation == S.Relation({"c": 2, "b_1_0": -1}, 3, "p") != S.Relation({"c": 2}, 3, "p")
+    assert relation == F.Relation({"c": 2, "b_1_0": -1}, 3, "p") != F.Relation({"c": 2}, 3, "p")
     assert relation.render() == "p: 2·c - 1·b_1_0 = 3"
     with pytest.raises(DomainError):
-        S.Relation({"d": 0}, Fraction(0), "empty")
+        F.Relation({"d": 0}, Fraction(0), "empty")
     with pytest.raises(AttributeError):
         relation.other = 1
 
@@ -128,5 +128,5 @@ def _two_pass_render(relation):
     ],
 )
 def test_relation_renders_as_its_two_pass_reference(coeffs, rhs, line):
-    relation = S.Relation(coeffs, rhs, "p")
+    relation = F.Relation(coeffs, rhs, "p")
     assert relation.render() == _two_pass_render(relation) == line

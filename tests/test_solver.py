@@ -10,13 +10,11 @@ from hypdiv import basis as B
 from hypdiv import closedform, exactlin
 from hypdiv import families as F
 from hypdiv import solver as S
-from hypdiv.families import G12, WEIERSTRASS
+from hypdiv.families import G12, WEIERSTRASS, Relation, identification_relations
 from hypdiv.solver import (
-    Relation,
     SolverError,
     assemble_system,
     family_vectors,
-    identification_relations,
     independent_a1_determinations,
     solve_coefficients,
     unknown_order,

@@ -135,7 +135,6 @@ def test_relations_loads_no_solving_module():
     from hypdiv import solver
 
     assert hypdiv.assemble_system is solver.assemble_system is F.assemble_system
-    assert solver.identification_relations is F.identification_relations
 
 
 def test_only_commands_that_build_rationals_load_fractions():

@@ -77,10 +77,17 @@ def test_relation_coefficients_that_are_not_a_dict_are_a_type_error(coeffs):
     assert type(caught.value) is TypeError
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    row=ARGUMENTS, coeffs=ARGUMENTS, rhs=SCALARS, terms=st.dictionaries(ARGUMENTS, ARGUMENTS, max_size=3)
+# an expression's terms: a dict, or what the plain constructor takes unchecked in its place
+TERMS = st.one_of(
+    st.dictionaries(ARGUMENTS, ARGUMENTS, max_size=3),
+    st.lists(st.tuples(ARGUMENTS, ARGUMENTS), max_size=3),
+    st.none(),
+    ARGUMENTS,
 )
+
+
+@settings(max_examples=120, deadline=None)
+@given(row=ARGUMENTS, coeffs=ARGUMENTS, rhs=SCALARS, terms=TERMS)
 def test_the_public_classes_fail_typed(row, coeffs, rhs, terms):
     calls = {
         "solve": lambda: hypdiv.solve(hypdiv.LinearSystem(("x",), [row])),

@@ -13,16 +13,16 @@ from hypdiv import families as F
 from hypdiv import solver as S
 from hypdiv.basis import DomainError
 from hypdiv.families import G12, WEIERSTRASS
-from pairing_oracle import pairing_degree
+from pairing_oracle import pairing_degree, provenance
 
 
 def _per_member_system(g, target):
     """The assembly as it was: one degree vector, pairing and sort per member."""
     relations = [
-        S.Relation(pairing_degree(dv), dv.target_degree, dv.provenance())
+        F.Relation(pairing_degree(dv), dv.target_degree, provenance(dv))
         for dv in S.family_vectors(g, target)
     ]
-    return relations + S.identification_relations(g, target)
+    return relations + F.identification_relations(g, target)
 
 
 @pytest.mark.parametrize("target", [WEIERSTRASS, G12])
