@@ -1,23 +1,22 @@
 """Command-line front end: compute, verify, and export coefficient tables.
 
-Subcommands: ``coeffs``, ``verify``, ``relations``, ``families``.  Rationals are always
-serialized as integer (numerator, denominator) pairs, never as decimals.  Exit status
-contract: 0 success, 1 verification mismatch, 2 usage error (a genus above ``MAX_GENUS`` too).
+Rationals are always serialized as integer (numerator, denominator) pairs, never as decimals.
+Exit status contract: 0 success, 1 verification mismatch, 2 usage error (a genus above
+``MAX_GENUS`` too).  ``coeffs`` has one record path: :func:`_record` builds a formal or canonical
+table from {unknown: value}, and :func:`render_latex` pairs its ``basis_order`` by position with
+the labels of its view; :func:`render_coeffs_json` writes it as :func:`render_json` does.
 
-``coeffs`` has one record path: :func:`_record` builds a formal or canonical table from
-{unknown: value}; :func:`render_coeffs_json` writes it as :func:`render_json` does, without json,
-and :func:`render_latex` pairs its ``basis_order`` by position with the labels of its view.
-
-The module level imports argparse and nothing of the catalog; the parser spells
-its choices as literals, which a test pins to :mod:`hypdiv.families`.  Each command
-checks its arguments, then imports the modules it runs, so ``--version``, ``--help``
-and a usage error load no other hypdiv module, and writes its output in one call.
+:func:`main` reads the command line against :data:`COMMANDS`: an option in full, as a unique
+prefix (``--div w``) or as ``--option=value``; of a repeated one the last value, converted before
+its choices are checked (``--marks 01`` is 1).  :func:`usage` writes the help and every usage
+error, the parser's or a command's.  The choices are literals (a test pins them to the catalog),
+so the module imports no catalog; each command imports what it runs and writes its output once.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 
@@ -134,27 +133,10 @@ def render_latex(record: dict) -> str:
     terms = "".join(_latex_term(t["num"], t["den"], latex[t["class"]]) for t in record["terms"])
     body = ("" if terms[1] == "+" else "-") + terms[3:] if terms else "0"  # no leading " + "
     lhs = _LATEX_TARGET[record["divisor"]]
-    comment = f"% genus {g}, view {view}"
-    return f"{comment}\n\\[\n{lhs} = {body}\n\\]"
+    return f"% genus {g}, view {view}\n\\[\n{lhs} = {body}\n\\]"
 
 
 RENDERERS = {"json": render_coeffs_json, "csv": render_csv, "latex": render_latex}
-
-
-def degree_vector_record(dv: DegreeVector) -> dict:
-    from .families import is_auxiliary
-
-    degrees = [
-        {"class": label.name(dv.n), **_fraction_pair(d), "auxiliary": is_auxiliary(label, dv.g)}
-        for label, d in dv.degrees.items()
-    ]
-    return {
-        "family": dv.family,
-        "params": dv.params,
-        "ambient": {"g": dv.g, "n": dv.n},
-        "target": {"divisor": dv.target, **_fraction_pair(dv.target_degree)},
-        "degrees": degrees,
-    }
 
 
 def verification_record(report) -> dict:
@@ -174,20 +156,18 @@ def verification_record(report) -> dict:
     return {**record, "results": results}
 
 
-def _genus(parser: argparse.ArgumentParser, value: int) -> int:
-    if not 2 <= value <= MAX_GENUS:
-        parser.error(f"--genus must be in 2..{MAX_GENUS}, got {value}")
-    return value
+def _genus(text: str) -> int:
+    g = int(text)
+    if not 2 <= g <= MAX_GENUS:
+        raise ValueError(f"must be in 2..{MAX_GENUS}, got {g}")
+    return g
 
 
-def _parse_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
-    try:
-        lo, hi = map(int, text.split(".."))
-    except ValueError:
-        parser.error(f"malformed range {text!r}, expected A..B")
-    if not 2 <= lo <= hi <= MAX_GENUS:
-        parser.error(f"invalid range {text!r}: need 2 <= A <= B <= {MAX_GENUS}")
-    return lo, hi
+def _parse_range(text: str) -> tuple[int, int]:
+    lo, dots, hi = text.partition("..")
+    if not dots or _genus(lo) > _genus(hi):
+        raise ValueError(f"{text!r} is no range A..B of genera with A <= B")
+    return int(lo), int(hi)
 
 
 def _write_lines(lines) -> None:
@@ -195,9 +175,8 @@ def _write_lines(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def cmd_coeffs(parser, args) -> int:
-    g = _genus(parser, args.genus)
-    target = DIVISOR_NAMES[args.divisor]
+def cmd_coeffs(args) -> int:
+    g, target = args.genus, DIVISOR_NAMES[args.divisor]
     if args.source == "solver":
         from . import solver
 
@@ -217,29 +196,23 @@ def _verify_lines(reports):
     """The text report of ``cmd_verify``, line by line."""
     for report in reports:
         for r in report.results:
-            if r.error is not None:
-                yield f"{report.target} g={r.g}: MISMATCH"
-                if r.inconsistent:
-                    yield f"  inconsistent: {', '.join(r.inconsistent)}"
-                else:
-                    yield f"  {r.error}"
+            if r.error is not None:  # the solver refused the system: no counts, no mismatches
+                detail = f"inconsistent: {', '.join(r.inconsistent)}" if r.inconsistent else r.error
+                yield from (f"{report.target} g={r.g}: MISMATCH", f"  {detail}")
                 continue
             status = "ok" if r.ok else "MISMATCH"
-            yield (
-                f"{report.target} g={r.g}: {status} "
-                f"(rank {r.rank}/{r.n_unknowns}, {r.n_redundant} redundant)"
-            )
+            counts = f"rank {r.rank}/{r.n_unknowns}, {r.n_redundant} redundant"
+            yield f"{report.target} g={r.g}: {status} ({counts})"
             for name, got, want in r.mismatches:
                 yield f"  {name}: solver={got} closed={want}"
         yield report.summary()
 
 
-def cmd_verify(parser, args) -> int:
-    lo, hi = _parse_range(parser, args.range)
+def cmd_verify(args) -> int:
     from . import closedform
 
     targets = DIVISOR_NAMES.values() if args.divisor == "both" else [DIVISOR_NAMES[args.divisor]]
-    reports = [closedform.verify_range(lo, hi, t) for t in targets]
+    reports = [closedform.verify_range(*args.range, t) for t in targets]
     if args.json:
         _write_lines([render_json([verification_record(r) for r in reports])])
     else:
@@ -247,11 +220,10 @@ def cmd_verify(parser, args) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_MISMATCH
 
 
-def cmd_relations(parser, args) -> int:
-    g = _genus(parser, args.genus)
+def cmd_relations(args) -> int:
     from .families import assemble_system
 
-    _write_lines(r.render() for r in assemble_system(g, DIVISOR_NAMES[args.divisor]))
+    _write_lines(r.render() for r in assemble_system(args.genus, DIVISOR_NAMES[args.divisor]))
     return EXIT_OK
 
 
@@ -266,66 +238,106 @@ FAMILIES = {
 }
 
 
-def cmd_families(parser, args) -> int:
-    g = _genus(parser, args.genus)
+def cmd_families(args) -> int:
     options, key = FAMILIES[args.family]
     for name in ("i", "section", "side", "marks", "kind"):  # every option a family may take
         if (getattr(args, name) is None) == (name in options):
             verb = "is required for" if name in options else "is not taken by"
-            parser.error(f"--{name} {verb} family {args.family!r}")
+            usage("families", f"--{name} {verb} family {args.family!r}")
     from . import families as F
 
     try:
-        dv = F.evaluate(F.TEMPLATES[key(args)], g, args.i)
+        dv = F.evaluate(F.TEMPLATES[key(args)], args.genus, args.i)
     except F.DomainError as exc:
-        parser.error(str(exc))
-    _write_lines([render_json(degree_vector_record(dv))])
+        usage("families", str(exc))
+    degrees = [
+        {"class": label.name(dv.n), **_fraction_pair(d), "auxiliary": F.is_auxiliary(label, dv.g)}
+        for label, d in dv.degrees.items()
+    ]
+    record = {
+        "family": dv.family,
+        "params": dv.params,
+        "ambient": {"g": dv.g, "n": dv.n},
+        "target": {"divisor": dv.target, **_fraction_pair(dv.target_degree)},
+        "degrees": degrees,
+    }
+    _write_lines([render_json(record)])
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hypdiv",
-        description="Exact divisor-class tables for stacks of pointed hyperelliptic curves.",
-    )
-    parser.add_argument("--version", action="version", version=f"hypdiv {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (its function, its help line, {option: its choices, or the function that reads its
+# value (bool: a flag)}, {option: its value when left out}); every other option is required
+COMMANDS = {
+    "coeffs": (cmd_coeffs, "coefficient table of a divisor class", {
+        "divisor": ("w", "g12"), "genus": _genus, "format": ("json", "csv", "latex"),
+        "view": ("formal", "canonical"), "source": ("closed", "solver"),
+    }, {"format": "json", "view": "formal", "source": "closed"}),
+    "verify": (cmd_verify, "check solver output against the closed forms", {
+        "range": _parse_range, "divisor": ("w", "g12", "both"), "json": bool,
+    }, {"divisor": "both", "json": False}),
+    "relations": (cmd_relations, "dump the assembled relation system",
+                  {"divisor": ("w", "g12"), "genus": _genus}, {}),
+    "families": (cmd_families, "dump one family's degree vector as JSON", {
+        "genus": _genus, "family": tuple(FAMILIES), "i": int, "section": ("horizontal", "diagonal"),
+        "side": ("low", "high"), "marks": (1, 2), "kind": ("single", "weierstrass_involution"),
+    }, dict.fromkeys(("i", "section", "side", "marks", "kind"))),
+}
 
-    p = sub.add_parser("coeffs", help="coefficient table of a divisor class")
-    p.add_argument("--divisor", choices=["w", "g12"], required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv", "latex"], default="json")
-    p.add_argument("--view", choices=["formal", "canonical"], default="formal")
-    p.add_argument("--source", choices=["closed", "solver"], default="closed")
-    p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("verify", help="check solver output against the closed forms")
-    p.add_argument("--range", required=True, metavar="A..B")
-    p.add_argument("--divisor", choices=["w", "g12", "both"], default="both")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("relations", help="dump the assembled relation system")
-    p.add_argument("--divisor", choices=["w", "g12"], required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.set_defaults(func=cmd_relations)
-
-    p = sub.add_parser("families", help="dump one family's degree vector as JSON")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--family", choices=list(FAMILIES), required=True)
-    p.add_argument("--i", type=int)
-    p.add_argument("--section", choices=["horizontal", "diagonal"])
-    p.add_argument("--side", choices=["low", "high"])
-    p.add_argument("--marks", type=int, choices=[1, 2])
-    p.add_argument("--kind", choices=["single", "weierstrass_involution"])
-    p.set_defaults(func=cmd_families)
-    return parser
+def usage(command: str = "", error: str | None = None) -> None:
+    """Write the usage line of ``command``, or of hypdiv before one, and exit: with ``error`` on
+    stderr and status 2, or with the help on stdout and status 0."""
+    words = ["[--version]", "{%s} ..." % ",".join(COMMANDS)]
+    helps = [f"  {name:<10} {about}" for name, (_, about, _, _) in COMMANDS.items()]
+    if command:  # each option with its choices, in brackets if it may be left out
+        _, about, options, defaults = COMMANDS[command]
+        words, helps = [], [about]
+        for name, spec in options.items():
+            shown = "{%s}" % ",".join(map(str, spec)) if type(spec) is tuple else name.upper()
+            word = f"--{name}" if spec is bool else f"--{name} {shown}"
+            words.append(f"[{word}]" if name in defaults else word)
+    prog = f"hypdiv {command}".rstrip()
+    line = " ".join([f"usage: {prog} [-h]", *words])
+    if error is None:
+        _write_lines([line, "", *helps])
+        sys.exit(EXIT_OK)
+    sys.stderr.write(f"{line}\n{prog}: error: {error}\n")
+    sys.exit(EXIT_USAGE)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(parser, args)
+    """Run the command that ``argv`` (``sys.argv[1:]`` if None) names, its options read against
+    :data:`COMMANDS` as the module docstring says; help, the version and usage errors exit."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--version"]:
+        _write_lines([f"hypdiv {__version__}"])
+        sys.exit(EXIT_OK)
+    if not argv or argv[0] not in COMMANDS:  # -h or --help asks for the help
+        usage("", None if argv[:1] in (["-h"], ["--help"]) else f"no command in {argv}")
+    run, _, options, defaults = COMMANDS[argv[0]]
+    command, words, args = argv[0], iter(argv[1:]), dict(defaults)
+    for word in words:
+        key, eq, text = ("--help", "", "") if word == "-h" else word.partition("=")
+        names = [name for name in (*options, "help") if f"--{name}".startswith(key)]
+        if len(names) != 1:  # no option name is the prefix of another
+            usage(command, f"{'ambiguous' if names else 'unrecognized'} argument: {word}")
+        if names == ["help"]:
+            usage(command)
+        name, flag = names[0], options[names[0]] is bool
+        args[name] = True if flag else text if eq else next(words, None)
+        if args[name] is None or eq and flag:
+            usage(command, f"argument --{name}: expected {'no' if flag else 'one'} argument")
+    for name, spec in options.items():
+        if name not in args:
+            usage(command, f"the following arguments are required: --{name}")
+        try:  # the last value given, converted, then checked against the choices
+            if args[name] is not None:  # None: left out, where that may be
+                value = args[name] = (spec if callable(spec) else type(spec[0]))(args[name])
+                if not callable(spec) and value not in spec:
+                    raise ValueError(f"invalid choice: {value!r} (choose from {str(spec)[1:-1]})")
+        except ValueError as exc:
+            usage(command, f"argument --{name}: {exc}")
+    return run(SimpleNamespace(**args))
 
 
 if __name__ == "__main__":

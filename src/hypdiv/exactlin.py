@@ -187,16 +187,13 @@ def solve(sys: LinearSystem) -> SolveResult:
     """
     pivots, rows = _eliminate(sys)
     rank = len(pivots)
-    redundant = []
-    for r, (row, rhs) in enumerate(rows):
-        if row:
-            continue
-        if rhs:
-            return Inconsistent(certificate=_certificate(sys), residual=Fraction(1), rank=rank)
-        redundant.append(r)
+    redundant = [r for r, (row, _) in enumerate(rows) if not row]  # each now reads 0 = rhs
+    if any(rows[r][1] for r in redundant):
+        return Inconsistent(certificate=_certificate(sys), residual=Fraction(1), rank=rank)
     nums, den = _back_substitute(pivots, rows, sys.variables)
     # every stored row is checked on the integers at hand; Fractions only for the answer
-    failed = [r for r, excess in enumerate(_excess(sys.rows, nums, den)) if excess]
+    excess = (sum([v * nums[j] for j, v in row.items()]) - rhs * den for row, rhs in sys.rows)
+    failed = [r for r, e in enumerate(excess) if e]
     if failed:
         raise CheckError(f"the computed answer fails rows {failed[:10]}")
     assignment = {name: Fraction(x, den) for name, x in nums.items()}
@@ -227,11 +224,6 @@ def _back_substitute(pivots: dict, rows, variables) -> tuple[dict, int]:
             acc *= step
         nums[col] = acc // p
     return nums, den
-
-
-def _excess(rows, nums: dict, den: int) -> list[int]:
-    """``den * (lhs - rhs)`` per row, for the values nums[v] / den."""
-    return [sum([v * nums[j] for j, v in row.items()]) - rhs * den for row, rhs in rows]
 
 
 def rank(sys: LinearSystem) -> int:

@@ -396,12 +396,8 @@ def relations(g: int, n: int) -> list[Relation]:
 
 def identification_relations(g: int, target: str) -> list[Relation]:
     """Symmetric constraints for formal label pairs naming one divisor."""
-    out = []
-    for twin, canonical in B.identified_pairs(g, marked_points(target)):
-        s1, s2 = unknown(twin), unknown(canonical)
-        if s1 != s2:
-            out.append(Relation({s2: -1, s1: 1}, 0, f"identification[{s1}={s2}]"))
-    return out
+    names = [(unknown(t), unknown(c)) for t, c in B.identified_pairs(g, marked_points(target))]
+    return [Relation({c: -1, t: 1}, 0, f"identification[{t}={c}]") for t, c in names if t != c]
 
 
 def assemble_system(g: int, target: str) -> list[Relation]:

@@ -84,7 +84,7 @@ def test_output_record_refuses_an_expression_of_another_ambient(g, target, made_
 
 
 def test_output_record_refuses_a_view_that_is_not_formal_or_canonical():
-    # argparse guards --view, but output_record is called directly too
+    # the parser guards --view, but output_record is called directly too
     from hypdiv import closedform
 
     expr = closedform.closed_form(3, "weierstrass")
@@ -405,7 +405,7 @@ def test_genus_above_limit_exits_two():
     assert usage_error("coeffs", "--divisor", "w", "--genus", too_large) == EXIT_USAGE
     assert usage_error("verify", "--range", f"2..{too_large}") == EXIT_USAGE
     assert usage_error("relations", "--divisor", "g12", "--genus", "100000000") == EXIT_USAGE
-    assert cli._genus(cli.build_parser(), cli.MAX_GENUS) == cli.MAX_GENUS
+    assert cli._genus(str(cli.MAX_GENUS)) == cli.MAX_GENUS
 
 
 def test_version_flag():
@@ -499,8 +499,8 @@ OPTION_VALUES = {"i": "1", "section": "horizontal", "side": "low", "marks": "1",
 
 @pytest.mark.parametrize("family", list(cli.FAMILIES))
 def test_a_family_refuses_an_option_it_does_not_take(capsys, family):
-    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
-    dests = {a.dest for a in subparsers["families"]._actions} - {"help", "genus", "family"}
+    _, _, read, _ = cli.COMMANDS["families"]
+    dests = set(read) - {"genus", "family"}
     assert dests == OPTION_VALUES.keys()
     options = cli.FAMILIES[family][0]
     taken = [f"--{name}={OPTION_VALUES[name]}" for name in options]
@@ -511,3 +511,100 @@ def test_a_family_refuses_an_option_it_does_not_take(capsys, family):
         argv.append(f"--{name}={OPTION_VALUES[name]}")
         assert usage_error(*argv) == EXIT_USAGE, argv
         assert f"--{name} is not taken by family {family!r}" in capsys.readouterr().err
+
+
+def outcome(capsys, *argv):
+    """(exit status, stdout, stderr) of ``main``, whether it returns or exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# command lines argparse accepted, with the exit status and the sha256 of the stdout they
+# had then: an option as a prefix or with "=", the last of a repeated option, a flag as a
+# prefix, and a value converted before its choices are checked
+ACCEPTED = [
+    (["coeffs", "--divisor=w", "--gen", "3", "--form", "csv"], 0,
+     "d976650048a8d8196ad9187b77ebb30be68738c0e1cd32e5f8bf511417f8da44"),
+    (["coeffs", "--divisor", "w", "--genus", "3", "--genus", "4", "--format", "csv"], 0,
+     "3908759ccd83fb8cf9342f53c2892a46ab0f81cb8efab100138768f1f9b4ab97"),
+    (["verify", "--range", "2..3", "--js"], 0,
+     "9d8fbd678cf1adcfa55e71d4d2137e0cba31ef2e85dbd4035abc1e05ba5cfd2c"),
+    (["families", "--genus", "4", "--family", "quadric_pencil", "--marks", "01"], 0,
+     "8bb5455be9bff30be12c38d5b63676d3c590a7ce9a06061e59af6e05f69989e1"),
+    # "-1" is read as the value of --i, and evaluate refuses it: nothing on stdout
+    (["families", "--genus", "4", "--family", "ruling", "--i", "-1", "--side", "low"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+# each spelled out in full: the same bytes
+SPELLED_OUT = {
+    0: ["coeffs", "--divisor", "w", "--genus", "3", "--format", "csv"],
+    1: ["coeffs", "--divisor", "w", "--genus", "4", "--format", "csv"],
+    2: ["verify", "--range", "2..3", "--json"],
+    3: ["families", "--genus", "4", "--family", "quadric_pencil", "--marks", "1"],
+}
+USAGE_ERRORS = [
+    [],  # no command
+    ["coeff", "--divisor", "w", "--genus", "3"],  # no such command: commands take no prefix
+    ["coeffs", "--divisor", "w", "--genus", "3", "--bogus"],  # no such option
+    ["families", "--genus", "4", "--family", "diagonal", "--s", "low"],  # --section or --side
+    ["coeffs", "--divisor", "w", "--genus"],  # no value
+    ["coeffs", "--divisor", "w", "--genus", "x"],
+    ["coeffs", "--divisor", "x", "--genus", "3"],  # not a choice
+]
+# the options that the help of each command names
+OPTIONS = {
+    "coeffs": ["--divisor", "--genus", "--format", "--view", "--source"],
+    "verify": ["--range", "--divisor", "--json"],
+    "relations": ["--divisor", "--genus"],
+    "families": ["--genus", "--family", "--i", "--section", "--side", "--marks", "--kind"],
+}
+
+
+@pytest.mark.parametrize("case", range(len(ACCEPTED)))
+def test_the_parser_accepts_what_argparse_accepted(capsys, case):
+    argv, status, sha256 = ACCEPTED[case]
+    code, out, err = outcome(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (status, sha256), err
+    if case in SPELLED_OUT:
+        assert outcome(capsys, *SPELLED_OUT[case])[:2] == (code, out)
+
+
+def test_version_prints_the_version_alone(capsys):
+    assert outcome(capsys, "--version") == (EXIT_OK, "hypdiv 0.1.0\n", "")
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_the_parser_refuses_what_argparse_refused(capsys, argv):
+    code, out, err = outcome(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: hypdiv") and "error: " in err, err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_command_or_every_option_of_one(capsys, flag):
+    code, out, _ = outcome(capsys, flag)
+    assert code == EXIT_OK and all(command in out for command in OPTIONS), out
+    for command, options in OPTIONS.items():
+        code, out, _ = outcome(capsys, command, flag)
+        assert code == EXIT_OK and all(option in out for option in options), (command, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--divisor", "w", "--genus", "1"],
+        ["verify", "--range", "5..2"],
+        ["families", "--genus", "4", "--family", "glued"],  # found by the command
+        ["families", "--genus", "4", "--family", "ruling", "--i", "-1", "--side", "low"],
+    ],
+    ids=" ".join,
+)
+def test_a_usage_error_is_written_under_its_command(capsys, argv):
+    # as the error of a command line without its required options, which the parser finds
+    *usage, message = outcome(capsys, *argv)[2].splitlines()
+    *parsed, _ = outcome(capsys, argv[0])[2].splitlines()
+    assert usage == parsed and message.startswith(f"hypdiv {argv[0]}: error: "), message

@@ -4,7 +4,6 @@ The module tests run a fresh interpreter, since this one has long since
 imported every submodule.
 """
 
-import argparse
 import contextlib
 import hashlib
 import itertools
@@ -13,6 +12,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -83,24 +83,43 @@ def test_version_loads_only_the_parser_modules():
         assert not loaded & {"json", "csv"}, (argv, loaded)
 
 
+# argparse and what it imports: no hypdiv process loads them
+PARSER_MODULES = {"argparse", "gettext", "locale", "textwrap"}
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        *PARSER_ONLY[:3],
+        (["coeffs", "--divisor", "g12", "--genus", "5"], 0),
+        (["verify", "--range", "2..3", "--json"], 0),
+        (["relations", "--divisor", "w", "--genus", "5"], 0),
+        (["families", "--genus", "5", "--family", "diagonal"], 0),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_no_process_loads_a_parser_module(argv, status):
+    got, loaded = status_and_loaded(*argv)
+    assert got == status, argv
+    assert not loaded & PARSER_MODULES, (argv, loaded & PARSER_MODULES)
+
+
 def _family_keys():
     """(family, options, TEMPLATES key) for every --family and choice of its options."""
-    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
-    choices = {a.dest: a.choices for a in subparsers["families"]._actions}
-    assert list(cli.FAMILIES) == choices["family"]
+    _, _, choices, _ = cli.COMMANDS["families"]
+    assert tuple(cli.FAMILIES) == choices["family"]
     for family, (names, key) in cli.FAMILIES.items():
         # --i has no choices: any int stands for it
-        for values in itertools.product(*(choices[name] or [1] for name in names)):
+        for values in itertools.product(*(choices[name] if name != "i" else [1] for name in names)):
             options = dict(zip(names, values))
-            yield family, options, key(argparse.Namespace(**options))
+            yield family, options, key(SimpleNamespace(**options))
 
 
 def test_the_parser_spells_the_catalog_names():
     # cli writes these names as literals, so that its module level imports no catalog
-    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
-    options = {a.dest: a.choices for a in subparsers["families"]._actions}
-    assert options["section"] == [F.HORIZONTAL, F.DIAGONAL]
-    assert options["side"] == [F.LOW, F.HIGH]
+    _, _, options, _ = cli.COMMANDS["families"]
+    assert options["section"] == (F.HORIZONTAL, F.DIAGONAL)
+    assert options["side"] == (F.LOW, F.HIGH)
     assert cli.DIVISOR_NAMES == {"w": F.WEIERSTRASS, "g12": F.G12}
     assert list(cli._LATEX_TARGET) == [F.WEIERSTRASS, F.G12]
     for family, chosen, key in _family_keys():  # each route names a template
