@@ -240,7 +240,7 @@ FAMILIES = {
 
 def cmd_families(args) -> int:
     options, key = FAMILIES[args.family]
-    for name in ("i", "section", "side", "marks", "kind"):  # every option a family may take
+    for name in COMMANDS["families"][3]:  # every option a family may take, in its defaults
         if (getattr(args, name) is None) == (name in options):
             verb = "is required for" if name in options else "is not taken by"
             usage("families", f"--{name} {verb} family {args.family!r}")
@@ -269,14 +269,14 @@ def cmd_families(args) -> int:
 # value (bool: a flag)}, {option: its value when left out}); every other option is required
 COMMANDS = {
     "coeffs": (cmd_coeffs, "coefficient table of a divisor class", {
-        "divisor": ("w", "g12"), "genus": _genus, "format": ("json", "csv", "latex"),
+        "divisor": tuple(DIVISOR_NAMES), "genus": _genus, "format": ("json", "csv", "latex"),
         "view": ("formal", "canonical"), "source": ("closed", "solver"),
     }, {"format": "json", "view": "formal", "source": "closed"}),
     "verify": (cmd_verify, "check solver output against the closed forms", {
-        "range": _parse_range, "divisor": ("w", "g12", "both"), "json": bool,
+        "range": _parse_range, "divisor": (*DIVISOR_NAMES, "both"), "json": bool,
     }, {"divisor": "both", "json": False}),
     "relations": (cmd_relations, "dump the assembled relation system",
-                  {"divisor": ("w", "g12"), "genus": _genus}, {}),
+                  {"divisor": tuple(DIVISOR_NAMES), "genus": _genus}, {}),
     "families": (cmd_families, "dump one family's degree vector as JSON", {
         "genus": _genus, "family": tuple(FAMILIES), "i": int, "section": ("horizontal", "diagonal"),
         "side": ("low", "high"), "marks": (1, 2), "kind": ("single", "weierstrass_involution"),

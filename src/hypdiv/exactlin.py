@@ -5,20 +5,17 @@ the column order) to nonzero ``int``s, with an ``int`` right-hand side.
 The constructor copies its list of rows, never the rows: they are shared
 and checked by ``solve`` and ``rank``, which refuse a malformed one.  A row
 appended later takes ``int`` or ``fractions.Fraction`` entries (never a
-``bool``) and is stored primitive.  Only answers are ``Fraction``s.  ``solve`` runs
-integer-preserving forward elimination on a copy of the rows, with
-deterministic pivots (first nonzero row in column order), then
-back-substitution in integers over one common denominator, so no rounding
-can occur.  A column -> rows index of the nonzero entries, kept exact under
-every row operation, lets the pivot search and the elimination visit only
-the rows that hold the column, so the cost follows the fill-in.  A pivot
-clears its column from the rows that are not yet pivots only, so a caller
-that puts the columns most rows share last keeps them out of most row
-operations.  The certificate for an inconsistent A·x = b solves the dual
-y·A = 0, y·b = 1 through ``solve`` itself (Fredholm alternative), the row
-indices being its variables; it multiplies ``LinearSystem.rows`` as stored.
-Every answer is substituted into every stored row, in those integers,
-before it is returned.
+``bool``) and is stored primitive.  Only answers are ``Fraction``s.
+``solve`` runs integer-preserving forward elimination on a copy of the
+rows, then back-substitution in integers over one common denominator, so
+no rounding can occur.  Elimination takes the rows in order and reduces
+each at its leading column only, by the earlier row that pivots it, so the
+cost follows the fill-in, and a caller that puts the columns most rows
+share last keeps them out of most row operations.  The certificate for an
+inconsistent A·x = b solves the dual y·A = 0, y·b = 1 through ``solve``
+itself (Fredholm alternative), the row indices being its variables; it
+multiplies ``LinearSystem.rows`` as stored.  Every answer is substituted
+into every stored row, in those integers, before it is returned.
 """
 
 from __future__ import annotations
@@ -95,11 +92,7 @@ SolveResult = Unique | Underdetermined | Inconsistent
 
 def _normalize(row: dict, rhs: int) -> tuple[dict, int]:
     """Divide an integer row and its right-hand side by their content."""
-    content = abs(rhs)
-    for v in row.values():
-        content = gcd(content, abs(v))
-        if content == 1:
-            return row, rhs
+    content = gcd(rhs, *row.values())
     if content > 1:
         row = {j: v // content for j, v in row.items()}
         rhs //= content
@@ -107,60 +100,49 @@ def _normalize(row: dict, rhs: int) -> tuple[dict, int]:
 
 
 def _eliminate(sys: LinearSystem):
-    """Forward elimination with deterministic pivoting.
+    """Forward elimination with deterministic pivoting, one stored row at a time.
 
-    Returns (pivots, rows) where pivots maps column -> row position, in
-    column order, and rows is an echelon copy of ``sys.rows``: a pivot row
-    holds its pivot column and later columns only, and it is never changed
-    once chosen; every other row ends empty (0 = rhs).  ``holders[j]`` is
-    the set of rows with a nonzero entry in column j, kept exact under
-    every row operation, so the pivot search and the elimination visit
-    only those rows.  The pass that builds it raises StructuralError on a
-    malformed stored row, and TypeError on anything but a LinearSystem.
+    Returns (pivots, rows): pivots maps column -> row position in column
+    order, and rows is an echelon copy of ``sys.rows``.  Each row in turn is
+    reduced at its leading column (its first in column order) by that
+    column's pivot, an earlier row, until it pivots a column itself or ends
+    empty (0 = rhs); a pivot row holds its pivot column and later columns
+    only, and never changes.  Each stored row is checked as it comes up:
+    StructuralError on a malformed one; TypeError on anything but a LinearSystem.
     """
     if not isinstance(sys, LinearSystem):
         raise TypeError(f"{sys!r} is not a LinearSystem")
-    rows = list(sys.rows)
-    holders: dict[Hashable, set[int]] = {v: set() for v in sys.variables}
-    for r, stored in enumerate(rows):
+    position = {v: k for k, v in enumerate(sys.variables)}
+    pivots: dict[Hashable, int] = {}
+    rows = []
+    for r, stored in enumerate(sys.rows):
         if not (isinstance(stored, tuple) and len(stored) == 2 and isinstance(stored[0], dict)):
             raise StructuralError(f"stored row {r}: {stored!r} is not a (dict, int) pair")
         row, rhs = stored
         for j, v in row.items():
-            if type(v) is not int or not v or j not in holders:
+            if type(v) is not int or not v or j not in position:
                 raise StructuralError(
                     f"stored row {r}: {j!r}: {v!r} is not a nonzero int on a variable"
                 )
-            holders[j].add(r)
         if type(rhs) is not int:
             raise StructuralError(f"stored row {r}: right-hand side {rhs!r} is not an int")
-    pivots: dict[Hashable, int] = {}
-    pivot_rows: set[int] = set()
-    for col, holding in holders.items():
-        candidates = holding - pivot_rows
-        if not candidates:
-            continue
-        pivot = min(candidates)
-        candidates.discard(pivot)
-        pivots[col] = pivot
-        pivot_rows.add(pivot)
-        prow, prhs = rows[pivot]
-        p = prow[col]
-        for r in candidates:
-            row, rhs = rows[r]
-            q = row[col]
+        while row:
+            col = sys.variables[min(map(position.__getitem__, row))]
+            if col not in pivots:
+                pivots[col] = r
+                break
+            prow, prhs = rows[pivots[col]]
+            p, q = prow[col], row[col]
             new_row = {j: p * v for j, v in row.items()}
             for j, v in prow.items():
                 acc = new_row.get(j, 0) - q * v
                 if acc:
-                    if j not in new_row:
-                        holders[j].add(r)
                     new_row[j] = acc
-                elif j in new_row:
+                else:
                     del new_row[j]
-                    holders[j].discard(r)
-            rows[r] = _normalize(new_row, p * rhs - q * prhs)
-    return pivots, rows
+            row, rhs = _normalize(new_row, p * rhs - q * prhs)
+        rows.append((row, rhs))
+    return {col: pivots[col] for col in sys.variables if col in pivots}, rows
 
 
 def _certificate(sys: LinearSystem) -> dict[int, Fraction]:

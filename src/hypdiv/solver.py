@@ -11,9 +11,10 @@ Unknowns on out-of-range labels (``b_0_0``, ``b_0_1``, and for even g ``b_{g/2}_
 
 The linear system takes its columns as the boundary formal unknowns, then
 the auxiliaries, then the first n + 1 formal unknowns, d, c (and a_0_2):
-almost every family meets these global classes, and elimination clears a
-pivot's column only from rows not yet pivots, so put last they enter few
-row operations.  The report, relations and ``unknown_order`` keep solver order.
+almost every family meets these global classes, and elimination reduces a
+row at its leading column only, so put last they are reached only once a
+row's boundary entries are cleared, and enter few row operations.  The
+report, relations and ``unknown_order`` keep solver order.
 """
 
 from __future__ import annotations

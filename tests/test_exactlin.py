@@ -20,6 +20,8 @@ from hypdiv.exactlin import (
     rank,
     solve,
 )
+from hypdiv.families import G12, WEIERSTRASS
+from hypdiv.solver import solve_coefficients
 
 
 def test_symmetric_two_by_two():
@@ -364,7 +366,30 @@ def test_indexed_elimination_matches_full_scan(n_vars, n_rows, data):
     for _ in range(n_rows):
         support = data.draw(columns)
         sys.add_row({name: data.draw(nonzero_entry) for name in support}, data.draw(entry))
-    assert exactlin._eliminate(sys) == _full_scan_eliminate(sys)
+    pivots, rows = exactlin._eliminate(sys)
+    assert (pivots, rows) == _full_scan_eliminate(sys)
+    # dict equality ignores order, but back-substitution reads the pivots in reverse
+    assert list(pivots) == [name for name in names if name in pivots]
+
+
+@pytest.mark.parametrize("target", [WEIERSTRASS, G12])
+def test_catalog_systems_eliminate_as_the_full_scan_does(monkeypatch, target):
+    # dense global columns placed last, identification rows and redundant rows,
+    # which the random systems above rarely produce
+    systems, original = [], exactlin.solve
+
+    def captured(sys):
+        systems.append(sys)
+        return original(sys)
+
+    monkeypatch.setattr(exactlin, "solve", captured)
+    for g in range(2, 31):
+        systems.clear()
+        solve_coefficients(g, target)
+        (sys,) = systems
+        pivots, rows = exactlin._eliminate(sys)
+        assert (pivots, rows) == _full_scan_eliminate(sys), (g, target)
+        assert list(pivots) == [name for name in sys.variables if name in pivots], (g, target)
 
 
 @settings(max_examples=150, deadline=None)
