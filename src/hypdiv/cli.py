@@ -1,10 +1,11 @@
 """Command-line front end: compute, verify, and export coefficient tables.
 
-Rationals are always serialized as integer (numerator, denominator) pairs, never as decimals.
-Exit status contract: 0 success, 1 verification mismatch, 2 usage error (a genus above
-``MAX_GENUS`` too).  ``coeffs`` has one record path: :func:`_record` builds a formal or canonical
-table from {unknown: value}, and :func:`render_latex` pairs its ``basis_order`` by position with
-the labels of its view; :func:`render_coeffs_json` writes it as :func:`render_json` does.
+Every line a command prints is formatted here: the modules it runs return data.  Rationals are
+serialized as integer (numerator, denominator) pairs, never as decimals.  Exit status: 0 success,
+1 verification mismatch, 2 usage error (a genus above ``MAX_GENUS`` too).  ``coeffs`` has one
+record path: :func:`_record` builds a formal or canonical table from {unknown: value}, and
+:func:`render_latex` pairs its ``basis_order`` by position with the labels of its view;
+:func:`render_coeffs_json` writes it as :func:`render_json` does.
 
 :func:`main` reads the command line against :data:`COMMANDS`: an option in full, as a unique
 prefix (``--div w``) or as ``--option=value``; of a repeated one the last value, converted before
@@ -136,6 +137,14 @@ def render_latex(record: dict) -> str:
     return f"% genus {g}, view {view}\n\\[\n{lhs} = {body}\n\\]"
 
 
+def render_relation(relation: Relation) -> str:
+    """``provenance: c·x + c·y - c·z = rhs``; the first coefficient carries its own sign."""
+    terms = iter(relation.coeffs.items())
+    symbol, value = next(terms)
+    signed = "".join([f" - {-v}·{s}" if v < 0 else f" + {v}·{s}" for s, v in terms])
+    return f"{relation.provenance}: {value}·{symbol}{signed} = {relation.rhs}"
+
+
 RENDERERS = {"json": render_coeffs_json, "csv": render_csv, "latex": render_latex}
 
 
@@ -193,7 +202,7 @@ def cmd_coeffs(args) -> int:
 
 
 def _verify_lines(reports):
-    """The text report of ``cmd_verify``, line by line."""
+    """The text report of ``cmd_verify``, line by line, each target's summary line last."""
     for report in reports:
         for r in report.results:
             if r.error is not None:  # the solver refused the system: no counts, no mismatches
@@ -205,7 +214,9 @@ def _verify_lines(reports):
             yield f"{report.target} g={r.g}: {status} ({counts})"
             for name, got, want in r.mismatches:
                 yield f"  {name}: solver={got} closed={want}"
-        yield report.summary()
+        failed = [r.g for r in report.results if not r.ok]
+        result = f"mismatches at g in {failed}" if failed else "all match"
+        yield f"{report.target}: {len(report.results)} genera checked, {result}"
 
 
 def cmd_verify(args) -> int:
@@ -223,7 +234,7 @@ def cmd_verify(args) -> int:
 def cmd_relations(args) -> int:
     from .families import assemble_system
 
-    _write_lines(r.render() for r in assemble_system(args.genus, DIVISOR_NAMES[args.divisor]))
+    _write_lines(map(render_relation, assemble_system(args.genus, DIVISOR_NAMES[args.divisor])))
     return EXIT_OK
 
 

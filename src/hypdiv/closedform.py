@@ -17,8 +17,8 @@ which settles the alternative (g-1)(2g+2) reading.
 apart, on the auxiliaries (b_0_m, m < n, and for even g b_{g/2}_m, m >= 1, off the eta row):
 an unknown mismatches when it is on one side only or when the solver's value and the
 numerator over the shared denominator fail a cross-multiplied comparison in integers.
-Only a mismatch builds ``Fraction`` s, to report it.  The report is ``NamedTuple``
-records: one :class:`GenusResult` per genus inside a :class:`VerificationReport`.
+Only a mismatch builds ``Fraction`` s, to report it.  The report is data that ``cli`` writes:
+``NamedTuple`` records, one :class:`GenusResult` per genus in a :class:`VerificationReport`.
 """
 
 from __future__ import annotations
@@ -147,13 +147,6 @@ class VerificationReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
-
-    def summary(self) -> str:
-        checked = len(self.results)
-        failed = [r.g for r in self.results if not r.ok]
-        if not failed:
-            return f"{self.target}: {checked} genera checked, all match"
-        return f"{self.target}: {checked} genera checked, mismatches at g in {failed}"
 
 
 def _mismatches(g: int, n: int, got: dict, nums: dict, formal: bool = True) -> list:

@@ -8,27 +8,26 @@ as :class:`Template` s: label constructors in the member index i with integer de
 in (g, i, j) built from +, - and * alone.  One walk (:func:`_walk`) resolves each template
 once per genus (:func:`_resolve`): it checks the labels and builds each member from the
 genus-free pattern (:func:`_pattern`, one spot per entry) straight into a :class:`Relation`,
-the one form in which the catalog reaches the solver, computing each degree once and refusing
-the first non-``int``.  The walk is the one writer of a member's name, ``family[i=…]`` or, for
-a one-member family, ``family[k=v,...]`` over its sorted params.  That member is the one check
-of a catalog member: :func:`relations` reads it off the walk, and a degree vector
-(:func:`family_vectors`; :func:`evaluate` for one member of :data:`TEMPLATES`, as the
+the data form in which the catalog reaches the solver, computing each degree once and refusing
+the first non-``int``.  The walk names each member ``family[i=…]`` or, for a one-member family,
+``family[k=v,...]`` over its sorted params (``solver.independent_a1_determinations`` spells
+``f2ip1[i=…]`` and ``ruling_{side}[i=…]`` to look two up, until ROADMAP item 10's schedule
+does).  That member is the one check: :func:`relations` reads it off the walk, and a degree
+vector (:func:`family_vectors`; :func:`evaluate` for one member of :data:`TEMPLATES`, as the
 ``families`` command asks) runs it first.  Each family's geometry is at its template.
-:func:`unknown` is the one map from a label to its unknown's name.  A test checks each
-self-intersection entry against :mod:`hypdiv.surfcalc` for every genus the CLI accepts.
+:func:`unknown` maps a label to its unknown's name.  A test checks each self-intersection
+entry against :mod:`hypdiv.surfcalc` for every genus the CLI accepts.
 
-The assembly (:func:`assemble_system`, which ``hypdiv relations`` prints and the solver
-solves) is those relations plus the identification relations: at the top boundary index
-two formal labels name one irreducible divisor, and the printed closed forms give both one
-value, so ``b_t_0 = b_t_1`` (odd g) and its like are forced.  The f2ip1 member i = 0
-(target g12) pins the auxiliary ``b_0_1``; at g = 2 it makes delta_{1,1} computable.
+The assembly (:func:`assemble_system`: the solver solves it, ``cli.render_relation`` prints
+it) is those relations plus the identification relations: at the top boundary index two
+formal labels name one irreducible divisor, and the printed closed forms give both one value,
+so ``b_t_0 = b_t_1`` (odd g) and its like are forced.  The f2ip1 member i = 0 (target g12)
+pins the auxiliary ``b_0_1``; at g = 2 it makes delta_{1,1} computable.
 
-Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g)
-are registered, never dropped; :func:`is_auxiliary` tells them apart.
-For n = 2 the marking "1" stands for the invariant pair 1a/1b, and
-degrees that the underlying relation only constrains through the sum
-psi_1 + psi_2 are recorded against the label :data:`PSI_SUM`.  Like the
-auxiliaries and "1", it is a degree-vector key that ``basis.is_valid`` refuses.
+Degrees on out-of-range eta labels (eta_{0,m}; eta_{g/2,m} for even g) are kept, never dropped;
+:func:`is_auxiliary` tells them apart.  For n = 2 the marking "1" stands for the invariant pair
+1a/1b, and a degree that a relation constrains only through psi_1 + psi_2 is recorded against
+:data:`PSI_SUM`.  Like the auxiliaries and "1", it is a key that ``basis.is_valid`` refuses.
 """
 
 from __future__ import annotations
@@ -306,13 +305,6 @@ class Relation:
 
     def __repr__(self):
         return f"Relation(coeffs={self.coeffs!r}, rhs={self.rhs!r}, provenance={self.provenance!r})"
-
-    def render(self) -> str:
-        """``provenance: c·x + c·y - c·z = rhs``; the first coefficient carries its own sign."""
-        terms = iter(self.coeffs.items())
-        symbol, value = next(terms)
-        signed = "".join([f" - {-v}·{s}" if v < 0 else f" + {v}·{s}" for s, v in terms])
-        return f"{self.provenance}: {value}·{symbol}{signed} = {self.rhs}"
 
 
 @cache

@@ -8,6 +8,7 @@ from hypdiv import basis as B
 from hypdiv import closedform as CF
 from hypdiv import families as F
 from hypdiv.basis import delta, eta, eta_irr, psi
+from hypdiv.cli import _verify_lines, render_relation
 from hypdiv.families import G12, WEIERSTRASS
 
 
@@ -164,7 +165,7 @@ def test_closed_forms_satisfy_every_assembled_relation():
 
             for relation in assemble_system(g, target):
                 lhs = sum(coeff * value(name) for name, coeff in relation.coeffs.items())
-                assert lhs == relation.rhs, (g, relation.render())
+                assert lhs == relation.rhs, (g, render_relation(relation))
 
 
 # target -> boundary kind -> its public closed-form function
@@ -239,7 +240,7 @@ def _perturbed_verify(monkeypatch, target, change):
     report = CF.verify_range(2, 4, target)
     assert not report.ok
     assert [r.g for r in report.results if not r.ok] == [3]
-    assert "mismatches at g in [3]" in report.summary()
+    assert "mismatches at g in [3]" in list(_verify_lines([report]))[-1]
     return report.results[1]
 
 

@@ -204,6 +204,15 @@ def test_malformed_stored_rows_are_structural_errors(operation, rows):
     assert sys.rows == rows
 
 
+@pytest.mark.parametrize("variables", [("x", "x"), [1, True]], ids=repr)
+def test_duplicate_variable_names_are_a_structural_error(variables):
+    # 1 and True are equal and hash alike: one name given twice
+    with pytest.raises(StructuralError) as caught:
+        LinearSystem(variables)
+    assert type(caught.value) is StructuralError
+    assert str(caught.value) == "duplicate variable names"
+
+
 @pytest.mark.parametrize("column", [0, 1])
 def test_corrupted_back_substitution_raises_check_error(monkeypatch, column):
     # the self-check runs on the integer numerators, not on the Fraction answer

@@ -16,6 +16,7 @@ from hypdiv import exactlin
 from hypdiv import families as F
 from hypdiv import solver as S
 from hypdiv.basis import DomainError
+from hypdiv.cli import render_relation
 from lattice_oracle import SurfaceLattice
 
 SOURCE = Path(hypdiv.__file__).resolve().parents[1]
@@ -101,15 +102,22 @@ def test_relation_drops_zero_coefficients():
     assert relation.coeffs == {"c": 2, "b_1_0": -1} and list(relation.coeffs) == ["c", "b_1_0"]
     assert coeffs["d"] == 0 and len(coeffs) == 4  # the caller's dict is left alone
     assert relation == F.Relation({"c": 2, "b_1_0": -1}, 3, "p") != F.Relation({"c": 2}, 3, "p")
-    assert relation.render() == "p: 2·c - 1·b_1_0 = 3"
+    assert render_relation(relation) == "p: 2·c - 1·b_1_0 = 3"
     with pytest.raises(DomainError):
         F.Relation({"d": 0}, Fraction(0), "empty")
     with pytest.raises(AttributeError):
         relation.other = 1
 
 
+def test_relation_equals_only_a_relation_and_reads_back_from_its_repr():
+    for relation in F.assemble_system(3, F.G12):
+        fields = (relation.coeffs, relation.rhs, relation.provenance)
+        assert relation.__eq__(fields) is NotImplemented and relation != fields
+        assert eval(repr(relation), {"Relation": F.Relation}) == relation
+
+
 def _two_pass_render(relation):
-    # the renderer that Relation.render replaced, kept as its reference
+    # the renderer that cli.render_relation replaced, kept as its reference
     (symbol, value), *rest = relation.coeffs.items()
     signed = [f"- {-v}·{s}" if v < 0 else f"+ {v}·{s}" for s, v in rest]
     return f"{relation.provenance}: {' '.join([f'{value}·{symbol}', *signed])} = {relation.rhs}"
@@ -129,4 +137,4 @@ def _two_pass_render(relation):
 )
 def test_relation_renders_as_its_two_pass_reference(coeffs, rhs, line):
     relation = F.Relation(coeffs, rhs, "p")
-    assert relation.render() == _two_pass_render(relation) == line
+    assert render_relation(relation) == _two_pass_render(relation) == line

@@ -352,6 +352,16 @@ def test_relation_rejects_empty_form():
         Relation(coeffs={"d": 0}, rhs=Fraction(0), provenance="empty")
 
 
+def test_report_repr_leaves_out_the_relations():
+    report = solve_coefficients(3, G12)
+    shown = repr(report)
+    assert shown.startswith("CoefficientReport(g=3, target='g12', coefficients={'d': ")
+    assert all(f"{name}=" in shown for name in report._fields if name != "relations")
+    assert "relations=" not in shown and "ruling_low" not in shown
+    # the only provenances shown are those of the redundant relations
+    assert [r.provenance for r in report.relations if r.provenance in shown] == report.redundant
+
+
 def test_identification_relations_match_parity():
     assert [r.provenance for r in identification_relations(4, WEIERSTRASS)] == [
         "identification[a_2_1=a_2_0]"

@@ -189,6 +189,10 @@ def test_unknown_attribute_is_attribute_error():
         hypdiv.nope  # noqa: B018
 
 
+def test_every_public_name_is_listed_by_dir():
+    assert set(hypdiv.__all__) <= set(dir(hypdiv))
+
+
 class CountingStringIO(io.StringIO):
     def __init__(self):
         super().__init__()
